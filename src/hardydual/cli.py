@@ -7,9 +7,10 @@ deterministic: identical configuration (including the seed) produces
 byte-identical CSV and JSON outputs.  Wall-clock timings go to ``run.log``,
 which is outside the determinism contract.
 
-Exit codes: 0 all gates pass, 2 configuration error, 3 data failure
-(Szego violation / non-positive Gram), 4 tolerance-gate failure (the report
-is still written).
+Exit codes: 0 all gates pass, 2 configuration error, 3 data failure (any
+library error raised by a study, e.g. a Szego violation, a non-positive Gram
+or coinciding mass points), 4 tolerance-gate failure (the report is still
+written).
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +31,12 @@ from .circle import CircleGrid, MassSet, symbol_from_coefficients, \
     symbol_from_expression, symbol_from_samples, validate_szego
 from .duality import UNITARY, PRINTED, apply_tau, dual_of, \
     duality_identity, l2_norm, canonical_vector, theorem_check, TauVector
-from .errors import ConfigError, HardyDualError, NotPositiveDefinite, \
-    OrderViolation, SzegoViolation
+from .errors import ConfigError, HardyDualError, OrderViolation, SzegoViolation
 from .kernels import asymptotic_sweep, kernel_value_at_origin, sandwich_check
 from .spaces import SpaceData, regularized
 from .tolerances import Tolerances
 
 SCHEMA_VERSION = 1
-THREADS_ENV = "HARDYDUAL_THREADS"
 STUDY_ORDER = ("asymptotics", "duality", "sandwich", "theorem", "tau", "convergence")
 
 EXIT_OK = 0
@@ -135,10 +132,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     degree = raw.get("degree", 48)
     _expect(isinstance(degree, int) and 0 <= degree < grid // 2,
             f"degree must lie in 0..{grid // 2 - 1}")
-    hankel = raw.get("hankel")
-    if hankel is not None:
-        _expect(isinstance(hankel, int) and 1 <= hankel <= grid // 2 - degree,
-                f"hankel truncation must lie in 1..{grid // 2 - degree}")
 
     symbol_spec = raw.get("symbol", {"kind": "coefficients", "entries": {}})
     _expect(isinstance(symbol_spec, dict) and "kind" in symbol_spec,
@@ -171,6 +164,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
         n_max = raw.get("n_max", 16)
         _expect(isinstance(n_max, int) and n_max >= 1, "n_max must be >= 1")
 
+    studies = raw.get("studies", ["duality"])
+    _expect(isinstance(studies, list) and studies
+            and all(s in STUDY_ORDER for s in studies),
+            f"studies must be a nonempty subset of {STUDY_ORDER}")
+
+    # highest exponent any Gram of the run reaches: the asymptotics sweep
+    # reads every shift from one Gram on z^0..z^{degree + n_max}
+    top = degree + n_max if "asymptotics" in studies else degree
+    _expect(top < grid // 2,
+            f"degree + n_max must stay below {grid // 2} for the asymptotics study")
+    hankel = raw.get("hankel")
+    if hankel is not None:
+        _expect(isinstance(hankel, int) and 1 <= hankel <= grid // 2 - top,
+                f"hankel truncation must lie in 1..{grid // 2 - top}")
+
     rho_list = raw.get("rho_list", [0.5])
     _expect(isinstance(rho_list, list) and rho_list
             and all(isinstance(r, (int, float)) and 0 < r < 1 for r in rho_list),
@@ -198,11 +206,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"unknown gate keys: {sorted(set(gate_raw) - set(gates))}")
     gates.update({k: float(v) for k, v in gate_raw.items()})
 
-    studies = raw.get("studies", ["duality"])
-    _expect(isinstance(studies, list) and studies
-            and all(s in STUDY_ORDER for s in studies),
-            f"studies must be a nonempty subset of {STUDY_ORDER}")
-
     convergence = raw.get("convergence")
     if "convergence" in studies:
         _expect(isinstance(convergence, dict)
@@ -215,8 +218,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for g, d in zip(grids, degrees):
             _expect(isinstance(g, int) and g >= 8 and (g & (g - 1)) == 0,
                     "convergence grids must be powers of two >= 8")
-            _expect(isinstance(d, int) and 0 <= d < g // 2,
-                    "convergence degrees must fit the grid")
+            _expect(isinstance(d, int) and 0 <= d and d + n_max < g // 2,
+                    "convergence degrees plus n_max must fit the grid")
 
     output = raw.get("output", {})
     _expect(isinstance(output, dict) and set(output) <= {"dir"},
@@ -430,7 +433,7 @@ def monotone_improvement(values, floor=1e-12, factor=2.0):
     return bool(steps_ok and net_ok)
 
 
-def convergence_study(config: ExperimentConfig):
+def _study_convergence(config, base_space):
     """Refinement table for the identity residual and the kernel deviation."""
     grids = config.convergence["grids"]
     degrees = config.convergence["degrees"]
@@ -446,7 +449,6 @@ def convergence_study(config: ExperimentConfig):
                      "final_deviation": float(trace.deviations[-1])})
         residuals.append(rep.residual)
 
-    base_space = build_space(config)
     k_base = kernel_value_at_origin(base_space, config.degree, config.hankel)
     rho_rows = [{"rho": rho,
                  "k_scaled": kernel_value_at_origin(
@@ -480,12 +482,12 @@ def convergence_study(config: ExperimentConfig):
 
 
 _STUDY_FUNCS = {
-    "asymptotics": lambda cfg, space: _study_asymptotics(cfg, space),
-    "duality": lambda cfg, space: _study_duality(cfg, space),
-    "sandwich": lambda cfg, space: _study_sandwich(cfg, space),
-    "theorem": lambda cfg, space: _study_theorem(cfg, space),
-    "tau": lambda cfg, space: _study_tau(cfg, space),
-    "convergence": lambda cfg, space: convergence_study(cfg),
+    "asymptotics": _study_asymptotics,
+    "duality": _study_duality,
+    "sandwich": _study_sandwich,
+    "theorem": _study_theorem,
+    "tau": _study_tau,
+    "convergence": _study_convergence,
 }
 
 
@@ -571,34 +573,18 @@ def write_report(report: RunReport, out_dir: Path):
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunReport | None]:
     """Execute the configured studies and persist the report."""
-    try:
-        space = build_space(config)
-    except ConfigError:
-        raise
-
+    space = build_space(config)
     studies = [s for s in STUDY_ORDER if s in config.studies]
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-
     results = {}
     timings = {}
-
-    def execute(study):
-        start = time.perf_counter()
-        out = _STUDY_FUNCS[study](config, space)
-        return study, out, time.perf_counter() - start
-
     try:
-        if workers > 1 and len(studies) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for study, out, elapsed in pool.map(execute, studies):
-                    results[study] = out
-                    timings[study] = elapsed
-        else:
-            for study in studies:
-                study, out, elapsed = execute(study)
-                results[study] = out
-                timings[study] = elapsed
-    except (SzegoViolation, NotPositiveDefinite) as exc:
+        for study in studies:
+            start = time.perf_counter()
+            results[study] = _STUDY_FUNCS[study](config, space)
+            timings[study] = time.perf_counter() - start
+    except ConfigError:
+        raise
+    except HardyDualError as exc:
         print(f"data failure: {exc}", file=sys.stderr)
         return EXIT_DATA, None
 

@@ -2,8 +2,9 @@
 
 For the Gram matrix G of the metric on z^0..z^M, the reproducing kernel at
 the origin solves G k = e_0, so k(0) = (G^{-1})_{00} = ||k||^2 and the
-normalized value is K(0) = sqrt((G^{-1})_{00}).  All sweeps act on the data
-(shifted symbol and weights), never on the basis.
+normalized value is K(0) = sqrt((G^{-1})_{00}).  Every routine that needs
+several Grams of one data pair assembles one Gram and reads the others from
+it: shifts are principal windows, regularizations recombine its Hankel Gram.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circle import build_blaschke, build_outer
+from .circle import build_outer
 from .errors import OrderViolation, RejectBoundary
 from .spaces import (
     GramMatrix,
     SpaceData,
+    assemble_gram,
     build_gram_analytic,
-    build_gram_laurent,
     effective_data,
     regularized,
     shifted,
@@ -89,9 +90,9 @@ def kernel_value_at_origin(space: SpaceData, degree: int,
 class OrthonormalSystem:
     """Coefficient vectors of e_n = z^n K^{alpha_n} and their pairwise Gram.
 
-    For nonnegative shifts the vectors live in the analytic basis
-    z^0..z^{M+max n}; once negative shifts are present they are embedded in
-    Laurent + mass coordinates and the two-sided Gram is used.
+    The vectors live on the monomials z^{min n}..z^{max n + M}; with negative
+    shifts these are Laurent monomials (``basis_kind`` "laurent"), measured by
+    the same metric, whose mass part conj(zeta)^a zeta^b nu extends to a < 0.
     """
 
     shifts: np.ndarray
@@ -111,34 +112,14 @@ def orthonormal_system(space: SpaceData, shifts: Sequence[int], degree: int,
         raise ValueError("need at least one shift")
     n_min, n_max = int(shifts[0]), int(shifts[-1])
 
-    kernels = {}
-    for n in shifts:
-        gram_n = build_gram_analytic(shifted(space, int(n)), degree, hankel)
-        kernels[int(n)] = kernel_at_origin(gram_n).normalized()
-
-    if n_min >= 0:
-        big_degree = degree + n_max
-        gram_big = build_gram_analytic(space, big_degree, hankel)
-        columns = np.zeros((big_degree + 1, shifts.size), dtype=complex)
-        for i, n in enumerate(shifts):
-            columns[n: n + degree + 1, i] = kernels[int(n)]
-        system_gram = columns.conj().T @ gram_big.entries @ columns
-        return OrthonormalSystem(shifts, columns, system_gram, "analytic")
-
-    half_band = max(-n_min, degree + max(n_max, 0))
-    gram_l = build_gram_laurent(space, half_band, hankel)
-    _, masses = effective_data(space)
-    rows = 2 * half_band + 1 + masses.count
-    columns = np.zeros((rows, shifts.size), dtype=complex)
-    for i, n in enumerate(shifts):
-        coeffs = kernels[int(n)]
-        lo = half_band + int(n)
-        columns[lo: lo + degree + 1, i] = coeffs
-        if masses.count:
-            values = np.polynomial.polynomial.polyval(masses.points, coeffs)
-            columns[2 * half_band + 1:, i] = masses.points ** int(n) * values
-    system_gram = columns.conj().T @ gram_l.entries @ columns
-    return OrthonormalSystem(shifts, columns, system_gram, "laurent")
+    gram = build_gram_analytic(shifted(space, n_min), degree + n_max - n_min, hankel)
+    columns = np.zeros((gram.order, shifts.size), dtype=complex)
+    for i, n in enumerate(shifts - n_min):
+        kernel = kernel_at_origin(gram.window(int(n), degree + 1))
+        columns[n: n + degree + 1, i] = kernel.normalized()
+    system_gram = columns.conj().T @ gram.entries @ columns
+    return OrthonormalSystem(shifts, columns, system_gram,
+                             "laurent" if n_min < 0 else "analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +158,11 @@ def asymptotic_sweep(space: SpaceData, n_max: int, degree: int,
                      hankel: Optional[int] = None) -> AsymptoticTrace:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    gram = build_gram_analytic(space, degree + n_max, hankel)
     shifts = np.arange(n_max + 1)
-    values = np.empty(shifts.size)
-    used_hankel = 0
-    for i, n in enumerate(shifts):
-        gram = build_gram_analytic(shifted(space, int(n)), degree, hankel)
-        used_hankel = gram.hankel.truncation
-        values[i] = kernel_at_origin(gram).norm
-    return AsymptoticTrace(shifts, values, degree, used_hankel,
+    values = np.array([kernel_at_origin(gram.window(int(n), degree + 1)).norm
+                       for n in shifts])
+    return AsymptoticTrace(shifts, values, degree, gram.hankel.truncation,
                            space.symbol.grid.size)
 
 
@@ -237,9 +215,9 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     sp_both = regularized(base, rho=rho, mass_cutoff=cutoff)
 
     g_alpha = build_gram_analytic(base, degree, hankel)
-    g_cut = build_gram_analytic(sp_cut, degree, hankel)
-    g_rho = build_gram_analytic(sp_rho, degree, hankel)
-    g_both = build_gram_analytic(sp_both, degree, hankel)
+    g_cut = assemble_gram(sp_cut, g_alpha.hankel)
+    g_rho = assemble_gram(sp_rho, g_alpha.hankel)
+    g_both = assemble_gram(sp_both, g_alpha.hankel)
 
     k_alpha = kernel_at_origin(g_alpha).norm
     k_cut = kernel_at_origin(g_cut).norm
@@ -257,29 +235,27 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     _require_order("Gram(scaled) - Gram(alpha) PSD", psd_rho, tol_order)
 
     # value at 0 of the outer factor for the plain and the scaled symbol
-    sym_eff, masses_eff = effective_data(base)
-    sym_rho_eff, _ = effective_data(sp_rho)
-    te0 = build_outer(sym_eff).value_at_zero
-    te0_rho = build_outer(sym_rho_eff).value_at_zero
-    _, masses_cut = effective_data(sp_cut)
-    b0 = float(np.prod(np.abs(masses_eff.points))) if masses_eff.count else 1.0
-    b0_cut = float(np.prod(np.abs(masses_cut.points))) if masses_cut.count else 1.0
+    te0 = build_outer(effective_data(base)[0]).value_at_zero
+    te0_rho = build_outer(effective_data(sp_rho)[0]).value_at_zero
+    b0 = float(np.prod(np.abs(base.kept_masses.points)))
+    b0_cut = float(np.prod(np.abs(sp_cut.kept_masses.points)))
 
     chain_upper = (te0_rho / te0) * k_both - k_cut
     chain_lower = k_rho - (b0 / b0_cut) * k_both
     _require_order("K(cutoff) <= (T_e^rho(0)/T_e(0)) K(both)", chain_upper, tol_order)
     _require_order("K(scaled) >= (B(0)/B^N(0)) K(both)", chain_lower, tol_order)
 
-    from .duality import build_dual, duality_identity  # cycle: duality uses kernels
+    from .duality import dual_of  # cycle: duality uses kernels
 
+    # the identity T(0) K^{alpha_{-1}}(0) K~(0) = 1 for each variant shifted
+    # up by one; its shifted-down kernel is the variant's own kernel
     residuals = {}
-    for label, sp in (("cutoff", sp_cut), ("scaled", sp_rho), ("both", sp_both)):
-        up = shifted(sp, 1)
-        sym_up, masses_up = effective_data(up)
-        outer_up = build_outer(sym_up)
-        blaschke_up = build_blaschke(masses_up, outer_up)
-        dual_up = build_dual(up, outer_up, blaschke_up)
-        residuals[label] = duality_identity(up, dual_up, degree, hankel).residual
+    for label, sp, k_variant in (("cutoff", sp_cut, k_cut), ("scaled", sp_rho, k_rho),
+                                 ("both", sp_both, k_both)):
+        dual_up = dual_of(shifted(sp, 1))
+        k_dual = kernel_at_origin(
+            build_gram_analytic(dual_up.dual_space(), degree, hankel)).norm
+        residuals[label] = abs(dual_up.T_at_zero * k_variant * k_dual - 1.0)
 
     return SandwichReport(
         shift=n, cutoff=cutoff, rho=rho,

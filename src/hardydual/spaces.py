@@ -7,9 +7,13 @@ The metric on analytic polynomials is
 realized on the monomial basis z^0..z^M as I - (Hankel Gram) + (mass Gram).
 The same Hankel expression extends to Laurent monomials z^-M..z^M, giving
 the circle block of the two-sided space; point-mass coordinates are
-appended as a direct summand diag(nu).  Shifts alpha_n (symbol times t^n,
-weights times |zeta|^{2n}), symbol scaling by rho, and mass truncation are
-all applied to the data, never to the basis.
+appended as a direct summand diag(nu).
+
+A shift alpha_n (symbol times t^n, weights times |zeta|^{2n}) only moves
+exponents: its Gram on z^0..z^M is the unshifted metric on z^n..z^{n+M}, a
+principal window of one Gram over a longer exponent range.  Symbol scaling
+by rho and mass truncation recombine the same Hankel Gram Gamma as
+I - rho^2 Gamma + (mass Gram of the first N masses).
 """
 
 from __future__ import annotations
@@ -57,6 +61,13 @@ class SpaceData:
     def grid(self) -> CircleGrid:
         return self.symbol.grid
 
+    @property
+    def kept_masses(self) -> MassSet:
+        """The first ``mass_cutoff`` masses with their unshifted weights."""
+        if self.mass_cutoff is None:
+            return self.masses
+        return self.masses.truncated(self.mass_cutoff)
+
 
 def shifted(space: SpaceData, dn: int) -> SpaceData:
     return replace(space, shift=space.shift + dn)
@@ -93,9 +104,7 @@ def effective_data(space: SpaceData) -> tuple[SymbolData, MassSet]:
     eff_symbol = SymbolData(grid, np.ascontiguousarray(values),
                             np.ascontiguousarray(coeffs), float(np.abs(values).max()))
 
-    masses = space.masses
-    if space.mass_cutoff is not None:
-        masses = masses.truncated(space.mass_cutoff)
+    masses = space.kept_masses
     if space.shift != 0 and masses.count:
         if space.shift < 0 and masses.has_origin:
             raise ValueError("negative shift undefined for a mass at the origin")
@@ -104,8 +113,9 @@ def effective_data(space: SpaceData) -> tuple[SymbolData, MassSet]:
     return eff_symbol, masses
 
 
-def default_hankel_truncation(grid_size: int, degree: int) -> int:
-    return grid_size // 2 - degree
+def default_hankel_truncation(grid_size: int, top_exponent: int) -> int:
+    """Largest J whose Hankel rows stay in the negative band up to ``top_exponent``."""
+    return grid_size // 2 - top_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +126,8 @@ def default_hankel_truncation(grid_size: int, degree: int) -> int:
 class HankelBlock:
     """Gram of the truncated Hankel operator on given monomial exponents.
 
-    gamma_gram[m, l] = sum_{j=1..J} conj(r_{-j-m}) r_{-j-l}; tail_bound is
+    gamma_gram[m, l] = sum_{j=1..J} conj(r_{-j-m}) r_{-j-l} for the unscaled
+    symbol (rho enters as rho^2 when the metric is assembled); tail_bound is
     the largest entrywise remainder sum_{j>J} |r_{-j-m}| |r_{-j-l}| over the
     resolvable coefficient range.
     """
@@ -193,6 +204,23 @@ class GramMatrix:
         y = x if y is None else np.asarray(y, dtype=complex)
         return complex(np.vdot(y, self.entries @ x))
 
+    def window(self, start: int, size: int) -> "GramMatrix":
+        """Principal window on basis indices start..start+size-1.
+
+        For an analytic Gram of alpha_n this is the Gram of alpha_{n+start}
+        on z^0..z^{size-1}.  The window keeps this Gram's truncation J and
+        tail bound; the PD check and the Cholesky factor are its own.
+        """
+        if self.basis_kind != "analytic":
+            raise ValueError("windows are taken of analytic-basis Grams")
+        if size < 1 or start < 0 or start + size > self.order:
+            raise ValueError(f"window {start}..{start + size - 1} outside 0..{self.order - 1}")
+        rows = slice(start, start + size)
+        block = replace(self.hankel, exponents=self.hankel.exponents[rows],
+                        gamma_gram=self.hankel.gamma_gram[rows, rows])
+        return _finalize_gram(self.entries[rows, rows], "analytic", np.arange(size), 0,
+                              block, TOL_PSD)
+
 
 def _finalize_gram(entries, basis_kind, exponents, mass_count, hankel, tol_psd):
     entries = 0.5 * (entries + entries.conj().T)
@@ -211,25 +239,40 @@ def _finalize_gram(entries, basis_kind, exponents, mass_count, hankel, tol_psd):
                       min_eig, max_eig, hankel)
 
 
+def assemble_gram(space: SpaceData, block: HankelBlock,
+                  tol_psd: float = TOL_PSD) -> GramMatrix:
+    """I - rho^2 Gamma + (mass Gram of the first N masses) on block's exponents.
+
+    ``block`` is the Hankel block of ``space.symbol`` on the exponent window
+    of ``space``; rho and the mass cutoff are read from ``space``, so one
+    block serves every regularization of the same data pair.
+    """
+    masses = space.kept_masses
+    exponents = block.exponents
+    if exponents.min() < 0 and masses.has_origin:
+        raise ValueError("negative shift undefined for a mass at the origin")
+    entries = np.eye(exponents.size, dtype=complex) - space.rho ** 2 * block.gamma_gram
+    entries += _mass_gram(masses, exponents)
+    return _finalize_gram(entries, "analytic", np.arange(exponents.size), 0, block,
+                          tol_psd)
+
+
 def build_gram_analytic(space: SpaceData, degree: int,
                         hankel: Optional[int] = None,
                         tol_psd: float = TOL_PSD) -> GramMatrix:
     """Gram of the metric on z^0..z^degree.
 
-    Entries: delta_{ml} - sum_{j<=J} conj(r_{-j-m}) r_{-j-l}
-    + sum_k conj(zeta_k)^m zeta_k^l nu_k, with shifted/scaled data resolved
-    first.
+    For shift n the entries are the unshifted metric on z^{n+m}, z^{n+l}:
+    delta_{ml} - rho^2 sum_{j<=J} conj(r_{-j-n-m}) r_{-j-n-l}
+    + sum_k conj(zeta_k)^{n+m} zeta_k^{n+l} nu_k over the first N masses.
+    J defaults to size/2 - (n + degree), so no Hankel row wraps.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    symbol, masses = effective_data(space)
+    exponents = np.arange(space.shift, space.shift + degree + 1)
     if hankel is None:
-        hankel = default_hankel_truncation(symbol.grid.size, degree)
-    exponents = np.arange(degree + 1)
-    block = hankel_block(symbol, exponents, hankel)
-    entries = np.eye(degree + 1, dtype=complex) - block.gamma_gram
-    entries += _mass_gram(masses, exponents)
-    return _finalize_gram(entries, "analytic", exponents, 0, block, tol_psd)
+        hankel = default_hankel_truncation(space.grid.size, int(exponents[-1]))
+    return assemble_gram(space, hankel_block(space.symbol, exponents, hankel), tol_psd)
 
 
 def build_gram_laurent(space: SpaceData, half_band: int,

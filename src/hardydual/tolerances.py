@@ -4,8 +4,6 @@ from dataclasses import dataclass, replace
 
 TOL_UNIT = 1e-12        # slack on |R| <= 1 (contractivity)
 TOL_TOUCH = 1e-12       # 1 - |R| below this counts as touching the circle
-TOL_FFT = 1e-10         # value/coefficient round-trip consistency
-TOL_OUTER = 1e-8        # boundary-modulus and analyticity defects of T_e
 TOL_BLASCHKE = 1e-8     # |B| = 1 on the circle, B(zeta_k) = 0
 TOL_PSD = 1e-12         # Gram matrices must be PD with at least this margin
 TOL_ORDER = 1e-10       # sandwich inequality margin
@@ -15,17 +13,11 @@ TOL_DERIV = 1e-6        # |B'(zeta_k)| below this is degenerate
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Bundle of the tolerances above, for config-driven overrides."""
+    """The tolerances the CLI passes on, for config-driven overrides."""
 
     unit: float = TOL_UNIT
     touch: float = TOL_TOUCH
-    fft: float = TOL_FFT
-    outer: float = TOL_OUTER
-    blaschke: float = TOL_BLASCHKE
-    psd: float = TOL_PSD
     order: float = TOL_ORDER
-    hat: float = TOL_HAT
-    deriv: float = TOL_DERIV
 
     def updated(self, **overrides):
         return replace(self, **overrides)

@@ -197,11 +197,28 @@ def test_wrong_sample_count_exits_2(tmp_path):
     assert main(["run", str(cfg)]) == 2
 
 
-def test_env_thread_count(tmp_path, monkeypatch):
-    monkeypatch.setenv("HARDYDUAL_THREADS", "4")
+def test_unread_tolerance_key_exits_2(tmp_path):
     cfg = tmp_path / "c.json"
-    _write_config(cfg, studies=["asymptotics", "duality"], grid=512, degree=24,
-                  n_max=8)
-    out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out)]) == 0
-    assert (out / "asymptotics.csv").exists()
+    _write_config(cfg, tolerances={"psd": 10.0})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_hankel_beyond_sweep_band_exits_2(tmp_path):
+    # the sweep reads every shift from one Gram on z^0..z^(degree + n_max)
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, studies=["asymptotics"], grid=512, degree=24, n_max=8,
+                  hankel=256 - 24)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    _write_config(cfg, studies=["asymptotics"], grid=512, degree=24, n_max=8,
+                  hankel=256 - 32)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_coinciding_masses_exit_3(tmp_path, capsys):
+    # distinct enough for MassSet, too close for the Blaschke product
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, masses=[{"point": [0.5, 0.0], "weight": 1.0},
+                               {"point": [0.5 + 1e-10, 0.0], "weight": 1.0}])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data failure:") and len(err.splitlines()) == 1
