@@ -17,6 +17,8 @@ normalized Lebesgue measure.
 
 from __future__ import annotations
 
+import ast
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +31,9 @@ from .tolerances import TOL_BLASCHKE, TOL_TOUCH, TOL_UNIT
 
 ANALYTIC = "analytic"
 ANTIANALYTIC = "antianalytic"
+
+# inner block b of the two-level power table in evaluate_analytic
+_POWER_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -84,10 +89,29 @@ def coefficient(coeffs, p: int) -> complex:
 def evaluate_analytic(coeffs, z):
     """Evaluate sum_{p >= 0} c_p z**p from an FFT-layout coefficient array.
 
-    Only the analytic half of the array is used; valid for |z| < 1.
+    Only the analytic half of the array is used, every coefficient of it;
+    valid for |z| < 1.  The powers z**p of all points are built at once in
+    two levels, z**(b*j + i) = z**(b*j) * z**i with 0 <= i < b, each level
+    by running products, and meet the coefficients in one matrix product.
+    Scalar in, scalar out; an array of points gives an array of its shape.
     """
     c = np.asarray(coeffs, dtype=complex)
-    return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), c[: c.size // 2])
+    c = c[: c.size // 2]
+    z = np.asarray(z, dtype=complex)
+    block = min(_POWER_BLOCK, max(c.size, 1))
+    rows = -(-max(c.size, 1) // block)
+    flat = z.reshape(-1, 1)
+    inner = _running_powers(flat, block)  # z**i
+    outer = _running_powers(inner[:, -1:] * flat, rows)  # z**(b*j)
+    powers = (outer[:, :, None] * inner[:, None, :]).reshape(len(flat), rows * block)
+    return (powers[:, : c.size] @ c).reshape(z.shape)[()]
+
+
+def _running_powers(base: np.ndarray, count: int) -> np.ndarray:
+    """Columns base**0 .. base**(count-1) of a column of bases, by products."""
+    steps = np.repeat(base, count, axis=1)
+    steps[:, 0] = 1.0
+    return np.multiply.accumulate(steps, axis=1)
 
 
 def riesz_project(coeffs, sign: str) -> np.ndarray:
@@ -155,29 +179,67 @@ def symbol_from_coefficients(grid: CircleGrid, entries: Mapping[int, complex]) -
     return SymbolData(grid, values, coeffs, float(np.abs(values).max()))
 
 
-_EXPR_NAMES = {
+_FORMULA_FUNCS = {
     "conj": np.conj,
     "abs": np.abs,
     "exp": np.exp,
     "sqrt": np.sqrt,
     "cos": np.cos,
     "sin": np.sin,
-    "pi": np.pi,
 }
+_FORMULA_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_FORMULA_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+# an integer power of at least this many bits is refused before Python builds it
+_FORMULA_MAX_BITS = 1100
+
+
+def evaluate_formula(formula: str, t):
+    """Evaluate a symbol formula at the points ``t``.
+
+    The formula is parsed, never executed: it may hold numeric constants,
+    the names ``t`` and ``pi``, unary ``+ -``, binary ``+ - * / **`` and
+    calls to conj, abs, exp, sqrt, cos and sin with positional arguments.
+    Anything else, and any failure while evaluating, raises ValueError.
+    """
+    try:
+        return _formula_node(ast.parse(formula, mode="eval").body, t)
+    except Exception as exc:
+        raise ValueError(f"cannot evaluate symbol expression {formula!r}: {exc}") from exc
+
+
+def _formula_node(node, t):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in ("t", "pi"):
+        return t if node.id == "t" else np.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _FORMULA_UNARY:
+        return _FORMULA_UNARY[type(node.op)](_formula_node(node.operand, t))
+    if isinstance(node, ast.BinOp) and type(node.op) in _FORMULA_BINARY:
+        left = _formula_node(node.left, t)
+        right = _formula_node(node.right, t)
+        if isinstance(node.op, ast.Pow) and type(left) is int and type(right) is int \
+                and (abs(left).bit_length() - 1) * right > _FORMULA_MAX_BITS:
+            raise ValueError(f"integer power with exponent {right} out of range")
+        return _FORMULA_BINARY[type(node.op)](left, right)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in _FORMULA_FUNCS and not node.keywords:
+        args = [_formula_node(arg, t) for arg in node.args]
+        return _FORMULA_FUNCS[node.func.id](*args)
+    raise ValueError(f"{type(node).__name__} not allowed in a formula")
 
 
 def symbol_from_expression(grid: CircleGrid, formula: str) -> SymbolData:
     """Symbol from an expression in ``t`` and ``conj(t)``, e.g. ``"0.6*conj(t)"``.
 
-    Evaluated on the grid with a restricted namespace (t, conj, abs, exp,
-    sqrt, cos, sin, pi and numeric literals).
+    Evaluated on the grid by :func:`evaluate_formula`.
     """
-    scope = dict(_EXPR_NAMES)
-    scope["t"] = grid.nodes
-    try:
-        raw = eval(compile(formula, "<symbol>", "eval"), {"__builtins__": {}}, scope)
-    except Exception as exc:
-        raise ValueError(f"cannot evaluate symbol expression {formula!r}: {exc}") from exc
+    raw = evaluate_formula(formula, grid.nodes)
     values = np.broadcast_to(np.asarray(raw, dtype=complex), (grid.size,)).copy()
     return symbol_from_samples(grid, values)
 

@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, MassSet, symbol_from_expression, zero_symbol
+from .circle import (
+    CircleGrid,
+    MassSet,
+    evaluate_formula,
+    symbol_from_expression,
+    zero_symbol,
+)
 from .spaces import SpaceData
 
 
@@ -38,11 +44,9 @@ class CorpusCase:
         nodes = np.asarray(nodes, dtype=complex)
         if self.formula is None:
             return np.zeros_like(nodes)
-        scope = {"t": nodes, "conj": np.conj, "abs": np.abs, "exp": np.exp,
-                 "sqrt": np.sqrt, "cos": np.cos, "sin": np.sin, "pi": np.pi}
         return np.broadcast_to(
-            np.asarray(eval(self.formula, {"__builtins__": {}}, scope),  # noqa: S307
-                       dtype=complex), nodes.shape).copy()
+            np.asarray(evaluate_formula(self.formula, nodes), dtype=complex),
+            nodes.shape).copy()
 
 
 CASES = (

@@ -173,15 +173,29 @@ def canonical_vector(symbol: SymbolData, f1, mass_values=None,
     return TauVector(f1, f2, np.asarray(mass_values, dtype=complex), space_tag)
 
 
+def _analytic_layout(grid, coeffs) -> np.ndarray:
+    """FFT-layout array of the polynomial sum_p coeffs[p] t**p.
+
+    The polynomial must fit the analytic half of the grid's band, so its
+    grid samples are ``grid.values`` of the result and its values inside the
+    disk are ``evaluate_analytic`` of it.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.size > grid.size // 2:
+        raise ValueError(f"polynomial of degree {coeffs.size - 1} exceeds the "
+                         f"analytic band of a {grid.size}-point grid")
+    full = np.zeros(grid.size, dtype=complex)
+    full[: coeffs.size] = coeffs
+    return full
+
+
 def embed_analytic_vector(symbol: SymbolData, masses: MassSet, coeffs,
                           space_tag: str = "primal") -> TauVector:
     """Embed an analytic polynomial (coefficient vector) with its mass values."""
     grid = symbol.grid
-    coeffs = np.asarray(coeffs, dtype=complex)
-    f1 = np.polynomial.polynomial.polyval(grid.nodes, coeffs)
-    values = np.polynomial.polynomial.polyval(masses.points, coeffs) \
-        if masses.count else np.empty(0, dtype=complex)
-    return canonical_vector(symbol, f1, values, space_tag)
+    full = _analytic_layout(grid, coeffs)
+    return canonical_vector(symbol, grid.values(full),
+                            evaluate_analytic(full, masses.points), space_tag)
 
 
 def l2_inner(u: TauVector, v: TauVector, symbol: SymbolData,
@@ -280,8 +294,7 @@ def check_hat_membership(vector: TauVector, outer: OuterData, masses: MassSet,
 def _laurent_values(grid, coeffs_band, half_band):
     """Grid samples of a Laurent polynomial given coefficients on -M..M."""
     full = np.zeros(grid.size, dtype=complex)
-    for i, c in enumerate(coeffs_band):
-        full[(i - half_band) % grid.size] = c
+    full[(np.arange(len(coeffs_band)) - half_band) % grid.size] = coeffs_band
     return grid.values(full)
 
 
@@ -403,13 +416,9 @@ def duality_identity(space: SpaceData, dual: DualData, degree: int,
     residual = abs(product - 1.0)
 
     # vector form: tau(z^{-1} K^{alpha_{-1}}) against the dual kernel
-    k_coeffs = kernel_down.normalized()
-    f1 = np.conj(grid.nodes) * np.polynomial.polynomial.polyval(grid.nodes, k_coeffs)
-    if masses.count:
-        mass_values = masses.points ** (-1) * \
-            np.polynomial.polynomial.polyval(masses.points, k_coeffs)
-    else:
-        mass_values = np.empty(0, dtype=complex)
+    k_full = _analytic_layout(grid, kernel_down.normalized())
+    f1 = np.conj(grid.nodes) * grid.values(k_full)
+    mass_values = masses.points ** (-1) * evaluate_analytic(k_full, masses.points)
     vec = canonical_vector(symbol, f1, mass_values)
     image = apply_tau(vec, dual)
 

@@ -48,10 +48,6 @@ class KernelVector:
     def normalized_at_zero(self) -> complex:
         return self.value_at_zero / self.norm
 
-    def value_at(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
-                                                self.coefficients)
-
     def normalized(self) -> np.ndarray:
         return self.coefficients / self.norm
 

@@ -10,6 +10,7 @@ from hardydual import (
     SzegoViolation,
     build_blaschke,
     build_outer,
+    evaluate_analytic,
     riesz_project,
     riesz_project_values,
     symbol_from_coefficients,
@@ -18,6 +19,8 @@ from hardydual import (
     validate_szego,
     zero_symbol,
 )
+from hardydual.circle import evaluate_formula
+from hardydual.corpus import CASES
 from hardydual.oracle import fd_derivative
 
 
@@ -90,6 +93,77 @@ def test_riesz_rejects_unknown_sign():
         riesz_project(np.zeros(8, dtype=complex), "sideways")
 
 
+# --- series evaluation inside the disk ---------------------------------------
+
+# rounding allowance, in units of eps * sum_p (p+1) |c_p| |z|^p, shared by the
+# block-Vandermonde product and numpy's Horner polyval
+EVAL_ROUNDING = 8.0
+
+
+@st.composite
+def analytic_series(draw):
+    """FFT-layout coefficients with a drawn decay and spikes up to the band edge."""
+    size = 2 ** draw(st.integers(3, 14))
+    half = size // 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    coeffs[:half] *= np.exp(-draw(st.floats(0.0, 1.0)) * np.arange(half))
+    spikes = st.tuples(st.floats(0.0, 1.0),
+                       st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                          allow_infinity=False))
+    for where, value in draw(st.lists(spikes, max_size=3)):
+        coeffs[int(where * (half - 1))] += value
+    return coeffs
+
+
+disk_points = st.lists(
+    st.builds(lambda r, a: r * np.exp(1j * a),
+              st.floats(0.0, 0.999), st.floats(0.0, 2 * np.pi)),
+    max_size=4,
+)
+
+
+def _horner_longdouble(coeffs, z):
+    c = np.asarray(coeffs[: coeffs.size // 2], dtype=np.clongdouble)
+    z = np.asarray(z, dtype=np.clongdouble)
+    out = np.zeros_like(z)
+    for cp in c[::-1]:
+        out = out * z + cp
+    return out
+
+
+def _rounding_scale(coeffs, z):
+    c = np.abs(coeffs[: coeffs.size // 2])
+    p = np.arange(c.size)
+    return np.array([np.sum((p + 1) * c * abs(point) ** p)
+                     for point in np.atleast_1d(z)]).reshape(np.shape(z))
+
+
+@given(analytic_series(), disk_points)
+@settings(deadline=None, max_examples=60)
+def test_evaluate_analytic_within_horner_rounding(coeffs, points):
+    eps = np.finfo(float).eps
+    horner = np.polynomial.polynomial.polyval
+    forms = [np.array(points, dtype=complex)] + [complex(z) for z in points]
+    for z in forms:
+        ref = _horner_longdouble(coeffs, z)
+        allowed = EVAL_ROUNDING * eps * _rounding_scale(coeffs, z)
+        new = evaluate_analytic(coeffs, z)
+        old = horner(z, coeffs[: coeffs.size // 2])
+        assert np.shape(new) == np.shape(old)
+        assert np.all(np.abs(new - ref) <= allowed)
+        assert np.all(np.abs(old - ref) <= allowed)
+
+
+def test_evaluate_analytic_at_origin_is_constant_term():
+    rng = np.random.default_rng(3)
+    coeffs = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    assert evaluate_analytic(coeffs, 0.0) == coeffs[0]
+    assert np.ndim(evaluate_analytic(coeffs, 0.0)) == 0
+    at = evaluate_analytic(coeffs, np.array([[0.0, 0.5j], [0.0, -0.3]]))
+    assert at.shape == (2, 2) and at[0, 0] == coeffs[0] and at[1, 0] == coeffs[0]
+
+
 # --- symbols and Szego validation -------------------------------------------
 
 def test_symbol_encodings_agree(grid512):
@@ -98,6 +172,46 @@ def test_symbol_encodings_agree(grid512):
     by_sample = symbol_from_samples(grid512, by_expr.values)
     assert np.abs(by_expr.values - by_coeff.values).max() < 1e-14
     assert np.abs(by_expr.coeffs - by_sample.coeffs).max() < 1e-14
+
+
+# each symbol formula the corpus and the README use, written in numpy
+NUMPY_FORMULAS = {
+    "0.6*conj(t)": lambda t: 0.6 * np.conj(t),
+    "0.3*conj(t)": lambda t: 0.3 * np.conj(t),
+    "0.25*conj(t) + 0.15*conj(t)**3":
+        lambda t: 0.25 * np.conj(t) + 0.15 * np.conj(t) ** 3,
+    "0.5*conj(t)**2": lambda t: 0.5 * np.conj(t) ** 2,
+    "(0.2+0.1j)*conj(t) + 0.2*conj(t)**2 + 0.1*t":
+        lambda t: (0.2 + 0.1j) * np.conj(t) + 0.2 * np.conj(t) ** 2 + 0.1 * t,
+    "0.55*conj(t)/(1 - 0.35*conj(t))":
+        lambda t: 0.55 * np.conj(t) / (1 - 0.35 * np.conj(t)),
+}
+
+
+def test_formula_samples_match_numpy_bit_for_bit(grid512):
+    corpus = {case.formula for case in CASES if case.formula is not None}
+    assert corpus <= set(NUMPY_FORMULAS)
+    for case in CASES:
+        if case.formula is not None:
+            expected = NUMPY_FORMULAS[case.formula](grid512.nodes)
+            assert np.array_equal(case.symbol_values(grid512.nodes), expected)
+    for formula, numpy_form in NUMPY_FORMULAS.items():
+        expected = numpy_form(grid512.nodes)
+        assert np.array_equal(symbol_from_expression(grid512, formula).values, expected)
+
+
+def test_formula_whitelist():
+    t = np.exp(1j * np.linspace(0.0, 6.0, 7))
+    assert np.array_equal(evaluate_formula("-exp(sqrt(abs(cos(t)))) + +sin(pi/t)**2", t),
+                          -np.exp(np.sqrt(np.abs(np.cos(t)))) + np.sin(np.pi / t) ** 2)
+    for formula in [
+        "().__class__.__base__.__subclasses__()[0].__name__ and 0.1",
+        "t.real", "t[0]", "x * t", "conj(t=t)", "conj(*[t])", "__import__('os')",
+        "True * t", "'t'", "[t][0]", "t if 1 else 0", "lambda: t", "t // 2",
+        "t % 2", "~t", "9**9**9", "conj(t", "",
+    ]:
+        with pytest.raises(ValueError):
+            evaluate_formula(formula, t)
 
 
 def test_symbol_rejects_out_of_band_coefficient(grid512):

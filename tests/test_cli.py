@@ -222,3 +222,11 @@ def test_coinciding_masses_exit_3(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("data failure:") and len(err.splitlines()) == 1
+
+
+def test_formula_cannot_run_code(tmp_path):
+    # attribute access and boolean operators are outside the formula grammar
+    cfg = tmp_path / "c.json"
+    formula = "().__class__.__base__.__subclasses__()[0].__name__ and 0.1"
+    _write_config(cfg, symbol={"kind": "expression", "formula": formula})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardydual import (
+    CircleGrid,
     DegenerateDerivative,
     GridMismatch,
     MassSet,
@@ -23,8 +24,8 @@ from hardydual import (
     theorem_check,
     zero_symbol,
 )
-from hardydual.corpus import CASES
-from hardydual.duality import PRINTED
+from hardydual.corpus import BY_NAME, CASES
+from hardydual.duality import PRINTED, _laurent_values
 from hardydual.spaces import effective_data
 
 
@@ -335,3 +336,34 @@ def test_identity_residual_drops_with_degree(mass_space):
     large = duality_identity(mass_space, dual_of(mass_space), 12).residual
     assert small > 1e-7  # tail visible at the small degree
     assert large <= small / 4.0
+
+
+def test_no_horner_path_left(monkeypatch):
+    # every series evaluation goes through the FFT or evaluate_analytic
+    def refuse(*args, **kwargs):
+        raise AssertionError("Horner polyval reached")
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval", refuse)
+    space = BY_NAME["mixed_two_mass"].space(1024)
+    assert space.masses.count == 2
+    dual = dual_of(space)
+    identity = duality_identity(space, dual, 16)
+    theorem = theorem_check(space, dual, 16)
+    vec = embed_analytic_vector(space.symbol, space.masses, [1.0, 0.5j, 0.25])
+    assert np.isfinite(dual.dual_masses.weights).all()
+    assert np.isfinite([identity.residual, identity.vector_residual,
+                        theorem.forward_hardy_residual,
+                        theorem.forward_mass_residual]).all()
+    assert np.allclose(vec.mass_values, 1.0 + 0.5j * space.masses.points
+                       + 0.25 * space.masses.points ** 2, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("size, half_band", [(64, 0), (64, 5), (64, 31), (1024, 16)])
+def test_laurent_values_scatter_matches_loop(size, half_band):
+    grid = CircleGrid(size)
+    rng = np.random.default_rng(size + half_band)
+    band = np.array([1.0, 1j]) @ rng.standard_normal((2, 2 * half_band + 1))
+    full = np.zeros(size, dtype=complex)
+    for i, c in enumerate(band):
+        full[(i - half_band) % size] = c
+    assert np.array_equal(_laurent_values(grid, band, half_band), grid.values(full))
