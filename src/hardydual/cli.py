@@ -32,8 +32,8 @@ from .circle import CircleGrid, MassSet, symbol_from_coefficients, \
 from .duality import UNITARY, PRINTED, apply_tau, dual_of, \
     duality_identity, l2_norm, canonical_vector, theorem_check, TauVector
 from .errors import ConfigError, HardyDualError, OrderViolation, SzegoViolation
-from .kernels import asymptotic_sweep, kernel_value_at_origin, sandwich_check
-from .spaces import SpaceData, regularized
+from .kernels import asymptotic_sweep, kernel_at_origin, sandwich_check
+from .spaces import SpaceData, assemble_gram, build_gram_analytic, regularized
 from .tolerances import Tolerances
 
 SCHEMA_VERSION = 1
@@ -449,21 +449,22 @@ def _study_convergence(config, base_space):
                      "final_deviation": float(trace.deviations[-1])})
         residuals.append(rep.residual)
 
-    k_base = kernel_value_at_origin(base_space, config.degree, config.hankel)
-    rho_rows = [{"rho": rho,
-                 "k_scaled": kernel_value_at_origin(
-                     regularized(base_space, rho=rho), config.degree,
-                     config.hankel)}
+    # one Gram: each rho/N row recombines its Hankel Gram
+    gram = build_gram_analytic(base_space, config.degree, config.hankel)
+    k_base = kernel_at_origin(gram).norm
+
+    def k_regularized(**regularization):
+        return kernel_at_origin(
+            assemble_gram(regularized(base_space, **regularization), gram.hankel)).norm
+
+    rho_rows = [{"rho": rho, "k_scaled": k_regularized(rho=rho)}
                 for rho in sorted(config.rho_list)]
     rho_values = [r["k_scaled"] for r in rho_rows]
     rho_monotone = all(b >= a - 1e-12 for a, b in zip(rho_values, rho_values[1:]))
     rho_bounded = all(v <= k_base + 1e-10 for v in rho_values)
 
     cutoffs = sorted(config.cutoff_list or [base_space.masses.count])
-    cutoff_rows = [{"cutoff": n,
-                    "k_cutoff": kernel_value_at_origin(
-                        regularized(base_space, mass_cutoff=n), config.degree,
-                        config.hankel)}
+    cutoff_rows = [{"cutoff": n, "k_cutoff": k_regularized(mass_cutoff=n)}
                    for n in cutoffs]
     cut_values = [r["k_cutoff"] for r in cutoff_rows]
     cut_monotone = all(b <= a + 1e-12 for a, b in zip(cut_values, cut_values[1:]))

@@ -14,15 +14,21 @@ exponents: its Gram on z^0..z^M is the unshifted metric on z^n..z^{n+M}, a
 principal window of one Gram over a longer exponent range.  Symbol scaling
 by rho and mass truncation recombine the same Hankel Gram Gamma as
 I - rho^2 Gamma + (mass Gram of the first N masses).
+
+Gamma is assembled by its displacement recurrence, and a Gram is checked
+positive definite by one Cholesky factorization of G - TOL_PSD I; its
+windows inherit the check by Cauchy interlacing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle import (
     CircleGrid,
@@ -124,7 +130,7 @@ def default_hankel_truncation(grid_size: int, top_exponent: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class HankelBlock:
-    """Gram of the truncated Hankel operator on given monomial exponents.
+    """Gram of the truncated Hankel operator on consecutive monomial exponents.
 
     gamma_gram[m, l] = sum_{j=1..J} conj(r_{-j-m}) r_{-j-l} for the unscaled
     symbol (rho enters as rho^2 when the metric is assembled); tail_bound is
@@ -138,25 +144,54 @@ class HankelBlock:
     tail_bound: float
 
 
+def _lagged_gram(c: np.ndarray, truncation: int, order: int) -> np.ndarray:
+    """G[m, l] = sum_{j<J} conj(c[j+m]) c[j+l] for m, l < order.
+
+    ``c`` needs J + order - 1 terms.  The first row is one length-J product
+    per column; the rest follows down the diagonals by the displacement
+    recurrence
+    G[m+1, l+1] = G[m, l] - conj(c[m]) c[l] + conj(c[J+m]) c[J+l].
+    """
+    J = truncation
+    gram = np.empty((order, order), dtype=c.dtype)
+    gram[0] = sliding_window_view(c[:J + order - 1], J) @ np.conj(c[:J])
+    for m in range(1, order):
+        gram[m, m:] = (gram[m - 1, m - 1:-1]
+                       - np.conj(c[m - 1]) * c[m - 1:order - 1]
+                       + np.conj(c[J + m - 1]) * c[J + m - 1:J + order - 1])
+    lower = np.tril_indices(order, -1)
+    gram[lower] = np.conj(gram.T[lower])
+    return gram
+
+
 def hankel_block(symbol: SymbolData, exponents, truncation: int) -> HankelBlock:
+    """Hankel Gram on the consecutive exponents e0..e0+order-1.
+
+    With a_k = r_{-(e0+k)}, Gamma[m, l] = sum_{j=1..J} conj(a_{j+m}) a_{j+l},
+    assembled in O(J order + order^2) by :func:`_lagged_gram`.
+    """
     exponents = np.asarray(exponents, dtype=int)
     n = symbol.grid.size
+    order = exponents.size
+    first = int(exponents[0])
+    if not np.array_equal(exponents, np.arange(first, first + order)):
+        raise ValueError("Hankel exponents must be consecutive and increasing")
     if truncation < 1:
         raise ValueError(f"Hankel truncation must be >= 1, got {truncation}")
-    if truncation + exponents.max() > n // 2:
+    top = first + order - 1
+    if truncation + top > n // 2:
         raise ValueError(
             f"Hankel truncation {truncation} exceeds the resolvable band for "
-            f"degree {exponents.max()} on a size-{n} grid"
+            f"degree {top} on a size-{n} grid"
         )
-    js = np.arange(1, truncation + 1)
-    rows = symbol.coeffs[(-js[:, None] - exponents[None, :]) % n]
-    gram = rows.conj().T @ rows
+    # a[k - 1] = a_k for k = 1..size/2 - first, i.e. r_{-first-1} down to r_{-size/2}
+    a = symbol.coeffs[-(first + 1 + np.arange(n // 2 - first)) % n]
+    gram = _lagged_gram(a, truncation, order)
 
-    j_max = n // 2 - int(exponents.max())
+    j_max = n // 2 - top
     if j_max > truncation:
-        tail_js = np.arange(truncation + 1, j_max + 1)
-        tail = np.abs(symbol.coeffs[(-tail_js[:, None] - exponents[None, :]) % n])
-        tail_bound = float((tail.T @ tail).max())
+        tail = _lagged_gram(np.abs(a[truncation:]), j_max - truncation, order)
+        tail_bound = float(tail.max())
     else:
         tail_bound = 0.0
     return HankelBlock(truncation, exponents, gram, tail_bound)
@@ -174,22 +209,40 @@ class GramMatrix:
     """Hermitian positive matrix of the metric on a truncated basis.
 
     ``basis_kind`` is "analytic" (exponents 0..M) or "laurent" (exponents
-    -M..M followed by ``mass_count`` point-mass coordinates).  ``factor``
-    caches the Cholesky factorization used by :meth:`solve`.
+    -M..M followed by ``mass_count`` point-mass coordinates).  The Cholesky
+    factor used by :meth:`solve` and the eigenvalue extremes are computed on
+    first use.
     """
 
     entries: np.ndarray
     basis_kind: str
     exponents: np.ndarray
     mass_count: int
-    factor: tuple
-    min_eig_estimate: float
-    max_eig_estimate: float
     hankel: HankelBlock
 
     @property
     def order(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def factor(self) -> tuple:
+        try:
+            return scipy.linalg.cho_factor(self.entries, lower=True)
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - PD-checked
+            raise NotPositiveDefinite(str(exc)) from exc
+
+    @cached_property
+    def _eig_extremes(self) -> tuple[float, float]:
+        eigs = np.linalg.eigvalsh(self.entries)
+        return float(eigs[0]), float(eigs[-1])
+
+    @property
+    def min_eig_estimate(self) -> float:
+        return self._eig_extremes[0]
+
+    @property
+    def max_eig_estimate(self) -> float:
+        return self._eig_extremes[1]
 
     @property
     def condition_estimate(self) -> float:
@@ -209,7 +262,9 @@ class GramMatrix:
 
         For an analytic Gram of alpha_n this is the Gram of alpha_{n+start}
         on z^0..z^{size-1}.  The window keeps this Gram's truncation J and
-        tail bound; the PD check and the Cholesky factor are its own.
+        tail bound.  It needs no PD check of its own: by Cauchy interlacing
+        its smallest eigenvalue is at least this Gram's, which passed
+        TOL_PSD.  Its Cholesky factor is its own.
         """
         if self.basis_kind != "analytic":
             raise ValueError("windows are taken of analytic-basis Grams")
@@ -218,29 +273,29 @@ class GramMatrix:
         rows = slice(start, start + size)
         block = replace(self.hankel, exponents=self.hankel.exponents[rows],
                         gamma_gram=self.hankel.gamma_gram[rows, rows])
-        return _finalize_gram(self.entries[rows, rows], "analytic", np.arange(size), 0,
-                              block, TOL_PSD)
+        return GramMatrix(self.entries[rows, rows], "analytic", np.arange(size), 0, block)
 
 
-def _finalize_gram(entries, basis_kind, exponents, mass_count, hankel, tol_psd):
+def _finalize_gram(entries, basis_kind, exponents, mass_count, hankel):
+    """Symmetrize and check min eig >= TOL_PSD by a Cholesky of G - TOL_PSD I.
+
+    Only a failed Cholesky runs the eigensolver, to report the minimum
+    eigenvalue; the factor of G itself is left to the first solve.
+    """
     entries = 0.5 * (entries + entries.conj().T)
-    eigs = np.linalg.eigvalsh(entries)
-    min_eig, max_eig = float(eigs[0]), float(eigs[-1])
-    if min_eig < tol_psd:
-        raise NotPositiveDefinite(
-            f"Gram minimum eigenvalue {min_eig:.3e} below tolerance {tol_psd:.0e}; "
-            "|R| too close to 1 for this truncation (try rho < 1 or a larger grid)"
-        )
     try:
-        factor = scipy.linalg.cho_factor(entries, lower=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded by eig check
-        raise NotPositiveDefinite(str(exc)) from exc
-    return GramMatrix(entries, basis_kind, exponents, mass_count, factor,
-                      min_eig, max_eig, hankel)
+        scipy.linalg.cho_factor(entries - TOL_PSD * np.eye(entries.shape[0]), lower=True)
+    except scipy.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(entries)[0])
+        if min_eig < TOL_PSD:
+            raise NotPositiveDefinite(
+                f"Gram minimum eigenvalue {min_eig:.3e} below tolerance {TOL_PSD:.0e}; "
+                "|R| too close to 1 for this truncation (try rho < 1 or a larger grid)"
+            ) from None
+    return GramMatrix(entries, basis_kind, exponents, mass_count, hankel)
 
 
-def assemble_gram(space: SpaceData, block: HankelBlock,
-                  tol_psd: float = TOL_PSD) -> GramMatrix:
+def assemble_gram(space: SpaceData, block: HankelBlock) -> GramMatrix:
     """I - rho^2 Gamma + (mass Gram of the first N masses) on block's exponents.
 
     ``block`` is the Hankel block of ``space.symbol`` on the exponent window
@@ -253,13 +308,11 @@ def assemble_gram(space: SpaceData, block: HankelBlock,
         raise ValueError("negative shift undefined for a mass at the origin")
     entries = np.eye(exponents.size, dtype=complex) - space.rho ** 2 * block.gamma_gram
     entries += _mass_gram(masses, exponents)
-    return _finalize_gram(entries, "analytic", np.arange(exponents.size), 0, block,
-                          tol_psd)
+    return _finalize_gram(entries, "analytic", np.arange(exponents.size), 0, block)
 
 
 def build_gram_analytic(space: SpaceData, degree: int,
-                        hankel: Optional[int] = None,
-                        tol_psd: float = TOL_PSD) -> GramMatrix:
+                        hankel: Optional[int] = None) -> GramMatrix:
     """Gram of the metric on z^0..z^degree.
 
     For shift n the entries are the unshifted metric on z^{n+m}, z^{n+l}:
@@ -272,12 +325,11 @@ def build_gram_analytic(space: SpaceData, degree: int,
     exponents = np.arange(space.shift, space.shift + degree + 1)
     if hankel is None:
         hankel = default_hankel_truncation(space.grid.size, int(exponents[-1]))
-    return assemble_gram(space, hankel_block(space.symbol, exponents, hankel), tol_psd)
+    return assemble_gram(space, hankel_block(space.symbol, exponents, hankel))
 
 
 def build_gram_laurent(space: SpaceData, half_band: int,
-                       hankel: Optional[int] = None,
-                       tol_psd: float = TOL_PSD) -> GramMatrix:
+                       hankel: Optional[int] = None) -> GramMatrix:
     """Gram of the two-sided metric on z^-M..z^M plus mass coordinates.
 
     The circle block uses the same Hankel expression as the analytic Gram
@@ -298,7 +350,7 @@ def build_gram_laurent(space: SpaceData, half_band: int,
     )
     if masses.count:
         entries[exponents.size:, exponents.size:] = np.diag(masses.weights)
-    return _finalize_gram(entries, "laurent", exponents, masses.count, block, tol_psd)
+    return _finalize_gram(entries, "laurent", exponents, masses.count, block)
 
 
 def embed_h2(space: SpaceData, degree: int, half_band: int) -> np.ndarray:

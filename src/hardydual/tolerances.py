@@ -5,7 +5,8 @@ from dataclasses import dataclass, replace
 TOL_UNIT = 1e-12        # slack on |R| <= 1 (contractivity)
 TOL_TOUCH = 1e-12       # 1 - |R| below this counts as touching the circle
 TOL_BLASCHKE = 1e-8     # |B| = 1 on the circle, B(zeta_k) = 0
-TOL_PSD = 1e-12         # Gram matrices must be PD with at least this margin
+TOL_PSD = 1e-12         # Gram matrices must be PD with at least this margin;
+                        # fixed, so a window inherits its Gram's check
 TOL_ORDER = 1e-10       # sandwich inequality margin
 TOL_HAT = 1e-6          # Hardy-subspace membership declaration
 TOL_DERIV = 1e-6        # |B'(zeta_k)| below this is degenerate

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hardydual import (
+    CircleGrid,
     MassSet,
     NotPositiveDefinite,
     SpaceData,
@@ -11,6 +14,7 @@ from hardydual import (
     check_l2r_membership,
     effective_data,
     embed_h2,
+    kernel_at_origin,
     regularized,
     symbol_from_coefficients,
     symbol_from_expression,
@@ -19,7 +23,7 @@ from hardydual import (
 from hardydual.circle import riesz_project_values
 from hardydual.corpus import CASES
 from hardydual.oracle import dense_psd_check, gram_entry_quadrature
-from hardydual.spaces import hankel_block
+from hardydual.spaces import _finalize_gram, hankel_block
 
 
 # --- effective data -----------------------------------------------------------
@@ -140,6 +144,88 @@ def test_hankel_truncation_stability(grid4096):
     change = np.abs(long.gamma_gram - short.gamma_gram).max()
     assert change <= short.tail_bound + 1e-15
     assert short.tail_bound < 1e-6
+
+
+# --- Hankel Gram by the displacement recurrence ------------------------------
+
+RECURRENCE_GRID = 1024
+
+
+@st.composite
+def symbols(draw):
+    """Trigonometric polynomials of degree <= 4 with 0.05 <= sup|R| <= 0.8."""
+    powers = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True))
+    parts = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    coeffs = [complex(draw(parts), draw(parts)) for _ in powers]
+    assume(any(abs(c) > 1e-3 for c in coeffs))
+    grid = CircleGrid(RECURRENCE_GRID)
+    raw = symbol_from_coefficients(grid, dict(zip(powers, coeffs)))
+    scale = draw(st.floats(0.05, 0.8)) / raw.sup_modulus
+    return symbol_from_coefficients(grid, {p: c * scale for p, c in zip(powers, coeffs)})
+
+
+def _reference_hankel(symbol, exponents, truncation):
+    """rows^H rows with rows[j-1, m] = r_{-j-e_m}, and the entrywise tail bound."""
+    n = symbol.grid.size
+
+    def gram(js):
+        rows = symbol.coeffs[(-js[:, None] - exponents[None, :]) % n]
+        return rows.conj().T @ rows, np.abs(rows).T @ np.abs(rows)
+
+    gamma, _ = gram(np.arange(1, truncation + 1))
+    j_max = n // 2 - exponents.max()
+    tail = 0.0
+    if j_max > truncation:
+        tail = gram(np.arange(truncation + 1, j_max + 1))[1].max()
+    return gamma, tail
+
+
+@given(symbols(), st.integers(-3, 4), st.integers(1, 40), st.floats(0.0, 1.0))
+@settings(deadline=None, max_examples=60)
+def test_hankel_recurrence_matches_matmul(symbol, first, order, fraction):
+    exponents = np.arange(first, first + order)
+    j_max = RECURRENCE_GRID // 2 - int(exponents[-1])
+    truncation = 1 + int(fraction * (j_max - 1))
+    block = hankel_block(symbol, exponents, truncation)
+    gamma, tail = _reference_hankel(symbol, exponents, truncation)
+    bound = 1e-14 * max(1.0, float(np.abs(gamma).max()))
+    assert np.abs(block.gamma_gram - gamma).max() <= bound
+    assert abs(block.tail_bound - tail) <= bound
+
+
+def test_hankel_requires_consecutive_exponents(grid512):
+    symbol = symbol_from_expression(grid512, "0.3*conj(t)")
+    with pytest.raises(ValueError):
+        hankel_block(symbol, np.array([0, 2, 3]), 32)
+
+
+# --- PD check by Cholesky ---------------------------------------------------------
+
+def test_pd_threshold_unchanged():
+    with pytest.raises(NotPositiveDefinite, match="5.000e-13"):
+        _finalize_gram(np.diag([1.0, 5e-13]).astype(complex), "analytic",
+                       np.arange(2), 0, None)
+    gram = _finalize_gram(np.diag([1.0, 2e-12]).astype(complex), "analytic",
+                          np.arange(2), 0, None)
+    assert gram.min_eig_estimate == pytest.approx(2e-12)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_windows_run_no_eigensolve(case):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    space = case.space(1024)
+    degree, n_max = 12, 6
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        master = build_gram_analytic(space, degree + n_max)
+        windows = [master.window(n, degree + 1) for n in range(n_max + 1)]
+        for window in windows:
+            kernel_at_origin(window)
+    floor = master.min_eig_estimate
+    for window in windows:
+        assert window.min_eig_estimate >= floor - 1e-14
 
 
 # --- Laurent Gram and embedding ------------------------------------------------
