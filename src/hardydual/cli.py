@@ -24,7 +24,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .circle import CircleGrid, MassSet, symbol_from_coefficients, \
@@ -556,8 +555,7 @@ def write_report(report: RunReport, out_dir: Path):
         "gates": [dataclasses.asdict(g) for g in report.gates],
         "scalars": report.scalars,
         "all_passed": report.all_passed,
-        "versions": {"hardydual": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"hardydual": __version__, "numpy": np.__version__},
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True, default=_json_default)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .circle import (
     BlaschkeData,
@@ -325,6 +324,16 @@ class TheoremReport:
     complement_dimension: int
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the null space of ``a``, by a full SVD.
+
+    Singular values up to ``s.max() * eps * max(a.shape)`` count as zero.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(a.shape)))
+    return vh[rank:].conj().T
+
+
 def theorem_check(space: SpaceData, dual: DualData, degree: int,
                   hankel: Optional[int] = None,
                   converse_powers: int = 8) -> TheoremReport:
@@ -335,7 +344,7 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int,
     embed = embed_h2(space, degree, half_band)
 
     # orthogonal complement of the embedded analytic columns
-    complement = scipy.linalg.null_space(embed.conj().T @ gram_l.entries)
+    complement = _null_space(embed.conj().T @ gram_l.entries)
 
     fwd_hardy = 0.0
     fwd_mass = 0.0

@@ -17,7 +17,8 @@ I - rho^2 Gamma + (mass Gram of the first N masses).
 
 Gamma is assembled by its displacement recurrence, and a Gram is checked
 positive definite by one Cholesky factorization of G - TOL_PSD I; its
-windows inherit the check by Cauchy interlacing.
+windows inherit the check by Cauchy interlacing.  Every factorization goes
+through numpy.linalg, so one LAPACK serves the whole process.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle import (
@@ -209,9 +209,10 @@ class GramMatrix:
     """Hermitian positive matrix of the metric on a truncated basis.
 
     ``basis_kind`` is "analytic" (exponents 0..M) or "laurent" (exponents
-    -M..M followed by ``mass_count`` point-mass coordinates).  The Cholesky
-    factor used by :meth:`solve` and the eigenvalue extremes are computed on
-    first use.
+    -M..M followed by ``mass_count`` point-mass coordinates).  :meth:`solve`
+    is one LU solve with the entries: numpy has no triangular solve, so a
+    Cholesky factor would only add a factorization.  The eigenvalue extremes
+    are computed on first use.
     """
 
     entries: np.ndarray
@@ -223,13 +224,6 @@ class GramMatrix:
     @property
     def order(self) -> int:
         return self.entries.shape[0]
-
-    @cached_property
-    def factor(self) -> tuple:
-        try:
-            return scipy.linalg.cho_factor(self.entries, lower=True)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - PD-checked
-            raise NotPositiveDefinite(str(exc)) from exc
 
     @cached_property
     def _eig_extremes(self) -> tuple[float, float]:
@@ -249,7 +243,7 @@ class GramMatrix:
         return self.max_eig_estimate / self.min_eig_estimate
 
     def solve(self, rhs) -> np.ndarray:
-        return scipy.linalg.cho_solve(self.factor, np.asarray(rhs, dtype=complex))
+        return np.linalg.solve(self.entries, np.asarray(rhs, dtype=complex))
 
     def quadratic_form(self, x, y=None) -> complex:
         """<G x, y> with the convention conjugate-linear in the second slot."""
@@ -264,7 +258,7 @@ class GramMatrix:
         on z^0..z^{size-1}.  The window keeps this Gram's truncation J and
         tail bound.  It needs no PD check of its own: by Cauchy interlacing
         its smallest eigenvalue is at least this Gram's, which passed
-        TOL_PSD.  Its Cholesky factor is its own.
+        TOL_PSD.
         """
         if self.basis_kind != "analytic":
             raise ValueError("windows are taken of analytic-basis Grams")
@@ -280,12 +274,12 @@ def _finalize_gram(entries, basis_kind, exponents, mass_count, hankel):
     """Symmetrize and check min eig >= TOL_PSD by a Cholesky of G - TOL_PSD I.
 
     Only a failed Cholesky runs the eigensolver, to report the minimum
-    eigenvalue; the factor of G itself is left to the first solve.
+    eigenvalue.
     """
     entries = 0.5 * (entries + entries.conj().T)
     try:
-        scipy.linalg.cho_factor(entries - TOL_PSD * np.eye(entries.shape[0]), lower=True)
-    except scipy.linalg.LinAlgError:
+        np.linalg.cholesky(entries - TOL_PSD * np.eye(entries.shape[0]))
+    except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(entries)[0])
         if min_eig < TOL_PSD:
             raise NotPositiveDefinite(

@@ -1,11 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hardydual.cli import main
 from hardydual.corpus import mass_single_trace
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _write_config(path, **overrides):
@@ -230,3 +236,22 @@ def test_formula_cannot_run_code(tmp_path):
     formula = "().__class__.__base__.__subclasses__()[0].__name__ and 0.1"
     _write_config(cfg, symbol={"kind": "expression", "formula": formula})
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_readme_config_runs_without_scipy(tmp_path):
+    # scipy blocked: any import of it raises ImportError; the report must be
+    # byte-identical to a run in this process
+    config = REPO / "perfbench" / "readme_config.json"
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    script = ("import sys; sys.modules['scipy'] = None; "
+              "from hardydual.cli import main; "
+              f"sys.exit(main(['run', {str(config)!r}, '--out', {str(blocked)!r}]))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["run", str(config), "--out", str(free)]) == 0
+    names = sorted(p.name for p in free.glob("*.csv"))
+    assert names == sorted(p.name for p in blocked.glob("*.csv"))
+    for name in names + ["summary.json"]:
+        assert (blocked / name).read_bytes() == (free / name).read_bytes(), name

@@ -25,8 +25,8 @@ from hardydual import (
     zero_symbol,
 )
 from hardydual.corpus import BY_NAME, CASES
-from hardydual.duality import PRINTED, _laurent_values
-from hardydual.spaces import effective_data
+from hardydual.duality import PRINTED, _laurent_values, _null_space
+from hardydual.spaces import build_gram_laurent, effective_data, embed_h2
 
 
 def _random_vector(rng, symbol, masses, band=50):
@@ -263,6 +263,21 @@ def test_identity_across_corpus(case):
     report = duality_identity(space, dual_of(space), 48)
     assert report.residual < 1e-6, case.name
     assert report.vector_residual < 1e-6, case.name
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_null_space_matches_scipy_reference(case):
+    # theorem_check's complement basis against scipy's null_space, kept as a
+    # test-only reference: same subspace, orthonormal columns
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    space = case.space(2048)
+    degree = 24
+    a = embed_h2(space, degree, degree).conj().T @ build_gram_laurent(space, degree).entries
+    q = _null_space(a)
+    ref = scipy_linalg.null_space(a)
+    assert q.shape == ref.shape, case.name
+    assert np.abs(q @ q.conj().T - ref @ ref.conj().T).max() < 1e-12, case.name
+    assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() < 1e-13, case.name
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
