@@ -47,7 +47,6 @@ from .duality import (
     embed_analytic_vector,
     l2_inner,
     l2_norm,
-    realize,
     theorem_check,
 )
 from .errors import (
@@ -70,21 +69,17 @@ from .kernels import (
     asymptotic_sweep,
     kernel_at_origin,
     kernel_at_point,
-    kernel_value_at_origin,
     orthonormal_system,
     sandwich_check,
 )
 from .spaces import (
     GramMatrix,
     HankelBlock,
-    L2RMembershipReport,
     SpaceData,
     build_gram_analytic,
     build_gram_laurent,
-    check_l2r_membership,
     effective_data,
     embed_h2,
     regularized,
     shifted,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances

@@ -261,27 +261,29 @@ class SzegoReport:
     touching_nodes: np.ndarray
 
 
-def validate_szego(symbol: SymbolData, tol_unit: float = TOL_UNIT,
-                   tol_touch: float = TOL_TOUCH) -> SzegoReport:
+def validate_szego(symbol: SymbolData) -> SzegoReport:
     """Check |R| <= 1 and approximate the integral of log(1 - |R|).
 
-    Raises SzegoViolation when the symbol is not a contraction.  Nodes where
-    1 - |R| < tol_touch are reported (and excluded from the log average);
-    the caller decides whether they are fatal.
+    Raises SzegoViolation when the symbol is not a contraction or has a
+    non-finite sample.  Nodes where 1 - |R| < TOL_TOUCH are reported (and
+    excluded from the log average); the caller decides whether they are
+    fatal.
     """
-    if symbol.sup_modulus > 1.0 + tol_unit:
+    if not np.isfinite(symbol.sup_modulus):
+        raise SzegoViolation("symbol has non-finite samples (NaN or inf)")
+    if symbol.sup_modulus > 1.0 + TOL_UNIT:
         raise SzegoViolation(
             f"sup |R| = {symbol.sup_modulus:.6g} exceeds 1 (not a contraction)"
         )
     gap = 1.0 - np.abs(symbol.values)
-    touching = np.nonzero(gap < tol_touch)[0]
+    touching = np.nonzero(gap < TOL_TOUCH)[0]
     if touching.size:
         warnings.warn(
-            f"|R| within {tol_touch:g} of 1 at {touching.size} node(s); "
+            f"|R| within {TOL_TOUCH:g} of 1 at {touching.size} node(s); "
             "log-integral computed on the remaining nodes",
             stacklevel=2,
         )
-    clean = gap >= tol_touch
+    clean = gap >= TOL_TOUCH
     log_integral = float(np.mean(np.log(gap[clean]))) if clean.any() else float("-inf")
     return SzegoReport(True, log_integral, touching)
 
@@ -304,6 +306,8 @@ class MassSet:
         object.__setattr__(self, "weights", weights)
         if points.shape != weights.shape:
             raise ValueError("points and weights must have matching lengths")
+        if not (np.isfinite(points).all() and np.isfinite(weights).all()):
+            raise ValueError("mass points and weights must be finite")
         if np.any(weights <= 0):
             raise ValueError("all mass weights must be strictly positive")
         if np.any(np.abs(points) >= 1):
@@ -321,11 +325,6 @@ class MassSet:
     @property
     def count(self) -> int:
         return int(self.points.size)
-
-    @property
-    def blaschke_sum(self) -> float:
-        """sum_k (1 - |zeta_k|); always finite here, reported for audit."""
-        return float(np.sum(1.0 - np.abs(self.points)))
 
     @property
     def has_origin(self) -> bool:
@@ -356,8 +355,7 @@ class OuterData:
         return evaluate_analytic(self.coeffs, z)
 
 
-def build_outer(symbol: SymbolData, tol_touch: float = TOL_TOUCH,
-                tol_unit: float = TOL_UNIT) -> OuterData:
+def build_outer(symbol: SymbolData) -> OuterData:
     """Outer function from the boundary modulus 1 - |R|^2.
 
     T_e = exp(v) where v is the analytic completion of u = log sqrt(1-|R|^2)
@@ -368,14 +366,14 @@ def build_outer(symbol: SymbolData, tol_touch: float = TOL_TOUCH,
     Raises SzegoViolation when |R| touches 1 anywhere on the grid (the log
     blows up); scale the symbol down explicitly instead.
     """
-    report = validate_szego(symbol, tol_unit=tol_unit, tol_touch=tol_touch)
+    report = validate_szego(symbol)
     if report.touching_nodes.size:
         raise SzegoViolation(
             f"|R| touches 1 at node(s) {report.touching_nodes[:8].tolist()}; "
             "outer function undefined (pass rho < 1 to regularize)"
         )
     w = 1.0 - np.abs(symbol.values) ** 2
-    if w.min() < tol_touch:
+    if w.min() < TOL_TOUCH:
         raise SzegoViolation("1 - |R|^2 below touch tolerance; outer function undefined")
     grid = symbol.grid
     u = 0.5 * np.log(w)
@@ -408,7 +406,7 @@ def _factor_derivative_at_zero(point: complex) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class BlaschkeData:
-    """Blaschke product over a mass set, with T = T_e / B.
+    """Blaschke product over a mass set, with T(0) for T = T_e / B.
 
     ``derivative_at_zeros[k]`` is B'(zeta_k), computed by the product rule
     (factor derivative times the remaining factors), exact up to rounding.
@@ -420,25 +418,16 @@ class BlaschkeData:
     values: np.ndarray
     derivative_at_zeros: np.ndarray
     value_at_zero: float
-    T_values: np.ndarray
     T_at_zero: float
 
-    def value_at(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.ones_like(z)
-        for point in self.points:
-            out = out * _factor_values(complex(point), z)
-        return out
 
-
-def build_blaschke(masses: MassSet, outer: OuterData,
-                   tol_blaschke: float = TOL_BLASCHKE) -> BlaschkeData:
-    """Blaschke product for the mass points, plus T = T_e / B on the grid."""
+def build_blaschke(masses: MassSet, outer: OuterData) -> BlaschkeData:
+    """Blaschke product for the mass points on the grid, plus T(0) = T_e(0)/B(0)."""
     points = masses.points
     if len(points) > 1:
         diff = np.abs(points[:, None] - points[None, :])
         np.fill_diagonal(diff, np.inf)
-        if diff.min() < tol_blaschke:
+        if diff.min() < TOL_BLASCHKE:
             raise DuplicatePoint("coinciding mass points make B' vanish at the zero")
     grid = outer.grid
     nodes = grid.nodes
@@ -467,6 +456,5 @@ def build_blaschke(masses: MassSet, outer: OuterData,
         values=b_values,
         derivative_at_zeros=deriv,
         value_at_zero=value_at_zero,
-        T_values=outer.values / b_values,
         T_at_zero=t_at_zero,
     )

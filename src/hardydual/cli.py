@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -33,7 +34,7 @@ from .duality import UNITARY, PRINTED, apply_tau, dual_of, \
 from .errors import ConfigError, HardyDualError, OrderViolation, SzegoViolation
 from .kernels import asymptotic_sweep, kernel_at_origin, sandwich_check
 from .spaces import SpaceData, assemble_gram, build_gram_analytic, regularized
-from .tolerances import Tolerances
+from .tolerances import TOL_ORDER
 
 SCHEMA_VERSION = 1
 STUDY_ORDER = ("asymptotics", "duality", "sandwich", "theorem", "tau", "convergence")
@@ -64,7 +65,7 @@ class ExperimentConfig:
     rho_list: list
     cutoff_list: list | None
     convention: str
-    tolerances: Tolerances
+    tol_order: float
     gates: dict
     studies: list
     convergence: dict | None
@@ -102,11 +103,22 @@ def _expect(condition, message):
         raise ConfigError(message)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_threshold(value):
+    return _is_real(value) and 0 < value < math.inf
+
+
 def _as_complex(pair, what):
-    if isinstance(pair, (int, float)):
+    if _is_real(pair):
         return complex(pair)
-    _expect(isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(v, (int, float)) for v in pair),
+    _expect(isinstance(pair, list) and len(pair) == 2 and all(map(_is_real, pair)),
             f"{what} must be a number or a [re, im] pair")
     return complex(pair[0], pair[1])
 
@@ -122,14 +134,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _expect(not unknown, f"unknown configuration keys: {sorted(unknown)}")
 
     label = raw.get("label", "experiment")
+    _expect(isinstance(label, str), "label must be a string")
     seed = raw.get("seed", 20260809)
-    _expect(isinstance(seed, int), "seed must be an integer")
+    _expect(_is_int(seed), "seed must be an integer")
 
     grid = raw.get("grid", 4096)
-    _expect(isinstance(grid, int) and grid >= 8 and (grid & (grid - 1)) == 0,
+    _expect(_is_int(grid) and grid >= 8 and (grid & (grid - 1)) == 0,
             f"grid must be a power of two >= 8, got {grid}")
     degree = raw.get("degree", 48)
-    _expect(isinstance(degree, int) and 0 <= degree < grid // 2,
+    _expect(_is_int(degree) and 0 <= degree < grid // 2,
             f"degree must lie in 0..{grid // 2 - 1}")
 
     symbol_spec = raw.get("symbol", {"kind": "coefficients", "entries": {}})
@@ -143,25 +156,27 @@ def parse_config(raw: dict) -> ExperimentConfig:
                "samples": {"kind", "values", "path"}}[kind]
     _expect(set(symbol_spec) <= allowed,
             f"unknown symbol keys: {sorted(set(symbol_spec) - allowed)}")
+    _expect(isinstance(symbol_spec.get("entries", {}), dict),
+            "symbol entries must be an object")
 
     mass_spec = raw.get("masses", [])
     _expect(isinstance(mass_spec, list), "masses must be a list")
     for item in mass_spec:
         _expect(isinstance(item, dict) and set(item) == {"point", "weight"},
                 "each mass needs exactly the keys 'point' and 'weight'")
-        _expect(isinstance(item["weight"], (int, float)) and item["weight"] > 0,
+        _expect(_is_real(item["weight"]) and item["weight"] > 0,
                 "mass weights must be positive numbers")
 
     if "n_range" in raw:
         _expect("n_max" not in raw, "give n_max or n_range, not both")
         rng = raw["n_range"]
         _expect(isinstance(rng, list) and len(rng) == 2 and rng[0] == 0
-                and isinstance(rng[1], int) and rng[1] >= 1,
+                and _is_int(rng[1]) and rng[1] >= 1,
                 "n_range must be [0, n_max] with n_max >= 1")
         n_max = rng[1]
     else:
         n_max = raw.get("n_max", 16)
-        _expect(isinstance(n_max, int) and n_max >= 1, "n_max must be >= 1")
+        _expect(_is_int(n_max) and n_max >= 1, "n_max must be >= 1")
 
     studies = raw.get("studies", ["duality"])
     _expect(isinstance(studies, list) and studies
@@ -175,17 +190,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"degree + n_max must stay below {grid // 2} for the asymptotics study")
     hankel = raw.get("hankel")
     if hankel is not None:
-        _expect(isinstance(hankel, int) and 1 <= hankel <= grid // 2 - top,
+        _expect(_is_int(hankel) and 1 <= hankel <= grid // 2 - top,
                 f"hankel truncation must lie in 1..{grid // 2 - top}")
 
     rho_list = raw.get("rho_list", [0.5])
     _expect(isinstance(rho_list, list) and rho_list
-            and all(isinstance(r, (int, float)) and 0 < r < 1 for r in rho_list),
+            and all(_is_real(r) and 0 < r < 1 for r in rho_list),
             "rho_list entries must lie strictly between 0 and 1")
     cutoff_list = raw.get("N_list")
     if cutoff_list is not None:
         _expect(isinstance(cutoff_list, list) and cutoff_list
-                and all(isinstance(n, int) and n >= 0 for n in cutoff_list),
+                and all(_is_int(n) and n >= 0 for n in cutoff_list),
                 "N_list entries must be nonnegative integers")
 
     convention = raw.get("convention", UNITARY)
@@ -194,15 +209,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     tol_raw = raw.get("tolerances", {})
     _expect(isinstance(tol_raw, dict), "tolerances must be an object")
-    tol_fields = {f.name for f in dataclasses.fields(Tolerances)}
-    _expect(set(tol_raw) <= tol_fields,
-            f"unknown tolerance keys: {sorted(set(tol_raw) - tol_fields)}")
-    tolerances = Tolerances(**{k: float(v) for k, v in tol_raw.items()})
+    _expect(set(tol_raw) <= {"order"},
+            f"unknown tolerance keys: {sorted(set(tol_raw) - {'order'})}")
+    tol_order = tol_raw.get("order", TOL_ORDER)
+    _expect(_is_threshold(tol_order), "tolerances.order must be a positive finite number")
 
     gates = dict(_DEFAULT_GATES)
     gate_raw = raw.get("gates", {})
     _expect(isinstance(gate_raw, dict) and set(gate_raw) <= set(gates),
             f"unknown gate keys: {sorted(set(gate_raw) - set(gates))}")
+    _expect(all(map(_is_threshold, gate_raw.values())),
+            "gate thresholds must be positive finite numbers")
     gates.update({k: float(v) for k, v in gate_raw.items()})
 
     convergence = raw.get("convergence")
@@ -212,12 +229,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 "convergence study needs an object with 'grids' and 'degrees'")
         grids = convergence.get("grids", [])
         degrees = convergence.get("degrees", [])
-        _expect(len(grids) >= 2 and len(degrees) == len(grids),
+        _expect(isinstance(grids, list) and isinstance(degrees, list)
+                and len(grids) >= 2 and len(degrees) == len(grids),
                 "convergence needs at least two (grid, degree) refinement levels")
         for g, d in zip(grids, degrees):
-            _expect(isinstance(g, int) and g >= 8 and (g & (g - 1)) == 0,
+            _expect(_is_int(g) and g >= 8 and (g & (g - 1)) == 0,
                     "convergence grids must be powers of two >= 8")
-            _expect(isinstance(d, int) and 0 <= d and d + n_max < g // 2,
+            _expect(_is_int(d) and 0 <= d and d + n_max < g // 2,
                     "convergence degrees plus n_max must fit the grid")
 
     output = raw.get("output", {})
@@ -229,7 +247,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         label=label, seed=seed, grid=grid, degree=degree, hankel=hankel,
         symbol_spec=symbol_spec, mass_spec=mass_spec, n_max=n_max,
         rho_list=[float(r) for r in rho_list], cutoff_list=cutoff_list,
-        convention=convention, tolerances=tolerances, gates=gates,
+        convention=convention, tol_order=float(tol_order), gates=gates,
         studies=list(studies), convergence=convergence, out_dir=out_dir,
         raw=raw,
     )
@@ -260,8 +278,7 @@ def build_space(config: ExperimentConfig, grid_size: int | None = None) -> Space
         raise ConfigError(f"cannot build symbol: {exc}") from exc
 
     try:
-        validate_szego(symbol, tol_unit=config.tolerances.unit,
-                       tol_touch=config.tolerances.touch)
+        validate_szego(symbol)
     except SzegoViolation as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -333,10 +350,10 @@ def _study_sandwich(config, space):
             try:
                 rep = sandwich_check(space, cutoff, rho, 0, config.degree,
                                      config.hankel,
-                                     tol_order=config.tolerances.order)
+                                     tol_order=config.tol_order)
             except OrderViolation as exc:
                 gates.append(Gate(f"sandwich.order[N={cutoff},rho={rho}]",
-                                  float("nan"), config.tolerances.order, False))
+                                  float("nan"), config.tol_order, False))
                 rows.append({"cutoff": cutoff, "rho": rho,
                              "error": str(exc)})
                 continue
@@ -356,8 +373,8 @@ def _study_sandwich(config, space):
                                rep.psd_margin_cutoff, rep.psd_margin_scaled)
             worst_residual = max(worst_residual, *rep.identity_residuals.values())
     gates.append(Gate("sandwich.worst_margin", float(worst_margin),
-                      -config.tolerances.order,
-                      worst_margin >= -config.tolerances.order))
+                      -config.tol_order,
+                      worst_margin >= -config.tol_order))
     gates.append(Gate("sandwich.identity_residual", worst_residual,
                       config.gates["identity"],
                       worst_residual < config.gates["identity"]))
@@ -551,7 +568,7 @@ def write_report(report: RunReport, out_dir: Path):
         "label": report.config.label,
         "config": report.config.raw,
         "convention": report.config.convention,
-        "tolerances": dataclasses.asdict(report.config.tolerances),
+        "tolerances": {"order": report.config.tol_order},
         "gates": [dataclasses.asdict(g) for g in report.gates],
         "scalars": report.scalars,
         "all_passed": report.all_passed,

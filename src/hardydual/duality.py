@@ -45,7 +45,7 @@ from .spaces import (
     embed_h2,
     shifted,
 )
-from .tolerances import TOL_DERIV, TOL_HAT
+from .tolerances import TOL_DERIV
 
 UNITARY = "unitary"
 PRINTED = "printed"
@@ -71,17 +71,17 @@ class DualData:
         return SpaceData(self.dual_symbol, self.dual_masses)
 
 
-def build_dual(space: SpaceData, outer: OuterData, blaschke: BlaschkeData,
-               convention: str = UNITARY,
-               tol_deriv: float = TOL_DERIV) -> DualData:
-    """Construct the dual data for the (effective) space.
+def build_dual(space: SpaceData, convention: str = UNITARY) -> DualData:
+    """Construct the dual data of the space's effective data.
 
-    ``outer`` and ``blaschke`` must belong to the space's effective data; use
-    :func:`realize` to obtain them consistently.
+    The effective symbol and masses are resolved once, together with their
+    outer function T_e and Blaschke product B.
     """
     if convention not in (UNITARY, PRINTED):
         raise ValueError(f"convention must be 'unitary' or 'printed', got {convention!r}")
     symbol, masses = effective_data(space)
+    outer = build_outer(symbol)
+    blaschke = build_blaschke(masses, outer)
     grid = symbol.grid
 
     # dual symbol on the conjugated variable, resampled onto the standard grid
@@ -90,7 +90,7 @@ def build_dual(space: SpaceData, outer: OuterData, blaschke: BlaschkeData,
 
     if masses.count:
         deriv = blaschke.derivative_at_zeros
-        if np.any(np.abs(deriv) < tol_deriv):
+        if np.any(np.abs(deriv) < TOL_DERIV):
             raise DegenerateDerivative(
                 "Blaschke derivative vanishes at a mass point (coinciding points?)"
             )
@@ -119,28 +119,7 @@ def build_dual(space: SpaceData, outer: OuterData, blaschke: BlaschkeData,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RealizedSpace:
-    """A space together with its grid-realized effective data."""
-
-    space: SpaceData
-    symbol: SymbolData
-    masses: MassSet
-    outer: OuterData
-    blaschke: BlaschkeData
-
-
-def realize(space: SpaceData) -> RealizedSpace:
-    symbol, masses = effective_data(space)
-    outer = build_outer(symbol)
-    blaschke = build_blaschke(masses, outer)
-    return RealizedSpace(space, symbol, masses, outer, blaschke)
-
-
-def dual_of(space: SpaceData, convention: str = UNITARY) -> DualData:
-    """Convenience wrapper: realize the space and build its dual."""
-    r = realize(space)
-    return build_dual(space, r.outer, r.blaschke, convention=convention)
+dual_of = build_dual  # the same function, under the name the CLI and README use
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +133,9 @@ class TauVector:
     f1: np.ndarray
     f2: np.ndarray
     mass_values: np.ndarray
-    space_tag: str = "primal"
 
 
-def canonical_vector(symbol: SymbolData, f1, mass_values=None,
-                     space_tag: str = "primal") -> TauVector:
+def canonical_vector(symbol: SymbolData, f1, mass_values=None) -> TauVector:
     """Vector with the canonical second component f2 = -P_-(R f1).
 
     ``mass_values`` defaults to an empty block; spaces with masses need the
@@ -169,7 +146,7 @@ def canonical_vector(symbol: SymbolData, f1, mass_values=None,
     f2 = -riesz_project_values(symbol.values * f1, "antianalytic")
     if mass_values is None:
         mass_values = np.empty(0, dtype=complex)
-    return TauVector(f1, f2, np.asarray(mass_values, dtype=complex), space_tag)
+    return TauVector(f1, f2, np.asarray(mass_values, dtype=complex))
 
 
 def _analytic_layout(grid, coeffs) -> np.ndarray:
@@ -188,13 +165,12 @@ def _analytic_layout(grid, coeffs) -> np.ndarray:
     return full
 
 
-def embed_analytic_vector(symbol: SymbolData, masses: MassSet, coeffs,
-                          space_tag: str = "primal") -> TauVector:
+def embed_analytic_vector(symbol: SymbolData, masses: MassSet, coeffs) -> TauVector:
     """Embed an analytic polynomial (coefficient vector) with its mass values."""
     grid = symbol.grid
     full = _analytic_layout(grid, coeffs)
     return canonical_vector(symbol, grid.values(full),
-                            evaluate_analytic(full, masses.points), space_tag)
+                            evaluate_analytic(full, masses.points))
 
 
 def l2_inner(u: TauVector, v: TauVector, symbol: SymbolData,
@@ -249,8 +225,7 @@ def apply_tau(vector: TauVector, dual: DualData) -> TauVector:
         mass_tau = -np.conj(dual.inv_T_deriv) * vector.mass_values * dual.masses.weights
     else:
         mass_tau = np.empty(0, dtype=complex)
-    tag = "dual" if vector.space_tag == "primal" else "primal"
-    return TauVector(f1_tau, f2_tau, mass_tau, tag)
+    return TauVector(f1_tau, f2_tau, mass_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +239,15 @@ class HatMembershipReport:
 
     antianalytic_residual: float
     mass_mismatch: float
-    tol: float = TOL_HAT
-
-    @property
-    def is_member(self) -> bool:
-        return self.antianalytic_residual < self.tol and self.mass_mismatch < self.tol
 
 
-def check_hat_membership(vector: TauVector, outer: OuterData, masses: MassSet,
-                         tol_hat: float = TOL_HAT) -> HatMembershipReport:
-    return _hat_membership(vector, outer, masses, outer.value_at(masses.points), tol_hat)
+def check_hat_membership(vector: TauVector, outer: OuterData,
+                         masses: MassSet) -> HatMembershipReport:
+    return _hat_membership(vector, outer, masses, outer.value_at(masses.points))
 
 
 def _hat_membership(vector: TauVector, outer: OuterData, masses: MassSet,
-                    te_at_points: np.ndarray,
-                    tol_hat: float = TOL_HAT) -> HatMembershipReport:
+                    te_at_points: np.ndarray) -> HatMembershipReport:
     """:func:`check_hat_membership` with T_e already evaluated at the mass points."""
     grid = outer.grid
     g = outer.values * grid.check(vector.f1)
@@ -289,7 +258,7 @@ def _hat_membership(vector: TauVector, outer: OuterData, masses: MassSet,
         mismatch = float(np.abs(vector.mass_values - g_at_points / te_at_points).max())
     else:
         mismatch = 0.0
-    return HatMembershipReport(anti, mismatch, tol_hat)
+    return HatMembershipReport(anti, mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +274,7 @@ def _laurent_values(grid, coeffs_band, half_band):
 
 def _scaled(vector: TauVector, factor: float) -> TauVector:
     return TauVector(vector.f1 * factor, vector.f2 * factor,
-                     vector.mass_values * factor, vector.space_tag)
+                     vector.mass_values * factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,10 +331,7 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int,
 
     # converse: condition-side vectors mapped back must annihilate B h and
     # B/(t - zeta_k), which span the closure-side subspace
-    dual_space = dual.dual_space()
-    blaschke_dual = build_blaschke(dual.dual_masses, dual.outer_dual)
-    dual_back = build_dual(dual_space, dual.outer_dual, blaschke_dual,
-                           convention=dual.provenance)
+    dual_back = build_dual(dual.dual_space(), dual.provenance)
 
     tests = []
     for q in range(converse_powers + 1):
@@ -395,8 +361,7 @@ def _unit_condition_vector(dual: DualData, power: int) -> TauVector:
     """Unit-norm embedded monomial u^p of the dual space (a condition-side vector)."""
     coeffs = np.zeros(power + 1, dtype=complex)
     coeffs[power] = 1.0
-    vec = embed_analytic_vector(dual.dual_symbol, dual.dual_masses, coeffs,
-                                space_tag="dual")
+    vec = embed_analytic_vector(dual.dual_symbol, dual.dual_masses, coeffs)
     return _scaled(vec, 1.0 / l2_norm(vec, dual.dual_symbol, dual.dual_masses))
 
 
@@ -440,10 +405,9 @@ def duality_identity(space: SpaceData, dual: DualData, degree: int,
     image = apply_tau(vec, dual)
 
     khat = kernel_dual.normalized()
-    expected = embed_analytic_vector(dual.dual_symbol, dual.dual_masses, khat,
-                                     space_tag="dual")
+    expected = embed_analytic_vector(dual.dual_symbol, dual.dual_masses, khat)
     diff = TauVector(image.f1 - expected.f1, image.f2 - expected.f2,
-                     image.mass_values - expected.mass_values, "dual")
+                     image.mass_values - expected.mass_values)
     vector_residual = l2_norm(diff, dual.dual_symbol, dual.dual_masses)
 
     return IdentityReport(product, residual, dual.T_at_zero,

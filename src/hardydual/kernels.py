@@ -44,10 +44,6 @@ class KernelVector:
     def value_at_zero(self) -> complex:
         return complex(self.coefficients[0])
 
-    @property
-    def normalized_at_zero(self) -> complex:
-        return self.value_at_zero / self.norm
-
     def normalized(self) -> np.ndarray:
         return self.coefficients / self.norm
 
@@ -70,12 +66,6 @@ def kernel_at_point(gram: GramMatrix, point: complex) -> KernelVector:
 def kernel_at_origin(gram: GramMatrix) -> KernelVector:
     """Kernel for evaluation at 0; K(0) = sqrt of the (0,0) entry of G^{-1}."""
     return kernel_at_point(gram, 0.0)
-
-
-def kernel_value_at_origin(space: SpaceData, degree: int,
-                           hankel: Optional[int] = None) -> float:
-    """Convenience: K(0) for the given data at the given truncation."""
-    return kernel_at_origin(build_gram_analytic(space, degree, hankel)).norm
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .circle import (
-    CircleGrid,
-    MassSet,
-    OuterData,
-    SymbolData,
-    riesz_project_values,
-)
+from .circle import CircleGrid, MassSet, SymbolData
 from .errors import NotPositiveDefinite
 from .tolerances import TOL_PSD
 
@@ -209,16 +203,15 @@ class GramMatrix:
     """Hermitian positive matrix of the metric on a truncated basis.
 
     ``basis_kind`` is "analytic" (exponents 0..M) or "laurent" (exponents
-    -M..M followed by ``mass_count`` point-mass coordinates).  :meth:`solve`
-    is one LU solve with the entries: numpy has no triangular solve, so a
-    Cholesky factor would only add a factorization.  The eigenvalue extremes
-    are computed on first use.
+    -M..M followed by the point-mass coordinates).  :meth:`solve` is one LU
+    solve with the entries: numpy has no triangular solve, so a Cholesky
+    factor would only add a factorization.  The smallest eigenvalue is
+    computed on first use.
     """
 
     entries: np.ndarray
     basis_kind: str
     exponents: np.ndarray
-    mass_count: int
     hankel: HankelBlock
 
     @property
@@ -226,30 +219,11 @@ class GramMatrix:
         return self.entries.shape[0]
 
     @cached_property
-    def _eig_extremes(self) -> tuple[float, float]:
-        eigs = np.linalg.eigvalsh(self.entries)
-        return float(eigs[0]), float(eigs[-1])
-
-    @property
     def min_eig_estimate(self) -> float:
-        return self._eig_extremes[0]
-
-    @property
-    def max_eig_estimate(self) -> float:
-        return self._eig_extremes[1]
-
-    @property
-    def condition_estimate(self) -> float:
-        return self.max_eig_estimate / self.min_eig_estimate
+        return float(np.linalg.eigvalsh(self.entries)[0])
 
     def solve(self, rhs) -> np.ndarray:
         return np.linalg.solve(self.entries, np.asarray(rhs, dtype=complex))
-
-    def quadratic_form(self, x, y=None) -> complex:
-        """<G x, y> with the convention conjugate-linear in the second slot."""
-        x = np.asarray(x, dtype=complex)
-        y = x if y is None else np.asarray(y, dtype=complex)
-        return complex(np.vdot(y, self.entries @ x))
 
     def window(self, start: int, size: int) -> "GramMatrix":
         """Principal window on basis indices start..start+size-1.
@@ -267,10 +241,10 @@ class GramMatrix:
         rows = slice(start, start + size)
         block = replace(self.hankel, exponents=self.hankel.exponents[rows],
                         gamma_gram=self.hankel.gamma_gram[rows, rows])
-        return GramMatrix(self.entries[rows, rows], "analytic", np.arange(size), 0, block)
+        return GramMatrix(self.entries[rows, rows], "analytic", np.arange(size), block)
 
 
-def _finalize_gram(entries, basis_kind, exponents, mass_count, hankel):
+def _finalize_gram(entries, basis_kind, exponents, hankel):
     """Symmetrize and check min eig >= TOL_PSD by a Cholesky of G - TOL_PSD I.
 
     Only a failed Cholesky runs the eigensolver, to report the minimum
@@ -286,7 +260,7 @@ def _finalize_gram(entries, basis_kind, exponents, mass_count, hankel):
                 f"Gram minimum eigenvalue {min_eig:.3e} below tolerance {TOL_PSD:.0e}; "
                 "|R| too close to 1 for this truncation (try rho < 1 or a larger grid)"
             ) from None
-    return GramMatrix(entries, basis_kind, exponents, mass_count, hankel)
+    return GramMatrix(entries, basis_kind, exponents, hankel)
 
 
 def assemble_gram(space: SpaceData, block: HankelBlock) -> GramMatrix:
@@ -302,7 +276,7 @@ def assemble_gram(space: SpaceData, block: HankelBlock) -> GramMatrix:
         raise ValueError("negative shift undefined for a mass at the origin")
     entries = np.eye(exponents.size, dtype=complex) - space.rho ** 2 * block.gamma_gram
     entries += _mass_gram(masses, exponents)
-    return _finalize_gram(entries, "analytic", np.arange(exponents.size), 0, block)
+    return _finalize_gram(entries, "analytic", np.arange(exponents.size), block)
 
 
 def build_gram_analytic(space: SpaceData, degree: int,
@@ -344,7 +318,7 @@ def build_gram_laurent(space: SpaceData, half_band: int,
     )
     if masses.count:
         entries[exponents.size:, exponents.size:] = np.diag(masses.weights)
-    return _finalize_gram(entries, "laurent", exponents, masses.count, block)
+    return _finalize_gram(entries, "laurent", exponents, block)
 
 
 def embed_h2(space: SpaceData, degree: int, half_band: int) -> np.ndarray:
@@ -364,36 +338,3 @@ def embed_h2(space: SpaceData, degree: int, half_band: int) -> np.ndarray:
             out[2 * half_band + 1:, p] = masses.points ** p
     return out
 
-
-# ---------------------------------------------------------------------------
-# membership diagnostics for the two-sided circle component
-
-
-@dataclass(frozen=True, eq=False)
-class L2RMembershipReport:
-    """Diagnostics for a circle pair (f1, f2) claimed to lie in the R-twisted L^2.
-
-    hardy_defect: L^2 mass of the negative frequencies of R f1 + f2.
-    antianalytic_defect: L^2 mass of the nonnegative frequencies of conj(T_e) f2.
-    reconstruction_residual: ||f2 + P_-(R f1)|| (the first component
-    determines the second).
-    """
-
-    hardy_defect: float
-    antianalytic_defect: float
-    reconstruction_residual: float
-
-    def max_residual(self) -> float:
-        return max(self.hardy_defect, self.antianalytic_defect,
-                   self.reconstruction_residual)
-
-
-def check_l2r_membership(symbol: SymbolData, outer: OuterData,
-                         f1, f2) -> L2RMembershipReport:
-    grid = symbol.grid
-    f1 = grid.check(f1)
-    f2 = grid.check(f2)
-    hardy = grid.norm(riesz_project_values(symbol.values * f1 + f2, "antianalytic"))
-    anti = grid.norm(riesz_project_values(np.conj(outer.values) * f2, "analytic"))
-    recon = grid.norm(f2 + riesz_project_values(symbol.values * f1, "antianalytic"))
-    return L2RMembershipReport(hardy, anti, recon)

@@ -1,6 +1,4 @@
-"""Default numerical tolerances, overridable per call or via CLI config."""
-
-from dataclasses import dataclass, replace
+"""Numerical tolerances shared by every module."""
 
 TOL_UNIT = 1e-12        # slack on |R| <= 1 (contractivity)
 TOL_TOUCH = 1e-12       # 1 - |R| below this counts as touching the circle
@@ -8,20 +6,4 @@ TOL_BLASCHKE = 1e-8     # |B| = 1 on the circle, B(zeta_k) = 0
 TOL_PSD = 1e-12         # Gram matrices must be PD with at least this margin;
                         # fixed, so a window inherits its Gram's check
 TOL_ORDER = 1e-10       # sandwich inequality margin
-TOL_HAT = 1e-6          # Hardy-subspace membership declaration
 TOL_DERIV = 1e-6        # |B'(zeta_k)| below this is degenerate
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The tolerances the CLI passes on, for config-driven overrides."""
-
-    unit: float = TOL_UNIT
-    touch: float = TOL_TOUCH
-    order: float = TOL_ORDER
-
-    def updated(self, **overrides):
-        return replace(self, **overrides)
-
-
-DEFAULT_TOLERANCES = Tolerances()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NotHermitian
+from hardydual.errors import GridMismatch, NotHermitian
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,23 @@ def fd_derivative(fn, point, step=1e-6):
     d1 = (fn(point + step) - fn(point - step)) / (2 * step)
     d2 = (fn(point + step / 2) - fn(point - step / 2)) / step
     return (4 * d2 - d1) / 3
+
+
+def blaschke_value(points, z):
+    """Blaschke product prod_k (|zeta_k|/zeta_k)(zeta_k - z)/(1 - conj(zeta_k) z).
+
+    A zero at the origin contributes the factor z.  Evaluated point by point
+    at any z (inside the disk, on the circle, or arrays of either), for
+    finite-difference checks of the production derivatives.
+    """
+    z = np.asarray(z, dtype=complex)
+    value = np.ones_like(z)
+    for point in np.atleast_1d(np.asarray(points, dtype=complex)):
+        if point == 0:
+            value = value * z
+        else:
+            value = value * (abs(point) / point) * (point - z) / (1.0 - np.conj(point) * z)
+    return value
 
 
 def dense_psd_check(matrix, tol_herm=1e-12):

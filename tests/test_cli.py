@@ -205,8 +205,39 @@ def test_wrong_sample_count_exits_2(tmp_path):
 
 def test_unread_tolerance_key_exits_2(tmp_path):
     cfg = tmp_path / "c.json"
-    _write_config(cfg, tolerances={"psd": 10.0})
-    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    for key in ("psd", "unit", "touch"):
+        _write_config(cfg, tolerances={key: 10.0})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2, key
+
+
+@pytest.mark.parametrize("overrides", [
+    {"gates": {"identity": "x"}},
+    {"gates": {"identity": True}},
+    {"tolerances": {"order": "x"}},
+    {"tolerances": {"order": float("nan")}},
+    {"masses": [{"point": [0.5, 0.0], "weight": True}]},
+    {"masses": [{"point": [0.5, False], "weight": 1.0}]},
+    {"seed": True},
+    {"degree": True},
+    {"N_list": [True]},
+    {"label": [1, 2]},
+    {"symbol": {"kind": "expression", "formula": "0*t/0"}},
+    {"masses": [{"point": [float("nan"), 0.0], "weight": 1.0}]},
+    {"masses": [{"point": [0.5, 0.0], "weight": float("inf")}]},
+    {"symbol": {"kind": "coefficients", "entries": [0.1]}},
+    {"studies": ["convergence"], "convergence": {"grids": 256, "degrees": 8}},
+], ids=["gate-str", "gate-bool", "order-str", "order-nan", "weight-bool",
+        "point-bool", "seed-bool", "degree-bool", "cutoff-bool", "label-list",
+        "nan-symbol", "nan-point", "inf-weight", "entries-list", "grids-int"])
+def test_non_numeric_or_non_finite_value_exits_2(tmp_path, capsys, overrides):
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, **overrides)
+    with np.errstate(invalid="ignore", divide="ignore"):  # the NaN formula
+        code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip()
+    assert code == 2, err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
 
 
 def test_hankel_beyond_sweep_band_exits_2(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardydual import GridMismatch, NotHermitian
-from hardydual.oracle import (
+from oracle import (
     constrained_minimum,
     dense_psd_check,
     fd_derivative,

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +13,6 @@ from hardydual import (
     build_gram_analytic,
     build_gram_laurent,
     build_outer,
-    check_l2r_membership,
     effective_data,
     embed_h2,
     kernel_at_origin,
@@ -22,7 +23,7 @@ from hardydual import (
 )
 from hardydual.circle import riesz_project_values
 from hardydual.corpus import CASES
-from hardydual.oracle import dense_psd_check, gram_entry_quadrature
+from oracle import dense_psd_check, gram_entry_quadrature
 from hardydual.spaces import _finalize_gram, hankel_block
 
 
@@ -204,9 +205,9 @@ def test_hankel_requires_consecutive_exponents(grid512):
 def test_pd_threshold_unchanged():
     with pytest.raises(NotPositiveDefinite, match="5.000e-13"):
         _finalize_gram(np.diag([1.0, 5e-13]).astype(complex), "analytic",
-                       np.arange(2), 0, None)
+                       np.arange(2), None)
     gram = _finalize_gram(np.diag([1.0, 2e-12]).astype(complex), "analytic",
-                          np.arange(2), 0, None)
+                          np.arange(2), None)
     assert gram.min_eig_estimate == pytest.approx(2e-12)
 
 
@@ -315,6 +316,35 @@ def test_gram_entries_match_quadrature_oracle(case):
 
 
 # --- membership diagnostics ------------------------------------------------------
+
+@dataclass(frozen=True)
+class L2RMembershipReport:
+    """Diagnostics for a circle pair (f1, f2) claimed to lie in the R-twisted L^2.
+
+    hardy_defect: L^2 mass of the negative frequencies of R f1 + f2.
+    antianalytic_defect: L^2 mass of the nonnegative frequencies of conj(T_e) f2.
+    reconstruction_residual: ||f2 + P_-(R f1)|| (the first component
+    determines the second).
+    """
+
+    hardy_defect: float
+    antianalytic_defect: float
+    reconstruction_residual: float
+
+    def max_residual(self) -> float:
+        return max(self.hardy_defect, self.antianalytic_defect,
+                   self.reconstruction_residual)
+
+
+def check_l2r_membership(symbol, outer, f1, f2) -> L2RMembershipReport:
+    grid = symbol.grid
+    f1 = grid.check(f1)
+    f2 = grid.check(f2)
+    hardy = grid.norm(riesz_project_values(symbol.values * f1 + f2, "antianalytic"))
+    anti = grid.norm(riesz_project_values(np.conj(outer.values) * f2, "analytic"))
+    recon = grid.norm(f2 + riesz_project_values(symbol.values * f1, "antianalytic"))
+    return L2RMembershipReport(hardy, anti, recon)
+
 
 def test_l2r_membership_of_canonical_pair(grid4096):
     symbol = symbol_from_expression(grid4096, "0.6*conj(t)")
