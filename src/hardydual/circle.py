@@ -74,7 +74,7 @@ class CircleGrid:
         conj(t_j) = t_{(size-j) % size}, so this is a pure re-indexing.
         """
         v = self.check(values)
-        return np.roll(v[::-1], 1)
+        return np.concatenate((v[:1], v[:0:-1]))
 
     def norm(self, values) -> float:
         return float(np.sqrt(np.mean(np.abs(self.check(values)) ** 2)))

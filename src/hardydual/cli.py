@@ -38,6 +38,9 @@ from .tolerances import TOL_ORDER
 
 SCHEMA_VERSION = 1
 STUDY_ORDER = ("asymptotics", "duality", "sandwich", "theorem", "tau", "convergence")
+# the theorem study maps the dual monomials u^0..u^THEOREM_POWERS back, so the
+# grid's analytic band must hold THEOREM_POWERS + 1 coefficients
+THEOREM_POWERS = 8
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -188,6 +191,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     top = degree + n_max if "asymptotics" in studies else degree
     _expect(top < grid // 2,
             f"degree + n_max must stay below {grid // 2} for the asymptotics study")
+    _expect("theorem" not in studies or grid // 2 > THEOREM_POWERS,
+            f"the theorem study needs grid/2 > {THEOREM_POWERS}, got grid {grid}")
     hankel = raw.get("hankel")
     if hankel is not None:
         _expect(_is_int(hankel) and 1 <= hankel <= grid // 2 - top,
@@ -383,7 +388,7 @@ def _study_sandwich(config, space):
 
 def _study_theorem(config, space):
     dual = dual_of(space, convention=config.convention)
-    rep = theorem_check(space, dual, config.degree, config.hankel)
+    rep = theorem_check(space, dual, config.degree, config.hankel, THEOREM_POWERS)
     worst = max(rep.forward_hardy_residual, rep.forward_mass_residual)
     rows = [{
         "forward_hardy_residual": rep.forward_hardy_residual,

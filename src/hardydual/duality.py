@@ -19,6 +19,7 @@ conventions are selectable and the choice is recorded in ``provenance``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -53,12 +54,14 @@ PRINTED = "printed"
 
 @dataclass(frozen=True, eq=False)
 class DualData:
-    """Dual symbol/masses plus the primal grid data needed to apply the map."""
+    """Dual symbol/masses plus the primal grid data needed to apply the map.
+
+    The dual outer function ``outer_dual`` is built on first use.
+    """
 
     dual_symbol: SymbolData
     dual_masses: MassSet
     T_at_zero: float
-    outer_dual: OuterData
     provenance: str
     # primal context
     symbol: SymbolData
@@ -66,6 +69,10 @@ class DualData:
     outer: OuterData
     blaschke: BlaschkeData
     inv_T_deriv: np.ndarray  # (1/T)'(zeta_k) = B'(zeta_k)/T_e(zeta_k)
+
+    @cached_property
+    def outer_dual(self) -> OuterData:
+        return build_outer(self.dual_symbol)
 
     def dual_space(self) -> SpaceData:
         return SpaceData(self.dual_symbol, self.dual_masses)
@@ -109,7 +116,6 @@ def build_dual(space: SpaceData, convention: str = UNITARY) -> DualData:
         dual_symbol=dual_symbol,
         dual_masses=dual_masses,
         T_at_zero=blaschke.T_at_zero,
-        outer_dual=build_outer(dual_symbol),
         provenance=convention,
         symbol=symbol,
         masses=masses,

@@ -5,6 +5,11 @@ the origin solves G k = e_0, so k(0) = (G^{-1})_{00} = ||k||^2 and the
 normalized value is K(0) = sqrt((G^{-1})_{00}).  Every routine that needs
 several Grams of one data pair assembles one Gram and reads the others from
 it: shifts are principal windows, regularizations recombine its Hankel Gram.
+
+The asymptotic sweep takes its windows max(1, (degree + 1) // 4) at a time:
+the sub-Gram covering a group is factored once by a reversed Cholesky
+G = U U^H, and each window's K(0) follows from U and the last columns of
+U^{-1} (see :func:`_window_kernels`).  The groups are factored as one stack.
 """
 
 from __future__ import annotations
@@ -13,15 +18,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .circle import build_outer
 from .errors import OrderViolation, RejectBoundary
 from .spaces import (
     GramMatrix,
     SpaceData,
     assemble_gram,
     build_gram_analytic,
-    effective_data,
     regularized,
     shifted,
 )
@@ -140,16 +144,62 @@ class AsymptoticTrace:
         return bool(np.all(dev[1:] <= dev[:-1] * (1 + 1e-9) + slack))
 
 
+def _window_kernels(entries: np.ndarray, starts, count: int,
+                    size: int) -> np.ndarray:
+    """K(0) of the order-``size`` windows of ``entries`` in groups of ``count``.
+
+    Row k holds the windows at starts[k]..starts[k]+count-1.  Each group's
+    sub-Gram factors once as G = U U^H with U upper triangular (a Cholesky of
+    G with rows and columns reversed); the groups go through numpy as one
+    stack.  With s = size, window n is A A^H + B B^H, where
+    A = U[n:n+s, n:n+s] and B = U[n:n+s, n+s:].  A^{-1} has first column
+    e_0 / U[n, n], so with Y = A^{-1} B and y = Y[0],
+
+        K_n(0)^2 = (1 - y (I + Y^H Y)^{-1} y^H) / |U[n, n]|^2.
+
+    Y = -(U^{-1})[n:n+s, n+s:] U[n+s:, n+s:] needs only the last count - 1
+    columns of U^{-1}, from one solve; the sign of Y drops out.  The loop
+    over n corrects window n of every group at once.
+    """
+    order = count + size - 1
+    starts = np.asarray(starts, dtype=int)
+    subs = sliding_window_view(entries, (order, order))[starts, starts]
+    u = np.linalg.cholesky(subs[:, ::-1, ::-1])[:, ::-1, ::-1]
+    norm_sq = 1.0 / np.abs(np.diagonal(u, axis1=1, axis2=2)[:, :count]) ** 2
+    inv_cols = np.linalg.solve(u, np.eye(order, count - 1, -size))
+    tail = u[:, size:, size:]
+    for n in range(count - 1):
+        y_block = inv_cols[:, n:n + size, n:] @ tail[:, n:, n:]
+        system = y_block.conj().transpose(0, 2, 1) @ y_block + np.eye(count - 1 - n)
+        y = y_block[:, 0]
+        solved = np.linalg.solve(system, y.conj()[..., None])[..., 0]
+        norm_sq[:, n] *= 1.0 - np.sum(y * solved, axis=1).real
+    if np.any(norm_sq <= 0):
+        raise OrderViolation("kernel norm came out nonpositive; Gram unusable")
+    return np.sqrt(norm_sq)
+
+
 def asymptotic_sweep(space: SpaceData, n_max: int, degree: int,
                      hankel: Optional[int] = None) -> AsymptoticTrace:
+    """K^{alpha_n}(0) for n = 0..n_max from one Gram on z^0..z^{degree + n_max}.
+
+    Shifts go in groups of max(1, (degree + 1) // 4); each group reads its
+    windows from one factorization (:func:`_window_kernels`).
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     gram = build_gram_analytic(space, degree + n_max, hankel)
-    shifts = np.arange(n_max + 1)
-    values = np.array([kernel_at_origin(gram.window(int(n), degree + 1)).norm
-                       for n in shifts])
-    return AsymptoticTrace(shifts, values, degree, gram.hankel.truncation,
-                           space.symbol.grid.size)
+    size = degree + 1
+    group = max(1, size // 4)
+    full, rest = divmod(n_max + 1, group)
+    parts = []
+    if full:
+        parts.append(_window_kernels(gram.entries, group * np.arange(full), group, size))
+    if rest:
+        parts.append(_window_kernels(gram.entries, [group * full], rest, size))
+    values = np.concatenate([part.ravel() for part in parts])
+    return AsymptoticTrace(np.arange(n_max + 1), values, degree,
+                           gram.hankel.truncation, space.symbol.grid.size)
 
 
 # ---------------------------------------------------------------------------
@@ -220,28 +270,33 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     _require_order("Gram(alpha) - Gram(cutoff) PSD", psd_cut, tol_order)
     _require_order("Gram(scaled) - Gram(alpha) PSD", psd_rho, tol_order)
 
-    # value at 0 of the outer factor for the plain and the scaled symbol
-    te0 = build_outer(effective_data(base)[0]).value_at_zero
-    te0_rho = build_outer(effective_data(sp_rho)[0]).value_at_zero
+    from .duality import dual_of  # cycle: duality uses kernels
+
+    # the dual of each variant shifted up by one, kept as (T(0), dual space),
+    # and the value at 0 of its outer factor: a shift leaves |R| alone and a
+    # mass cutoff leaves R alone, so "cutoff" gives T_e(0), "scaled" T_e^rho(0)
+    variants = {"cutoff": (sp_cut, k_cut), "scaled": (sp_rho, k_rho),
+                "both": (sp_both, k_both)}
+    duals, te0 = {}, {}
+    for label, (sp, _) in variants.items():
+        dual = dual_of(shifted(sp, 1))
+        duals[label] = (dual.T_at_zero, dual.dual_space())
+        te0[label] = dual.outer.value_at_zero
     b0 = float(np.prod(np.abs(base.kept_masses.points)))
     b0_cut = float(np.prod(np.abs(sp_cut.kept_masses.points)))
 
-    chain_upper = (te0_rho / te0) * k_both - k_cut
+    chain_upper = (te0["scaled"] / te0["cutoff"]) * k_both - k_cut
     chain_lower = k_rho - (b0 / b0_cut) * k_both
     _require_order("K(cutoff) <= (T_e^rho(0)/T_e(0)) K(both)", chain_upper, tol_order)
     _require_order("K(scaled) >= (B(0)/B^N(0)) K(both)", chain_lower, tol_order)
 
-    from .duality import dual_of  # cycle: duality uses kernels
-
     # the identity T(0) K^{alpha_{-1}}(0) K~(0) = 1 for each variant shifted
     # up by one; its shifted-down kernel is the variant's own kernel
     residuals = {}
-    for label, sp, k_variant in (("cutoff", sp_cut, k_cut), ("scaled", sp_rho, k_rho),
-                                 ("both", sp_both, k_both)):
-        dual_up = dual_of(shifted(sp, 1))
-        k_dual = kernel_at_origin(
-            build_gram_analytic(dual_up.dual_space(), degree, hankel)).norm
-        residuals[label] = abs(dual_up.T_at_zero * k_variant * k_dual - 1.0)
+    for label, (_, k_variant) in variants.items():
+        t_at_zero, dual_space = duals[label]
+        k_dual = kernel_at_origin(build_gram_analytic(dual_space, degree, hankel)).norm
+        residuals[label] = abs(t_at_zero * k_variant * k_dual - 1.0)
 
     return SandwichReport(
         shift=n, cutoff=cutoff, rho=rho,

@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle import CircleGrid, MassSet, SymbolData
 from .errors import NotPositiveDefinite
@@ -141,20 +140,21 @@ class HankelBlock:
 def _lagged_gram(c: np.ndarray, truncation: int, order: int) -> np.ndarray:
     """G[m, l] = sum_{j<J} conj(c[j+m]) c[j+l] for m, l < order.
 
-    ``c`` needs J + order - 1 terms.  The first row is one length-J product
-    per column; the rest follows down the diagonals by the displacement
-    recurrence
-    G[m+1, l+1] = G[m, l] - conj(c[m]) c[l] + conj(c[J+m]) c[J+l].
+    ``c`` needs J + order - 1 terms.  The first row is ``np.correlate``, one
+    length-J dot per column; the rest follows down the diagonals by the
+    displacement recurrence
+    G[m+1, l+1] = G[m, l] - conj(c[m]) c[l] + conj(c[J+m]) c[J+l],
+    each row mirrored into its column as it is made.
     """
     J = truncation
     gram = np.empty((order, order), dtype=c.dtype)
-    gram[0] = sliding_window_view(c[:J + order - 1], J) @ np.conj(c[:J])
+    gram[0] = np.correlate(c[:J + order - 1], c[:J], "valid")
+    gram[1:, 0] = np.conj(gram[0, 1:])
     for m in range(1, order):
         gram[m, m:] = (gram[m - 1, m - 1:-1]
                        - np.conj(c[m - 1]) * c[m - 1:order - 1]
                        + np.conj(c[J + m - 1]) * c[J + m - 1:J + order - 1])
-    lower = np.tril_indices(order, -1)
-    gram[lower] = np.conj(gram.T[lower])
+        gram[m + 1:, m] = np.conj(gram[m, m + 1:])
     return gram
 
 

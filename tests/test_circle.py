@@ -48,6 +48,11 @@ def test_conjugate_reindex(grid512):
     f = grid512.nodes ** 3 + 2.0 * grid512.nodes ** (-1)
     expected = np.conj(grid512.nodes) ** 3 + 2.0 * np.conj(grid512.nodes) ** (-1)
     assert np.abs(grid512.conjugate_reindex(f) - expected).max() < 1e-13
+    rng = np.random.default_rng(3)
+    for size in 2 ** np.arange(3, 15):
+        grid = CircleGrid(int(size))
+        v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        assert np.array_equal(grid.conjugate_reindex(v), np.roll(v[::-1], 1))
 
 
 # --- Riesz projections ------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardydual.cli import main
+from hardydual.cli import STUDY_ORDER, main
 from hardydual.corpus import mass_single_trace
 
 REPO = Path(__file__).resolve().parents[1]
@@ -162,6 +162,17 @@ def test_full_study_list_passes(tmp_path):
     gate_names = {g["name"] for g in summary["gates"]}
     assert {"duality.identity_residual", "tau.unitarity",
             "theorem.membership_residual"} <= gate_names
+
+
+def test_theorem_study_on_too_small_grid_exits_2(tmp_path, capsys):
+    # the theorem study maps dual monomials up to u^8 back, which an 8-point
+    # grid's analytic band cannot hold
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, studies=list(STUDY_ORDER), grid=8, degree=1, n_max=1,
+                  convergence={"grids": [8, 16], "degrees": [1, 2]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "theorem study needs grid" in err
 
 
 def test_symbol_from_sample_file(tmp_path):

@@ -6,6 +6,8 @@ sup|R| <= 0.8 and 0-3 masses with |zeta| <= 0.7, at grid/degree 1024/16
 with an explicit Hankel truncation J.  Matrices agree to 1e-14 relative to
 the largest Gram entry involved (at least 1): a mass near the origin makes
 negative-shift entries of order nu/|zeta|^2, where 1e-14 is below one ulp.
+The grouped asymptotic sweep is compared with one solve per window, to
+1e-14 relative, on the same data and on one symbol with sup|R| = 0.999.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from hardydual import (
     CircleGrid,
     MassSet,
     SpaceData,
+    asymptotic_sweep,
     build_gram_analytic,
     build_gram_laurent,
     dual_of,
@@ -27,6 +30,7 @@ from hardydual import (
     sandwich_check,
     shifted,
     symbol_from_coefficients,
+    symbol_from_expression,
 )
 from hardydual.spaces import assemble_gram, hankel_block
 
@@ -135,3 +139,25 @@ def test_sandwich_residuals_equal_duality_identity(space, regularization):
         up = shifted(variant, 1)
         expected = duality_identity(up, dual_of(up), DEGREE, HANKEL).residual
         assert abs(report.identity_residuals[label] - expected) <= TOL
+
+
+def _assert_sweep_matches_windows(space, n_max):
+    trace = asymptotic_sweep(space, n_max, DEGREE, HANKEL)
+    gram = build_gram_analytic(space, DEGREE + n_max, HANKEL)
+    expected = np.array([kernel_at_origin(gram.window(n, DEGREE + 1)).norm
+                         for n in range(n_max + 1)])
+    assert np.all(np.abs(trace.values - expected) <= TOL * expected)
+
+
+@given(data_pairs(), st.integers(1, 3 * (DEGREE + 1)))
+@settings(deadline=None, max_examples=30)
+def test_grouped_sweep_equals_window_solves(space, n_max):
+    # groups hold (DEGREE + 1) // 4 = 4 shifts, so up to 13 groups run
+    _assert_sweep_matches_windows(space, n_max)
+
+
+def test_grouped_sweep_near_unit_symbol():
+    symbol = symbol_from_expression(GRID, "0.999*conj(t)*0.3/(1-0.7*conj(t))")
+    assert abs(symbol.sup_modulus - 0.999) < 1e-6
+    space = SpaceData(symbol, MassSet(np.array([0.9j, -0.5]), np.array([1.0, 2.0])))
+    _assert_sweep_matches_windows(space, 3 * (DEGREE + 1))
