@@ -53,28 +53,30 @@ class CircleGrid:
         return np.exp(2j * np.pi * j / self.size)
 
     def check(self, values) -> np.ndarray:
+        """Grid samples as a complex array: one vector, or a stack of them
+        along leading axes, with the grid along the last axis."""
         values = np.asarray(values, dtype=complex)
-        if values.shape != (self.size,):
+        if values.ndim == 0 or values.shape[-1] != self.size:
             raise GridMismatch(
                 f"expected {self.size} grid samples, got shape {values.shape}"
             )
         return values
 
     def coefficients(self, values) -> np.ndarray:
-        """Fourier coefficients of grid samples, FFT layout."""
-        return np.fft.fft(self.check(values)) / self.size
+        """Fourier coefficients of grid samples, FFT layout (last axis)."""
+        return np.fft.fft(self.check(values), norm="forward")
 
     def values(self, coeffs) -> np.ndarray:
-        """Grid samples from an FFT-layout coefficient array."""
-        return np.fft.ifft(self.check(coeffs) * self.size)
+        """Grid samples from FFT-layout coefficients (last axis)."""
+        return np.fft.ifft(self.check(coeffs), norm="forward")
 
     def conjugate_reindex(self, values) -> np.ndarray:
-        """Samples of F(conj(t_j)) from samples of F(t_j).
+        """Samples of F(conj(t_j)) from samples of F(t_j), along the last axis.
 
         conj(t_j) = t_{(size-j) % size}, so this is a pure re-indexing.
         """
         v = self.check(values)
-        return np.concatenate((v[:1], v[:0:-1]))
+        return np.concatenate((v[..., :1], v[..., :0:-1]), axis=-1)
 
     def norm(self, values) -> float:
         return float(np.sqrt(np.mean(np.abs(self.check(values)) ** 2)))
@@ -94,17 +96,20 @@ def evaluate_analytic(coeffs, z):
     two levels, z**(b*j + i) = z**(b*j) * z**i with 0 <= i < b, each level
     by running products, and meet the coefficients in one matrix product.
     Scalar in, scalar out; an array of points gives an array of its shape.
+    A stack of coefficient arrays (leading axes) gives the stack of those
+    results, each row by the same matrix-vector product as alone.
     """
     c = np.asarray(coeffs, dtype=complex)
-    c = c[: c.size // 2]
+    c = c[..., : c.shape[-1] // 2]
+    n = c.shape[-1]
     z = np.asarray(z, dtype=complex)
-    block = min(_POWER_BLOCK, max(c.size, 1))
-    rows = -(-max(c.size, 1) // block)
+    block = min(_POWER_BLOCK, max(n, 1))
+    rows = -(-max(n, 1) // block)
     flat = z.reshape(-1, 1)
     inner = _running_powers(flat, block)  # z**i
     outer = _running_powers(inner[:, -1:] * flat, rows)  # z**(b*j)
     powers = (outer[:, :, None] * inner[:, None, :]).reshape(len(flat), rows * block)
-    return (powers[:, : c.size] @ c).reshape(z.shape)[()]
+    return (powers[:, :n] @ c[..., None]).reshape(c.shape[:-1] + z.shape)[()]
 
 
 def _running_powers(base: np.ndarray, count: int) -> np.ndarray:
@@ -115,28 +120,31 @@ def _running_powers(base: np.ndarray, count: int) -> np.ndarray:
 
 
 def riesz_project(coeffs, sign: str) -> np.ndarray:
-    """Riesz projection acting on an FFT-layout coefficient array.
+    """Riesz projection acting on FFT-layout coefficients (last axis).
 
     ``analytic`` keeps frequencies p >= 0, ``antianalytic`` keeps p <= -1.
     The shared +-size/2 bin counts as antianalytic, so the two projections
     are exactly complementary.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    half = c.size // 2
-    out = np.zeros_like(c)
-    if sign == ANALYTIC:
-        out[:half] = c[:half]
-    elif sign == ANTIANALYTIC:
-        out[half:] = c[half:]
-    else:
-        raise ValueError(f"sign must be 'analytic' or 'antianalytic', got {sign!r}")
+    out = np.array(coeffs, dtype=complex)
+    out[..., _dropped_half(out.shape[-1], sign)] = 0
     return out
 
 
 def riesz_project_values(values, sign: str) -> np.ndarray:
-    """Riesz projection acting on grid samples (FFT round trip)."""
-    values = np.asarray(values, dtype=complex)
-    return np.fft.ifft(riesz_project(np.fft.fft(values), sign))
+    """Riesz projection acting on grid samples (FFT round trip, last axis)."""
+    c = np.fft.fft(np.asarray(values, dtype=complex))
+    c[..., _dropped_half(c.shape[-1], sign)] = 0
+    return np.fft.ifft(c, out=c)
+
+
+def _dropped_half(size: int, sign: str) -> slice:
+    """The frequencies a Riesz projection sets to zero, in FFT layout."""
+    if sign == ANALYTIC:
+        return slice(size // 2, None)
+    if sign == ANTIANALYTIC:
+        return slice(None, size // 2)
+    raise ValueError(f"sign must be 'analytic' or 'antianalytic', got {sign!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +170,9 @@ class SymbolData:
 
 def symbol_from_samples(grid: CircleGrid, values) -> SymbolData:
     values = grid.check(values)
+    if values.ndim != 1:
+        raise GridMismatch(f"a symbol takes one vector of {grid.size} samples, "
+                           f"got shape {values.shape}")
     coeffs = grid.coefficients(values)
     return SymbolData(grid, values, coeffs, float(np.abs(values).max()))
 

@@ -244,11 +244,12 @@ class GramMatrix:
         return GramMatrix(self.entries[rows, rows], "analytic", np.arange(size), block)
 
 
-def _finalize_gram(entries, basis_kind, exponents, hankel):
+def _finalize_gram(entries, basis_kind, exponents, hankel, weights=()):
     """Symmetrize and check min eig >= TOL_PSD by a Cholesky of G - TOL_PSD I.
 
     Only a failed Cholesky runs the eigensolver, to report the minimum
-    eigenvalue.
+    eigenvalue; ``weights`` are the mass weights in the Gram, quoted when
+    its scale is the cause.
     """
     entries = 0.5 * (entries + entries.conj().T)
     try:
@@ -256,11 +257,32 @@ def _finalize_gram(entries, basis_kind, exponents, hankel):
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(entries)[0])
         if min_eig < TOL_PSD:
-            raise NotPositiveDefinite(
-                f"Gram minimum eigenvalue {min_eig:.3e} below tolerance {TOL_PSD:.0e}; "
-                "|R| too close to 1 for this truncation (try rho < 1 or a larger grid)"
-            ) from None
+            raise NotPositiveDefinite(_pd_failure(entries, min_eig, weights)) from None
     return GramMatrix(entries, basis_kind, exponents, hankel)
+
+
+def _pd_failure(entries, min_eig: float, weights) -> str:
+    """One-line cause of a failed PD check.
+
+    The eigenvalues of a Gram are resolved only to about order * eps times
+    its largest entry.  When that roundoff exceeds TOL_PSD and the minimum
+    eigenvalue lies within it, the check cannot be decided in double
+    precision: the Gram's scale is the cause, and only mass weights make it
+    large.  Otherwise the metric is nearly degenerate, i.e. |R| is too
+    close to 1 for the truncation.
+    """
+    scale = float(np.abs(entries).max())
+    roundoff = entries.shape[0] * np.finfo(float).eps * scale
+    if roundoff < TOL_PSD or abs(min_eig) > roundoff:
+        return (f"Gram minimum eigenvalue {min_eig:.3e} below tolerance {TOL_PSD:.0e}; "
+                "|R| too close to 1 for this truncation (try rho < 1 or a larger grid)")
+    cause = (f"Gram minimum eigenvalue {min_eig:.3e} is within the roundoff "
+             f"{roundoff:.1e} of the Gram's scale {scale:.3e}, so tolerance "
+             f"{TOL_PSD:.0e} cannot be resolved in double precision")
+    if len(weights):
+        cause += (f"; the largest mass weight, {np.max(weights):.3e}, sets that scale "
+                  "(a dual weight 1/(nu |(1/T)'|^2) grows as nu shrinks)")
+    return cause
 
 
 def assemble_gram(space: SpaceData, block: HankelBlock) -> GramMatrix:
@@ -276,7 +298,8 @@ def assemble_gram(space: SpaceData, block: HankelBlock) -> GramMatrix:
         raise ValueError("negative shift undefined for a mass at the origin")
     entries = np.eye(exponents.size, dtype=complex) - space.rho ** 2 * block.gamma_gram
     entries += _mass_gram(masses, exponents)
-    return _finalize_gram(entries, "analytic", np.arange(exponents.size), block)
+    return _finalize_gram(entries, "analytic", np.arange(exponents.size), block,
+                          masses.weights)
 
 
 def build_gram_analytic(space: SpaceData, degree: int,
@@ -318,7 +341,7 @@ def build_gram_laurent(space: SpaceData, half_band: int,
     )
     if masses.count:
         entries[exponents.size:, exponents.size:] = np.diag(masses.weights)
-    return _finalize_gram(entries, "laurent", exponents, block)
+    return _finalize_gram(entries, "laurent", exponents, block, masses.weights)
 
 
 def embed_h2(space: SpaceData, degree: int, half_band: int) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Slow, independent reference routes used only by the tests.
 
-Nothing here shares code with the production paths: inner products are
-plain trapezoid sums, Fourier coefficients come from Vandermonde-style
-quadrature instead of the FFT, derivatives from Richardson-extrapolated
-central differences, and PSD checks from a dense eigensolve.  Agreement
-with the production numbers is evidence, not tautology.
+Apart from :func:`theorem_check_per_column`, nothing here shares code with
+the production paths: inner products are plain trapezoid sums, Fourier
+coefficients come from Vandermonde-style quadrature instead of the FFT,
+derivatives from Richardson-extrapolated central differences, and PSD
+checks from a dense eigensolve.  Agreement with the production numbers is
+evidence, not tautology.  :func:`theorem_check_per_column` is the theorem
+check one vector at a time, built on the library's single-vector calls: a
+reference for the block layout of the stacked check, not for its maths.
 """
 
 from __future__ import annotations
@@ -13,7 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hardydual.duality import (
+    TauVector,
+    TheoremReport,
+    _hat_membership,
+    _laurent_values,
+    _null_space,
+    apply_tau,
+    build_dual,
+    canonical_vector,
+    embed_analytic_vector,
+    l2_inner,
+    l2_norm,
+)
 from hardydual.errors import GridMismatch, NotHermitian
+from hardydual.spaces import build_gram_laurent, effective_data, embed_h2
 
 
 @dataclass(frozen=True)
@@ -143,3 +160,53 @@ def constrained_minimum(matrix):
     block = matrix[1:, 1:]
     y = np.linalg.solve(block, g)
     return float((matrix[0, 0] - np.vdot(y, g).conjugate()).real)
+
+
+def theorem_check_per_column(space, dual, degree, hankel=None, converse_powers=8):
+    """The complement-mapping check with one vector per call.
+
+    Each complement column is normalized and mapped on its own; the converse
+    pairs every normalized condition vector, mapped back, with every
+    normalized test vector by one ``l2_inner`` call each.
+    """
+    def scaled(vec, factor):
+        return TauVector(vec.f1 * factor, vec.f2 * factor, vec.mass_values * factor)
+
+    symbol, masses = effective_data(space)
+    grid = symbol.grid
+    gram_l = build_gram_laurent(space, degree, hankel)
+    embed = embed_h2(space, degree, degree)
+    complement = _null_space(embed.conj().T @ gram_l.entries)
+    band = 2 * degree + 1
+    te_dual = dual.outer_dual.value_at(dual.dual_masses.points)
+    fwd_hardy = fwd_mass = 0.0
+    for col in complement.T:
+        vec = canonical_vector(symbol, _laurent_values(grid, col[:band], degree),
+                               col[band:])
+        vec = scaled(vec, 1.0 / l2_norm(vec, symbol, masses))
+        report = _hat_membership(apply_tau(vec, dual), dual.outer_dual,
+                                 dual.dual_masses, te_dual)
+        fwd_hardy = max(fwd_hardy, report.antianalytic_residual)
+        fwd_mass = max(fwd_mass, report.mass_mismatch)
+
+    dual_back = build_dual(dual.dual_space(), dual.provenance)
+    tests = []
+    for q in range(converse_powers + 1):
+        tests.append(canonical_vector(symbol, dual.blaschke.values * grid.nodes ** q,
+                                      np.zeros(masses.count, dtype=complex)))
+    for k in range(masses.count):
+        values = np.zeros(masses.count, dtype=complex)
+        values[k] = dual.blaschke.derivative_at_zeros[k]
+        tests.append(canonical_vector(
+            symbol, dual.blaschke.values / (grid.nodes - masses.points[k]), values))
+    tests = [scaled(v, 1.0 / l2_norm(v, symbol, masses)) for v in tests]
+    converse = 0.0
+    for p in range(converse_powers + 1):
+        coeffs = np.zeros(p + 1, dtype=complex)
+        coeffs[p] = 1.0
+        cond = embed_analytic_vector(dual.dual_symbol, dual.dual_masses, coeffs)
+        cond = scaled(cond, 1.0 / l2_norm(cond, dual.dual_symbol, dual.dual_masses))
+        back = apply_tau(cond, dual_back)
+        for test in tests:
+            converse = max(converse, abs(l2_inner(back, test, symbol, masses)))
+    return TheoremReport(fwd_hardy, fwd_mass, converse, complement.shape[1])

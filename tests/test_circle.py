@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hardydual import (
     CircleGrid,
     DuplicatePoint,
+    GridMismatch,
     MassSet,
     SzegoViolation,
     build_blaschke,
@@ -53,6 +54,18 @@ def test_conjugate_reindex(grid512):
         grid = CircleGrid(int(size))
         v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         assert np.array_equal(grid.conjugate_reindex(v), np.roll(v[::-1], 1))
+
+
+def test_grid_shape_check_is_on_the_last_axis(grid512):
+    # stacks pass along leading axes; a wrong last axis, a scalar and a
+    # stacked symbol do not
+    stack = np.ones((3, 2, 512), dtype=complex)
+    assert grid512.check(stack).shape == (3, 2, 512)
+    for bad in (np.ones((512, 3)), np.ones(256), 1.0):
+        with pytest.raises(GridMismatch):
+            grid512.check(bad)
+    with pytest.raises(GridMismatch):
+        symbol_from_samples(grid512, np.zeros((2, 512)))
 
 
 # --- Riesz projections ------------------------------------------------------

@@ -272,6 +272,35 @@ def test_coinciding_masses_exit_3(tmp_path, capsys):
     assert err.startswith("data failure:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("weight", [1e16, 1e300, 1e-16, 1e-300])
+def test_extreme_mass_weight_names_the_gram_scale(tmp_path, capsys, weight):
+    # the Gram (primal, or dual for a tiny weight) is too large for TOL_PSD to
+    # be resolved; the message must say so, not blame |R|
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=256, degree=16,
+                  masses=[{"point": [0.5, 0.0], "weight": weight}],
+                  studies=list(STUDY_ORDER),
+                  convergence={"grids": [128, 256], "degrees": [8, 16]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data failure:") and len(err.splitlines()) == 1
+    assert "double precision" in err and "largest mass weight" in err
+    assert "|R|" not in err
+
+
+def test_symbol_near_one_names_r(tmp_path, capsys):
+    # a true |R| -> 1 failure keeps its cause
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=256, degree=16, masses=[], N_list=[0],
+                  symbol={"kind": "expression", "formula": "0.9999999999999*conj(t)"},
+                  studies=["asymptotics"])
+    with pytest.warns(UserWarning, match="within 1e-12 of 1"):
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data failure:") and len(err.splitlines()) == 1
+    assert "|R| too close to 1" in err and "double precision" not in err
+
+
 def test_formula_cannot_run_code(tmp_path):
     # attribute access and boolean operators are outside the formula grammar
     cfg = tmp_path / "c.json"
