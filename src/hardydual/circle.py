@@ -265,9 +265,8 @@ def zero_symbol(grid: CircleGrid) -> SymbolData:
 
 @dataclass(frozen=True, eq=False)
 class SzegoReport:
-    """Contractivity flag, grid log-integral of 1-|R|, near-unimodular nodes."""
+    """Grid log-integral of 1-|R| and the near-unimodular nodes."""
 
-    is_contractive: bool
     log_integral: float
     touching_nodes: np.ndarray
 
@@ -296,7 +295,7 @@ def validate_szego(symbol: SymbolData) -> SzegoReport:
         )
     clean = gap >= TOL_TOUCH
     log_integral = float(np.mean(np.log(gap[clean]))) if clean.any() else float("-inf")
-    return SzegoReport(True, log_integral, touching)
+    return SzegoReport(log_integral, touching)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +382,8 @@ def build_outer(symbol: SymbolData) -> OuterData:
             f"|R| touches 1 at node(s) {report.touching_nodes[:8].tolist()}; "
             "outer function undefined (pass rho < 1 to regularize)"
         )
-    w = 1.0 - np.abs(symbol.values) ** 2
-    if w.min() < TOL_TOUCH:
-        raise SzegoViolation("1 - |R|^2 below touch tolerance; outer function undefined")
     grid = symbol.grid
-    u = 0.5 * np.log(w)
+    u = 0.5 * np.log(1.0 - np.abs(symbol.values) ** 2)
     uh = np.fft.fft(u) / grid.size
     half = grid.size // 2
     vh = np.zeros_like(uh)
@@ -424,8 +420,6 @@ class BlaschkeData:
     ``T_at_zero`` is +inf when a mass sits at the origin (B(0) = 0).
     """
 
-    points: np.ndarray
-    grid: CircleGrid
     values: np.ndarray
     derivative_at_zeros: np.ndarray
     value_at_zero: float
@@ -462,8 +456,6 @@ def build_blaschke(masses: MassSet, outer: OuterData) -> BlaschkeData:
     else:
         t_at_zero = outer.value_at_zero / value_at_zero
     return BlaschkeData(
-        points=points,
-        grid=grid,
         values=b_values,
         derivative_at_zeros=deriv,
         value_at_zero=value_at_zero,

@@ -84,6 +84,11 @@ class Gate:
     passed: bool
 
 
+def _below(name, value, threshold):
+    value = float(value)
+    return Gate(name, value, threshold, value < threshold)
+
+
 @dataclasses.dataclass
 class RunReport:
     config: ExperimentConfig
@@ -127,7 +132,7 @@ def _as_complex(pair, what):
 
 
 _TOP_KEYS = {"label", "seed", "grid", "degree", "hankel", "symbol", "masses",
-             "n_max", "n_range", "rho_list", "N_list", "convention",
+             "n_max", "rho_list", "N_list", "convention",
              "tolerances", "gates", "studies", "convergence", "output"}
 
 
@@ -170,16 +175,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _expect(_is_real(item["weight"]) and item["weight"] > 0,
                 "mass weights must be positive numbers")
 
-    if "n_range" in raw:
-        _expect("n_max" not in raw, "give n_max or n_range, not both")
-        rng = raw["n_range"]
-        _expect(isinstance(rng, list) and len(rng) == 2 and rng[0] == 0
-                and _is_int(rng[1]) and rng[1] >= 1,
-                "n_range must be [0, n_max] with n_max >= 1")
-        n_max = rng[1]
-    else:
-        n_max = raw.get("n_max", 16)
-        _expect(_is_int(n_max) and n_max >= 1, "n_max must be >= 1")
+    n_max = raw.get("n_max", 16)
+    _expect(_is_int(n_max) and n_max >= 1, "n_max must be >= 1")
 
     studies = raw.get("studies", ["duality"])
     _expect(isinstance(studies, list) and studies
@@ -316,10 +313,8 @@ def _study_asymptotics(config, space):
     trace = asymptotic_sweep(space, config.n_max, config.degree, config.hankel)
     rows = [{"n": int(n), "kernel_value": float(v), "abs_deviation": float(d)}
             for n, v, d in zip(trace.shifts, trace.values, trace.deviations)]
-    final = float(trace.deviations[-1])
-    gates = [Gate("asymptotics.final_deviation", final,
-                  config.gates["asymptotics"],
-                  final < config.gates["asymptotics"])]
+    gates = [_below("asymptotics.final_deviation", trace.deviations[-1],
+                    config.gates["asymptotics"])]
     scalars = {"converged_at": trace.converged_at(config.gates["asymptotics"]),
                "tail_monotone": trace.tail_monotone()}
     return {"tables": {"asymptotics": rows}, "gates": gates, "scalars": scalars}
@@ -336,9 +331,7 @@ def _study_duality(config, space):
         "kernel_dual": report.kernel_dual,
         "vector_residual": report.vector_residual,
     }
-    gates = [Gate("duality.identity_residual", report.residual,
-                  config.gates["identity"],
-                  report.residual < config.gates["identity"])]
+    gates = [_below("duality.identity_residual", report.residual, config.gates["identity"])]
     return {"tables": {"duality": [row]}, "gates": gates,
             "scalars": {"convention": dual.provenance}}
 
@@ -380,9 +373,8 @@ def _study_sandwich(config, space):
     gates.append(Gate("sandwich.worst_margin", float(worst_margin),
                       -config.tol_order,
                       worst_margin >= -config.tol_order))
-    gates.append(Gate("sandwich.identity_residual", worst_residual,
-                      config.gates["identity"],
-                      worst_residual < config.gates["identity"]))
+    gates.append(_below("sandwich.identity_residual", worst_residual,
+                        config.gates["identity"]))
     return {"tables": {"sandwich": rows}, "gates": gates, "scalars": {}}
 
 
@@ -396,11 +388,9 @@ def _study_theorem(config, space):
         "converse_orthogonality": rep.converse_orthogonality,
         "complement_dimension": rep.complement_dimension,
     }]
-    gates = [Gate("theorem.membership_residual", worst,
-                  config.gates["theorem"], worst < config.gates["theorem"]),
-             Gate("theorem.converse_orthogonality", rep.converse_orthogonality,
-                  config.gates["theorem"],
-                  rep.converse_orthogonality < config.gates["theorem"])]
+    gates = [_below("theorem.membership_residual", worst, config.gates["theorem"]),
+             _below("theorem.converse_orthogonality", rep.converse_orthogonality,
+                    config.gates["theorem"])]
     return {"tables": {"theorem": rows}, "gates": gates, "scalars": {}}
 
 
@@ -439,10 +429,8 @@ def _study_tau(config, space, n_vectors=20):
                      "involution_residual": inv_res})
         worst_unit = max(worst_unit, unit_res)
         worst_inv = max(worst_inv, inv_res)
-    gates = [Gate("tau.unitarity", worst_unit, config.gates["tau"],
-                  worst_unit < config.gates["tau"]),
-             Gate("tau.involution", worst_inv, config.gates["tau"],
-                  worst_inv < config.gates["tau"])]
+    gates = [_below("tau.unitarity", worst_unit, config.gates["tau"]),
+             _below("tau.involution", worst_inv, config.gates["tau"])]
     return {"tables": {"tau": rows}, "gates": gates, "scalars": {}}
 
 
@@ -518,28 +506,10 @@ _STUDY_FUNCS = {
 
 
 def _fmt_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _expand_complex(row):
-    out = {}
-    for key, value in row.items():
-        if isinstance(value, (complex, np.complexfloating)) and not isinstance(value, float):
-            out[f"{key}_re"] = float(np.real(value))
-            out[f"{key}_im"] = float(np.imag(value))
-        else:
-            out[key] = value
-    return out
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def write_csv(path: Path, rows):
-    rows = [_expand_complex(r) for r in rows]
     fields = []
     for row in rows:
         for key in row:
@@ -552,18 +522,6 @@ def write_csv(path: Path, rows):
             writer.writerow([_fmt_cell(row.get(k, "")) for k in fields])
 
 
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
 def write_report(report: RunReport, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, rows in sorted(report.tables.items()):
@@ -574,13 +532,16 @@ def write_report(report: RunReport, out_dir: Path):
         "config": report.config.raw,
         "convention": report.config.convention,
         "tolerances": {"order": report.config.tol_order},
-        "gates": [dataclasses.asdict(g) for g in report.gates],
+        # a gate with no finite value is null, so the file stays strict JSON
+        "gates": [{**dataclasses.asdict(g),
+                   "value": g.value if math.isfinite(g.value) else None}
+                  for g in report.gates],
         "scalars": report.scalars,
         "all_passed": report.all_passed,
         "versions": {"hardydual": __version__, "numpy": np.__version__},
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True, default=_json_default)
+        json.dump(summary, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     with open(out_dir / "run.log", "w", encoding="utf-8") as handle:
         for study in STUDY_ORDER:

@@ -41,7 +41,6 @@ class KernelVector:
     """
 
     coefficients: np.ndarray
-    point: complex
     norm: float
 
     @property
@@ -64,7 +63,7 @@ def kernel_at_point(gram: GramMatrix, point: complex) -> KernelVector:
     norm_sq = np.vdot(coeffs, rhs)
     if norm_sq.real <= 0:
         raise OrderViolation("kernel norm came out nonpositive; Gram unusable")
-    return KernelVector(coeffs, point, float(np.sqrt(norm_sq.real)))
+    return KernelVector(coeffs, float(np.sqrt(norm_sq.real)))
 
 
 def kernel_at_origin(gram: GramMatrix) -> KernelVector:
@@ -118,13 +117,10 @@ def orthonormal_system(space: SpaceData, shifts: Sequence[int], degree: int,
 
 @dataclass(frozen=True, eq=False)
 class AsymptoticTrace:
-    """Values K^{alpha_n}(0) for n = 0..n_max with truncation metadata."""
+    """Values K^{alpha_n}(0) for n = 0..n_max."""
 
     shifts: np.ndarray
     values: np.ndarray
-    degree: int
-    hankel: int
-    grid_size: int
 
     @property
     def deviations(self) -> np.ndarray:
@@ -198,8 +194,7 @@ def asymptotic_sweep(space: SpaceData, n_max: int, degree: int,
     if rest:
         parts.append(_window_kernels(gram.entries, [group * full], rest, size))
     values = np.concatenate([part.ravel() for part in parts])
-    return AsymptoticTrace(np.arange(n_max + 1), values, degree,
-                           gram.hankel.truncation, space.symbol.grid.size)
+    return AsymptoticTrace(np.arange(n_max + 1), values)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +277,8 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
         dual = dual_of(shifted(sp, 1))
         duals[label] = (dual.T_at_zero, dual.dual_space())
         te0[label] = dual.outer.value_at_zero
-    b0 = float(np.prod(np.abs(base.kept_masses.points)))
-    b0_cut = float(np.prod(np.abs(sp_cut.kept_masses.points)))
+    b0 = float(np.prod(np.abs(base.masses.points)))
+    b0_cut = float(np.prod(np.abs(sp_cut.masses.points)))
 
     chain_upper = (te0["scaled"] / te0["cutoff"]) * k_both - k_cut
     chain_lower = k_rho - (b0 / b0_cut) * k_both

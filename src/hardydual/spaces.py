@@ -11,9 +11,10 @@ appended as a direct summand diag(nu).
 
 A shift alpha_n (symbol times t^n, weights times |zeta|^{2n}) only moves
 exponents: its Gram on z^0..z^M is the unshifted metric on z^n..z^{n+M}, a
-principal window of one Gram over a longer exponent range.  Symbol scaling
-by rho and mass truncation recombine the same Hankel Gram Gamma as
-I - rho^2 Gamma + (mass Gram of the first N masses).
+principal window of one Gram over a longer exponent range.  A SpaceData
+keeps shift and rho lazy for that reason; a mass cutoff is a shorter MassSet
+(:func:`regularized`).  Symbol scaling by rho and mass truncation recombine
+the same Hankel Gram Gamma as I - rho^2 Gamma + (mass Gram of the masses).
 
 Gamma is assembled by its displacement recurrence, and a Gram is checked
 positive definite by one Cholesky factorization of G - TOL_PSD I; its
@@ -36,36 +37,24 @@ from .tolerances import TOL_PSD
 
 @dataclass(frozen=True, eq=False)
 class SpaceData:
-    """A data pair alpha = {R, nu} plus shift and regularization parameters.
+    """A data pair alpha = {R, nu} plus shift and symbol scaling.
 
     shift n multiplies the symbol by t^n and the weights by |zeta_k|^{2n};
-    rho scales the symbol uniformly; mass_cutoff keeps the first N masses.
+    rho scales the symbol uniformly.
     """
 
     symbol: SymbolData
     masses: MassSet
     shift: int = 0
     rho: float = 1.0
-    mass_cutoff: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
-        if self.mass_cutoff is not None and not 0 <= self.mass_cutoff <= self.masses.count:
-            raise ValueError(
-                f"mass_cutoff {self.mass_cutoff} outside 0..{self.masses.count}"
-            )
 
     @property
     def grid(self) -> CircleGrid:
         return self.symbol.grid
-
-    @property
-    def kept_masses(self) -> MassSet:
-        """The first ``mass_cutoff`` masses with their unshifted weights."""
-        if self.mass_cutoff is None:
-            return self.masses
-        return self.masses.truncated(self.mass_cutoff)
 
 
 def shifted(space: SpaceData, dn: int) -> SpaceData:
@@ -74,18 +63,17 @@ def shifted(space: SpaceData, dn: int) -> SpaceData:
 
 def regularized(space: SpaceData, rho: float = 1.0,
                 mass_cutoff: Optional[int] = None) -> SpaceData:
-    """Apply symbol scaling and/or mass truncation on top of existing settings."""
+    """Scale the symbol by rho and/or keep the first ``mass_cutoff`` masses."""
     out = space
     if rho != 1.0:
         out = replace(out, rho=out.rho * rho)
     if mass_cutoff is not None:
-        current = out.masses.count if out.mass_cutoff is None else out.mass_cutoff
-        out = replace(out, mass_cutoff=min(mass_cutoff, current))
+        out = replace(out, masses=out.masses.truncated(min(mass_cutoff, out.masses.count)))
     return out
 
 
 def effective_data(space: SpaceData) -> tuple[SymbolData, MassSet]:
-    """Resolve shift, rho-scaling and mass cutoff into concrete data.
+    """Resolve shift and rho-scaling into concrete data.
 
     The shifted symbol has coefficients r_p -> r_{p-n} (a circular roll in
     FFT layout) and values R(t) -> t^n R(t); weights become |zeta_k|^{2n} nu_k.
@@ -103,7 +91,7 @@ def effective_data(space: SpaceData) -> tuple[SymbolData, MassSet]:
     eff_symbol = SymbolData(grid, np.ascontiguousarray(values),
                             np.ascontiguousarray(coeffs), float(np.abs(values).max()))
 
-    masses = space.kept_masses
+    masses = space.masses
     if space.shift != 0 and masses.count:
         if space.shift < 0 and masses.has_origin:
             raise ValueError("negative shift undefined for a mass at the origin")
@@ -268,31 +256,37 @@ def _pd_failure(entries, min_eig: float, weights) -> str:
     its largest entry.  When that roundoff exceeds TOL_PSD and the minimum
     eigenvalue lies within it, the check cannot be decided in double
     precision: the Gram's scale is the cause, and only mass weights make it
-    large.  Otherwise the metric is nearly degenerate, i.e. |R| is too
-    close to 1 for the truncation.
+    large.  When the minimum eigenvalue is, within that roundoff, a mass
+    weight below TOL_PSD (the diag(nu) block of a Laurent Gram), the weight
+    is the cause.  Otherwise the metric is nearly degenerate, i.e. |R| is
+    too close to 1 for the truncation.
     """
     scale = float(np.abs(entries).max())
     roundoff = entries.shape[0] * np.finfo(float).eps * scale
-    if roundoff < TOL_PSD or abs(min_eig) > roundoff:
-        return (f"Gram minimum eigenvalue {min_eig:.3e} below tolerance {TOL_PSD:.0e}; "
-                "|R| too close to 1 for this truncation (try rho < 1 or a larger grid)")
-    cause = (f"Gram minimum eigenvalue {min_eig:.3e} is within the roundoff "
-             f"{roundoff:.1e} of the Gram's scale {scale:.3e}, so tolerance "
-             f"{TOL_PSD:.0e} cannot be resolved in double precision")
-    if len(weights):
-        cause += (f"; the largest mass weight, {np.max(weights):.3e}, sets that scale "
-                  "(a dual weight 1/(nu |(1/T)'|^2) grows as nu shrinks)")
-    return cause
+    if roundoff >= TOL_PSD and abs(min_eig) <= roundoff:
+        cause = (f"Gram minimum eigenvalue {min_eig:.3e} is within the roundoff "
+                 f"{roundoff:.1e} of the Gram's scale {scale:.3e}, so tolerance "
+                 f"{TOL_PSD:.0e} cannot be resolved in double precision")
+        if len(weights):
+            cause += (f"; the largest mass weight, {np.max(weights):.3e}, sets that scale "
+                      "(a dual weight 1/(nu |(1/T)'|^2) grows as nu shrinks)")
+        return cause
+    smallest = np.min(weights, initial=np.inf)
+    if smallest < TOL_PSD and abs(min_eig - smallest) <= roundoff:
+        return (f"Gram minimum eigenvalue {min_eig:.3e} is the mass weight "
+                f"{smallest:.3e}, below tolerance {TOL_PSD:.0e}")
+    return (f"Gram minimum eigenvalue {min_eig:.3e} below tolerance {TOL_PSD:.0e}; "
+            "|R| too close to 1 for this truncation (try rho < 1 or a larger grid)")
 
 
 def assemble_gram(space: SpaceData, block: HankelBlock) -> GramMatrix:
-    """I - rho^2 Gamma + (mass Gram of the first N masses) on block's exponents.
+    """I - rho^2 Gamma + (mass Gram of the masses) on block's exponents.
 
     ``block`` is the Hankel block of ``space.symbol`` on the exponent window
-    of ``space``; rho and the mass cutoff are read from ``space``, so one
-    block serves every regularization of the same data pair.
+    of ``space``; rho and the masses are read from ``space``, so one block
+    serves every regularization of the same data pair.
     """
-    masses = space.kept_masses
+    masses = space.masses
     exponents = block.exponents
     if exponents.min() < 0 and masses.has_origin:
         raise ValueError("negative shift undefined for a mass at the origin")
@@ -308,7 +302,7 @@ def build_gram_analytic(space: SpaceData, degree: int,
 
     For shift n the entries are the unshifted metric on z^{n+m}, z^{n+l}:
     delta_{ml} - rho^2 sum_{j<=J} conj(r_{-j-n-m}) r_{-j-n-l}
-    + sum_k conj(zeta_k)^{n+m} zeta_k^{n+l} nu_k over the first N masses.
+    + sum_k conj(zeta_k)^{n+m} zeta_k^{n+l} nu_k.
     J defaults to size/2 - (n + degree), so no Hankel row wraps.
     """
     if degree < 0:

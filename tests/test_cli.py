@@ -62,6 +62,34 @@ def test_unknown_key_exits_2(tmp_path):
     assert main(["run", str(cfg)]) == 2
 
 
+def test_n_range_is_an_unknown_key(tmp_path, capsys):
+    # n_max is the one spelling of the sweep length
+    cfg = tmp_path / "c.json"
+    config = _write_config(cfg)
+    del config["n_max"]
+    config["n_range"] = [0, 12]
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown configuration keys: ['n_range']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, '{"grid": 1024,'], ids=["missing", "malformed"])
+def test_unreadable_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and len(err.splitlines()) == 1, err
+
+
+def test_origin_mass_with_duality_study_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, masses=[{"point": [0.0, 0.0], "weight": 1.0}])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "need origin-free mass points" in err
+
 def test_touching_symbol_exits_3(tmp_path):
     cfg = tmp_path / "c.json"
     _write_config(cfg, symbol={"kind": "expression", "formula": "conj(t)"},
@@ -288,6 +316,20 @@ def test_extreme_mass_weight_names_the_gram_scale(tmp_path, capsys, weight):
     assert "|R|" not in err
 
 
+@pytest.mark.parametrize("weight", [1e-15, 1e-13])
+def test_sub_tolerance_mass_weight_is_named(tmp_path, capsys, weight):
+    # the diag(nu) block of the theorem study's Laurent Gram has the weight
+    # itself as its minimum eigenvalue; the weight, not |R|, is the cause
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=256, degree=16,
+                  masses=[{"point": [0.5, 0.0], "weight": weight}],
+                  studies=list(STUDY_ORDER),
+                  convergence={"grids": [128, 256], "degrees": [8, 16]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data failure:") and len(err.splitlines()) == 1
+    assert f"is the mass weight {weight:.3e}" in err and "|R|" not in err
+
 def test_symbol_near_one_names_r(tmp_path, capsys):
     # a true |R| -> 1 failure keeps its cause
     cfg = tmp_path / "c.json"
@@ -326,3 +368,29 @@ def test_readme_config_runs_without_scipy(tmp_path):
     assert names == sorted(p.name for p in blocked.glob("*.csv"))
     for name in names + ["summary.json"]:
         assert (blocked / name).read_bytes() == (free / name).read_bytes(), name
+
+
+def test_order_violation_rows_and_strict_summary(tmp_path):
+    # at tolerances.order 1e-300 every sandwich row violates the PSD order:
+    # its row holds the error, its gate has no value, and worst_margin is a
+    # minimum over no rows; summary.json must stay strict JSON (null, no NaN)
+    config = json.loads((REPO / "perfbench" / "readme_config.json").read_text())
+    config.update(tolerances={"order": 1e-300}, studies=["sandwich"])
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 4
+    rows = _read_csv(out / "sandwich.csv")
+    assert len(rows) == len(config["rho_list"])
+    assert all("PSD violated" in row["error"] for row in rows)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    gates = {gate["name"]: gate for gate in summary["gates"]}
+    for rho in config["rho_list"]:
+        gate = gates[f"sandwich.order[N=1,rho={rho}]"]
+        assert gate["value"] is None and gate["passed"] is False
+    assert gates["sandwich.worst_margin"]["value"] is None
+    assert summary["all_passed"] is False

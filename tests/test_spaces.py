@@ -72,7 +72,7 @@ def test_negative_shift_rejects_origin_mass(grid512):
 
 def test_mass_cutoff(grid512):
     masses = MassSet(np.array([0.5, 1 / 3]), np.array([3.0, 1.0]))
-    space = SpaceData(zero_symbol(grid512), masses, mass_cutoff=1)
+    space = regularized(SpaceData(zero_symbol(grid512), masses), mass_cutoff=1)
     _, m = effective_data(space)
     assert m.count == 1 and m.points[0] == 0.5
 
