@@ -44,6 +44,6 @@ for name in ("hankel_rank1", "mixed_basic", "mixed_two_mass", "mixed_deg2",
     print(f"  {name:15s} residual {r.residual:.2e}, vector {r.vector_residual:.2e}")
 
 # the dual construction is an involution on the data itself
-back = dual_of(dual.dual_space())
+back = dual.back
 sym_err = np.abs(back.dual_symbol.values - space.symbol.values).max()
 print(f"\ndual of dual returns the symbol within {sym_err:.2e}")

@@ -22,7 +22,6 @@ from hardydual.corpus import BY_NAME
 
 space = BY_NAME["mixed_two_mass"].space(4096)
 dual = dual_of(space)
-dual_back = dual_of(dual.dual_space())
 symbol, masses = dual.symbol, dual.masses
 grid = symbol.grid
 
@@ -40,7 +39,7 @@ for index in range(5):
     norm = l2_norm(vec, symbol, masses)
     image = apply_tau(vec, dual)
     image_norm = l2_norm(image, dual.dual_symbol, dual.dual_masses)
-    back = apply_tau(image, dual_back)
+    back = apply_tau(image, dual.back)
     diff = TauVector(back.f1 - vec.f1, back.f2 - vec.f2,
                      back.mass_values - vec.mass_values)
     print(f"  #{index}: | ||tau f||^2 - ||f||^2 | / ||f||^2 = "

@@ -18,7 +18,6 @@ from .circle import (
     MassSet,
     OuterData,
     SymbolData,
-    SzegoReport,
     build_blaschke,
     build_outer,
     evaluate_analytic,

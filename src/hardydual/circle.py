@@ -162,7 +162,10 @@ class SymbolData:
     grid: CircleGrid
     values: np.ndarray
     coeffs: np.ndarray
-    sup_modulus: float
+
+    @cached_property
+    def sup_modulus(self) -> float:
+        return float(np.abs(self.values).max())
 
     def coefficient(self, p: int) -> complex:
         return coefficient(self.coeffs, p)
@@ -173,8 +176,7 @@ def symbol_from_samples(grid: CircleGrid, values) -> SymbolData:
     if values.ndim != 1:
         raise GridMismatch(f"a symbol takes one vector of {grid.size} samples, "
                            f"got shape {values.shape}")
-    coeffs = grid.coefficients(values)
-    return SymbolData(grid, values, coeffs, float(np.abs(values).max()))
+    return SymbolData(grid, values, grid.coefficients(values))
 
 
 def symbol_from_coefficients(grid: CircleGrid, entries: Mapping[int, complex]) -> SymbolData:
@@ -186,8 +188,7 @@ def symbol_from_coefficients(grid: CircleGrid, entries: Mapping[int, complex]) -
         if abs(p) >= half:
             raise ValueError(f"coefficient index {p} outside resolvable band (+-{half - 1})")
         coeffs[p % grid.size] = complex(value)
-    values = grid.values(coeffs)
-    return SymbolData(grid, values, coeffs, float(np.abs(values).max()))
+    return SymbolData(grid, grid.values(coeffs), coeffs)
 
 
 _FORMULA_FUNCS = {
@@ -263,21 +264,11 @@ def zero_symbol(grid: CircleGrid) -> SymbolData:
 # Szego validation
 
 
-@dataclass(frozen=True, eq=False)
-class SzegoReport:
-    """Grid log-integral of 1-|R| and the near-unimodular nodes."""
+def validate_szego(symbol: SymbolData) -> None:
+    """Check that the symbol is a contraction: finite, sup |R| <= 1 + TOL_UNIT.
 
-    log_integral: float
-    touching_nodes: np.ndarray
-
-
-def validate_szego(symbol: SymbolData) -> SzegoReport:
-    """Check |R| <= 1 and approximate the integral of log(1 - |R|).
-
-    Raises SzegoViolation when the symbol is not a contraction or has a
-    non-finite sample.  Nodes where 1 - |R| < TOL_TOUCH are reported (and
-    excluded from the log average); the caller decides whether they are
-    fatal.
+    Raises SzegoViolation otherwise.  A contraction may still touch |R| = 1;
+    only :func:`build_outer` needs it strictly below, and checks that itself.
     """
     if not np.isfinite(symbol.sup_modulus):
         raise SzegoViolation("symbol has non-finite samples (NaN or inf)")
@@ -285,17 +276,6 @@ def validate_szego(symbol: SymbolData) -> SzegoReport:
         raise SzegoViolation(
             f"sup |R| = {symbol.sup_modulus:.6g} exceeds 1 (not a contraction)"
         )
-    gap = 1.0 - np.abs(symbol.values)
-    touching = np.nonzero(gap < TOL_TOUCH)[0]
-    if touching.size:
-        warnings.warn(
-            f"|R| within {TOL_TOUCH:g} of 1 at {touching.size} node(s); "
-            "log-integral computed on the remaining nodes",
-            stacklevel=2,
-        )
-    clean = gap >= TOL_TOUCH
-    log_integral = float(np.mean(np.log(gap[clean]))) if clean.any() else float("-inf")
-    return SzegoReport(log_integral, touching)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +284,8 @@ def validate_szego(symbol: SymbolData) -> SzegoReport:
 
 @dataclass(frozen=True, eq=False)
 class MassSet:
-    """Point masses: zeros zeta_k in the open disk with weights nu_k > 0."""
+    """Point masses: distinct zeros zeta_k in the open disk, pairwise at
+    least TOL_BLASCHKE apart, with weights nu_k > 0."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -325,8 +306,8 @@ class MassSet:
         if len(points) > 1:
             diff = np.abs(points[:, None] - points[None, :])
             np.fill_diagonal(diff, np.inf)
-            if diff.min() < 1e-12:
-                raise DuplicatePoint("mass points must be pairwise distinct")
+            if diff.min() < TOL_BLASCHKE:
+                raise DuplicatePoint(f"mass points closer than {TOL_BLASCHKE:g}")
 
     @classmethod
     def empty(cls) -> "MassSet":
@@ -373,13 +354,15 @@ def build_outer(symbol: SymbolData) -> OuterData:
     negative ones.  Then |T_e| = exp(u) on the boundary while T_e stays
     analytic and zero-free, with T_e(0) = exp(mean u) > 0.
 
-    Raises SzegoViolation when |R| touches 1 anywhere on the grid (the log
-    blows up); scale the symbol down explicitly instead.
+    Raises SzegoViolation when the symbol is not a contraction, or when
+    1 - |R| < TOL_TOUCH at a node (the log blows up); scale the symbol down
+    explicitly instead.
     """
-    report = validate_szego(symbol)
-    if report.touching_nodes.size:
+    validate_szego(symbol)
+    touching = np.nonzero(1.0 - np.abs(symbol.values) < TOL_TOUCH)[0]
+    if touching.size:
         raise SzegoViolation(
-            f"|R| touches 1 at node(s) {report.touching_nodes[:8].tolist()}; "
+            f"|R| touches 1 at node(s) {touching[:8].tolist()}; "
             "outer function undefined (pass rho < 1 to regularize)"
         )
     grid = symbol.grid
@@ -429,11 +412,6 @@ class BlaschkeData:
 def build_blaschke(masses: MassSet, outer: OuterData) -> BlaschkeData:
     """Blaschke product for the mass points on the grid, plus T(0) = T_e(0)/B(0)."""
     points = masses.points
-    if len(points) > 1:
-        diff = np.abs(points[:, None] - points[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if diff.min() < TOL_BLASCHKE:
-            raise DuplicatePoint("coinciding mass points make B' vanish at the zero")
     grid = outer.grid
     nodes = grid.nodes
 

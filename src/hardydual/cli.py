@@ -7,10 +7,10 @@ deterministic: identical configuration (including the seed) produces
 byte-identical CSV and JSON outputs.  Wall-clock timings go to ``run.log``,
 which is outside the determinism contract.
 
-Exit codes: 0 all gates pass, 2 configuration error, 3 data failure (any
-library error raised by a study, e.g. a Szego violation, a non-positive Gram
-or coinciding mass points), 4 tolerance-gate failure (the report is still
-written).
+Exit codes: 0 all gates pass, 2 configuration error (mass points closer
+than TOL_BLASCHKE included), 3 data failure (any library error raised by a
+study, e.g. a symbol touching |R| = 1, a non-positive Gram or a vanishing
+B'(zeta_k)), 4 tolerance-gate failure (the report is still written).
 """
 
 from __future__ import annotations
@@ -323,16 +323,8 @@ def _study_asymptotics(config, space):
 def _study_duality(config, space):
     dual = dual_of(space, convention=config.convention)
     report = duality_identity(space, dual, config.degree, config.hankel)
-    row = {
-        "product": report.product,
-        "residual": report.residual,
-        "t_at_zero": report.t_at_zero,
-        "kernel_shifted": report.kernel_shifted,
-        "kernel_dual": report.kernel_dual,
-        "vector_residual": report.vector_residual,
-    }
     gates = [_below("duality.identity_residual", report.residual, config.gates["identity"])]
-    return {"tables": {"duality": [row]}, "gates": gates,
+    return {"tables": {"duality": [dataclasses.asdict(report)]}, "gates": gates,
             "scalars": {"convention": dual.provenance}}
 
 
@@ -370,9 +362,10 @@ def _study_sandwich(config, space):
             worst_margin = min(worst_margin, rep.margin_cutoff, rep.margin_scaled,
                                rep.psd_margin_cutoff, rep.psd_margin_scaled)
             worst_residual = max(worst_residual, *rep.identity_residuals.values())
+    # no successful row leaves worst_margin at inf, which must not pass
     gates.append(Gate("sandwich.worst_margin", float(worst_margin),
                       -config.tol_order,
-                      worst_margin >= -config.tol_order))
+                      -config.tol_order <= worst_margin < np.inf))
     gates.append(_below("sandwich.identity_residual", worst_residual,
                         config.gates["identity"]))
     return {"tables": {"sandwich": rows}, "gates": gates, "scalars": {}}
@@ -382,16 +375,11 @@ def _study_theorem(config, space):
     dual = dual_of(space, convention=config.convention)
     rep = theorem_check(space, dual, config.degree, config.hankel, THEOREM_POWERS)
     worst = max(rep.forward_hardy_residual, rep.forward_mass_residual)
-    rows = [{
-        "forward_hardy_residual": rep.forward_hardy_residual,
-        "forward_mass_residual": rep.forward_mass_residual,
-        "converse_orthogonality": rep.converse_orthogonality,
-        "complement_dimension": rep.complement_dimension,
-    }]
     gates = [_below("theorem.membership_residual", worst, config.gates["theorem"]),
              _below("theorem.converse_orthogonality", rep.converse_orthogonality,
                     config.gates["theorem"])]
-    return {"tables": {"theorem": rows}, "gates": gates, "scalars": {}}
+    return {"tables": {"theorem": [dataclasses.asdict(rep)]}, "gates": gates,
+            "scalars": {}}
 
 
 def _random_vector(rng, symbol, masses, band):
@@ -410,7 +398,6 @@ def _random_vector(rng, symbol, masses, band):
 def _study_tau(config, space, n_vectors=20):
     rng = np.random.default_rng(config.seed)
     dual = dual_of(space, convention=config.convention)
-    dual_back = dual_of(dual.dual_space(), convention=config.convention)
     symbol, masses = dual.symbol, dual.masses
     band = min(config.degree, symbol.grid.size // 8)
     rows = []
@@ -421,7 +408,7 @@ def _study_tau(config, space, n_vectors=20):
         image = apply_tau(vec, dual)
         norm_image = l2_norm(image, dual.dual_symbol, dual.dual_masses)
         unit_res = abs(norm_image ** 2 - norm ** 2) / norm ** 2
-        back = apply_tau(image, dual_back)
+        back = apply_tau(image, dual.back)
         diff = TauVector(back.f1 - vec.f1, back.f2 - vec.f2,
                          back.mass_values - vec.mass_values)
         inv_res = l2_norm(diff, symbol, masses) / norm
@@ -556,27 +543,21 @@ def write_report(report: RunReport, out_dir: Path):
 def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunReport | None]:
     """Execute the configured studies and persist the report."""
     space = build_space(config)
-    studies = [s for s in STUDY_ORDER if s in config.studies]
-    results = {}
-    timings = {}
+    tables, gates, scalars, timings = {}, [], {}, {}
     try:
-        for study in studies:
+        for study in (s for s in STUDY_ORDER if s in config.studies):
             start = time.perf_counter()
-            results[study] = _STUDY_FUNCS[study](config, space)
+            out = _STUDY_FUNCS[study](config, space)
             timings[study] = time.perf_counter() - start
+            tables.update(out["tables"])
+            gates.extend(out["gates"])
+            if out["scalars"]:
+                scalars[study] = out["scalars"]
     except ConfigError:
         raise
     except HardyDualError as exc:
         print(f"data failure: {exc}", file=sys.stderr)
         return EXIT_DATA, None
-
-    tables, gates, scalars = {}, [], {}
-    for study in studies:
-        out = results[study]
-        tables.update(out["tables"])
-        gates.extend(out["gates"])
-        if out["scalars"]:
-            scalars[study] = out["scalars"]
 
     report = RunReport(config, tables, gates, scalars, timings)
     write_report(report, Path(out_dir or config.out_dir))

@@ -60,8 +60,10 @@ _THEOREM_BLOCK = 2
 class DualData:
     """Dual symbol/masses plus the primal grid data needed to apply the map.
 
-    The dual outer function ``outer_dual`` and the grid factors of the
-    involution, ``tau_multipliers``, are built on first use.
+    The duality is an involution, so the dual side is itself the primal side
+    of dual data: ``back``, the dual data of :meth:`dual_space`, carries its
+    outer function, masses and T~_e at those masses.  It and the grid
+    factors of the involution, ``tau_multipliers``, are built on first use.
     """
 
     dual_symbol: SymbolData
@@ -73,11 +75,13 @@ class DualData:
     masses: MassSet
     outer: OuterData
     blaschke: BlaschkeData
+    outer_at_masses: np.ndarray  # T_e(zeta_k)
     inv_T_deriv: np.ndarray  # (1/T)'(zeta_k) = B'(zeta_k)/T_e(zeta_k)
 
     @cached_property
-    def outer_dual(self) -> OuterData:
-        return build_outer(self.dual_symbol)
+    def back(self) -> "DualData":
+        """The dual data of the dual space, in the same convention."""
+        return build_dual(self.dual_space(), self.provenance)
 
     @cached_property
     def tau_multipliers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -113,15 +117,15 @@ def build_dual(space: SpaceData, convention: str = UNITARY) -> DualData:
             raise DegenerateDerivative(
                 "Blaschke derivative vanishes at a mass point (coinciding points?)"
             )
-        te_at_points = outer.value_at(masses.points)
-        inv_t_deriv = deriv / te_at_points
+        outer_at_masses = outer.value_at(masses.points)
+        inv_t_deriv = deriv / outer_at_masses
         if convention == UNITARY:
             dual_weights = 1.0 / (masses.weights * np.abs(inv_t_deriv) ** 2)
         else:
             dual_weights = np.abs(inv_t_deriv) ** 2 / masses.weights
         dual_masses = MassSet(np.conj(masses.points), dual_weights)
     else:
-        inv_t_deriv = np.empty(0, dtype=complex)
+        outer_at_masses = inv_t_deriv = np.empty(0, dtype=complex)
         dual_masses = MassSet.empty()
 
     return DualData(
@@ -133,6 +137,7 @@ def build_dual(space: SpaceData, convention: str = UNITARY) -> DualData:
         masses=masses,
         outer=outer,
         blaschke=blaschke,
+        outer_at_masses=outer_at_masses,
         inv_T_deriv=inv_t_deriv,
     )
 
@@ -301,14 +306,13 @@ class HatMembershipReport:
     mass_mismatch: float
 
 
-def check_hat_membership(vector: TauVector, outer: OuterData,
-                         masses: MassSet) -> HatMembershipReport:
-    return _hat_membership(vector, outer, masses, outer.value_at(masses.points))
+def check_hat_membership(vector: TauVector, data: DualData) -> HatMembershipReport:
+    """Membership residuals of ``vector`` on the primal side of ``data``.
 
-
-def _hat_membership(vector: TauVector, outer: OuterData, masses: MassSet,
-                    te_at_points: np.ndarray) -> HatMembershipReport:
-    """:func:`check_hat_membership` with T_e already evaluated at the mass points."""
+    Reads T_e, the masses zeta_k and T_e(zeta_k) from ``data``; for a
+    tau-image, which lives on the dual side, pass ``dual.back``.
+    """
+    outer, masses = data.outer, data.masses
     grid = outer.grid
     g = outer.values * grid.check(vector.f1)
     g_coeffs = np.fft.fft(g, norm="forward", out=g)
@@ -316,7 +320,8 @@ def _hat_membership(vector: TauVector, outer: OuterData, masses: MassSet,
     anti = np.sqrt(np.vecdot(anti, anti).real)
     if masses.count:
         g_at_points = evaluate_analytic(g_coeffs, masses.points)
-        mismatch = np.abs(vector.mass_values - g_at_points / te_at_points).max(axis=-1)
+        mismatch = np.abs(vector.mass_values
+                          - g_at_points / data.outer_at_masses).max(axis=-1)
     else:
         mismatch = np.zeros(g.shape[:-1])
     return HatMembershipReport(_unstacked(anti), _unstacked(mismatch))
@@ -379,7 +384,7 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int,
     entries.  Besides that stack, no more than a block of vectors is alive
     at once.
     """
-    symbol, masses = effective_data(space)
+    symbol, masses = dual.symbol, dual.masses
     grid = symbol.grid
     half_band = degree
     gram_l = build_gram_laurent(space, half_band, hankel)
@@ -391,22 +396,18 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int,
     fwd_hardy = 0.0
     fwd_mass = 0.0
     band = 2 * half_band + 1
-    # T~_e at the dual masses conj(zeta_k), shared by every column
-    te_dual = dual.outer_dual.value_at(dual.dual_masses.points)
     for rows in _blocks(complement.shape[0]):
         cols = complement[rows]
         vec = canonical_vector(symbol, _laurent_values(grid, cols[:, :band], half_band),
                                cols[:, band:])
         norms = l2_norm(vec, symbol, masses)
-        report = _hat_membership(apply_tau(vec, dual), dual.outer_dual,
-                                 dual.dual_masses, te_dual)
+        report = check_hat_membership(apply_tau(vec, dual), dual.back)
         fwd_hardy = max(fwd_hardy, float((report.antianalytic_residual / norms).max()))
         fwd_mass = max(fwd_mass, float((report.mass_mismatch / norms).max()))
 
     # converse: condition-side vectors (the embedded monomials u^p of the
     # dual space) mapped back must annihilate B h and B/(t - zeta_k), which
     # span the closure-side subspace
-    dual_back = build_dual(dual.dual_space(), dual.provenance)
     count = converse_powers + 1
     monomials = np.eye(count, dtype=complex)
     back = TauVector(np.empty((count, grid.size), dtype=complex),
@@ -417,7 +418,7 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int,
         condition = embed_analytic_vector(dual.dual_symbol, dual.dual_masses,
                                           monomials[rows])
         condition_norms[rows] = l2_norm(condition, dual.dual_symbol, dual.dual_masses)
-        image = apply_tau(condition, dual_back)
+        image = apply_tau(condition, dual.back)
         back.f1[rows], back.f2[rows], back.mass_values[rows] = \
             image.f1, image.f2, image.mass_values
 
@@ -465,7 +466,7 @@ def duality_identity(space: SpaceData, dual: DualData, degree: int,
     The vector form checks that the involution carries z^{-1} K^{alpha_{-1}}
     onto the normalized dual kernel.
     """
-    symbol, masses = effective_data(space)
+    symbol, masses = dual.symbol, dual.masses
     grid = symbol.grid
 
     down = shifted(space, -1)

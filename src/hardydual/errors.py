@@ -26,7 +26,7 @@ class GridMismatch(HardyDualError):
 
 
 class DuplicatePoint(HardyDualError):
-    """Two mass points coincide; Blaschke derivatives would vanish."""
+    """Two mass points lie closer than TOL_BLASCHKE; B' would nearly vanish."""
 
 
 class DegenerateDerivative(HardyDualError):

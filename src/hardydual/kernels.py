@@ -211,9 +211,6 @@ class SandwichReport:
     kernel at the complementary shift.
     """
 
-    shift: int
-    cutoff: int
-    rho: float
     k_alpha: float
     k_cutoff: float
     k_scaled: float
@@ -294,7 +291,6 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
         residuals[label] = abs(t_at_zero * k_variant * k_dual - 1.0)
 
     return SandwichReport(
-        shift=n, cutoff=cutoff, rho=rho,
         k_alpha=k_alpha, k_cutoff=k_cut, k_scaled=k_rho, k_both=k_both,
         margin_cutoff=margin_cutoff, margin_scaled=margin_scaled,
         psd_margin_cutoff=psd_cut, psd_margin_scaled=psd_rho,

@@ -89,7 +89,7 @@ def effective_data(space: SpaceData) -> tuple[SymbolData, MassSet]:
         values = values * space.rho
         coeffs = coeffs * space.rho
     eff_symbol = SymbolData(grid, np.ascontiguousarray(values),
-                            np.ascontiguousarray(coeffs), float(np.abs(values).max()))
+                            np.ascontiguousarray(coeffs))
 
     masses = space.masses
     if space.shift != 0 and masses.count:
@@ -116,10 +116,10 @@ class HankelBlock:
     gamma_gram[m, l] = sum_{j=1..J} conj(r_{-j-m}) r_{-j-l} for the unscaled
     symbol (rho enters as rho^2 when the metric is assembled); tail_bound is
     the largest entrywise remainder sum_{j>J} |r_{-j-m}| |r_{-j-l}| over the
-    resolvable coefficient range.
+    resolvable coefficient range, so it is 0 at the default J, which already
+    reaches the end of that range.
     """
 
-    truncation: int
     exponents: np.ndarray
     gamma_gram: np.ndarray
     tail_bound: float
@@ -176,7 +176,7 @@ def hankel_block(symbol: SymbolData, exponents, truncation: int) -> HankelBlock:
         tail_bound = float(tail.max())
     else:
         tail_bound = 0.0
-    return HankelBlock(truncation, exponents, gram, tail_bound)
+    return HankelBlock(exponents, gram, tail_bound)
 
 
 def _mass_gram(masses: MassSet, exponents: np.ndarray) -> np.ndarray:

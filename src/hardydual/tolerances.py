@@ -2,7 +2,7 @@
 
 TOL_UNIT = 1e-12        # slack on |R| <= 1 (contractivity)
 TOL_TOUCH = 1e-12       # 1 - |R| below this counts as touching the circle
-TOL_BLASCHKE = 1e-8     # |B| = 1 on the circle, B(zeta_k) = 0
+TOL_BLASCHKE = 1e-8     # mass points closer than this are refused
 TOL_PSD = 1e-12         # Gram matrices must be PD with at least this margin;
                         # fixed, so a window inherits its Gram's check
 TOL_ORDER = 1e-10       # sandwich inequality margin

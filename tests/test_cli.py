@@ -91,11 +91,19 @@ def test_origin_mass_with_duality_study_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "need origin-free mass points" in err
 
 def test_touching_symbol_exits_3(tmp_path):
+    # |R| = 1 everywhere: a contraction, but no outer function; a fresh
+    # process prints that in one stderr line, with no warning before it
     cfg = tmp_path / "c.json"
     _write_config(cfg, symbol={"kind": "expression", "formula": "conj(t)"},
                   masses=[], N_list=[0], grid=512, degree=8)
-    with pytest.warns(UserWarning):  # |R| = 1 everywhere: flagged, then fatal
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-m", "hardydual", "run", str(cfg),
+                           "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data failure:"), proc.stderr
+    assert "touches 1" in lines[0]
 
 
 def test_gate_failure_exits_4_report_written(tmp_path):
@@ -290,14 +298,14 @@ def test_hankel_beyond_sweep_band_exits_2(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
-def test_coinciding_masses_exit_3(tmp_path, capsys):
-    # distinct enough for MassSet, too close for the Blaschke product
+def test_coinciding_masses_exit_2(tmp_path, capsys):
+    # points closer than TOL_BLASCHKE are refused when the masses are read
     cfg = tmp_path / "c.json"
     _write_config(cfg, masses=[{"point": [0.5, 0.0], "weight": 1.0},
                                {"point": [0.5 + 1e-10, 0.0], "weight": 1.0}])
-    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.strip()
-    assert err.startswith("data failure:") and len(err.splitlines()) == 1
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("weight", [1e16, 1e300, 1e-16, 1e-300])
@@ -336,8 +344,7 @@ def test_symbol_near_one_names_r(tmp_path, capsys):
     _write_config(cfg, grid=256, degree=16, masses=[], N_list=[0],
                   symbol={"kind": "expression", "formula": "0.9999999999999*conj(t)"},
                   studies=["asymptotics"])
-    with pytest.warns(UserWarning, match="within 1e-12 of 1"):
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("data failure:") and len(err.splitlines()) == 1
     assert "|R| too close to 1" in err and "double precision" not in err
@@ -393,4 +400,5 @@ def test_order_violation_rows_and_strict_summary(tmp_path):
         gate = gates[f"sandwich.order[N=1,rho={rho}]"]
         assert gate["value"] is None and gate["passed"] is False
     assert gates["sandwich.worst_margin"]["value"] is None
+    assert gates["sandwich.worst_margin"]["passed"] is False
     assert summary["all_passed"] is False

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from hardydual import (
     TauVector,
     apply_tau,
     build_dual,
+    build_outer,
     canonical_vector,
     check_hat_membership,
     dual_of,
     duality_identity,
     embed_analytic_vector,
+    evaluate_analytic,
     l2_inner,
     l2_norm,
     symbol_from_expression,
@@ -22,7 +26,7 @@ from hardydual import (
     zero_symbol,
 )
 from hardydual.corpus import BY_NAME, CASES
-from hardydual.duality import PRINTED, _laurent_values, _null_space
+from hardydual.duality import PRINTED, UNITARY, _laurent_values, _null_space
 from hardydual.spaces import build_gram_laurent, effective_data, embed_h2
 
 
@@ -83,7 +87,7 @@ def test_dual_outer_is_conjugate_reflection(case):
     dual = build_dual(space)
     grid = space.symbol.grid
     expected = np.conj(grid.conjugate_reindex(dual.outer.values))
-    assert np.abs(dual.outer_dual.values - expected).max() < 1e-10
+    assert np.abs(dual.back.outer.values - expected).max() < 1e-10
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
@@ -96,6 +100,51 @@ def test_dual_is_involution_on_data(case):
     if masses.count:
         assert np.abs(back.dual_masses.points - masses.points).max() < 1e-12
         assert np.abs(back.dual_masses.weights - masses.weights).max() < 1e-8
+
+
+def _array_fields(obj, prefix=""):
+    """(path, array) for every array reachable through dataclass fields."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        path = prefix + field.name
+        if isinstance(value, np.ndarray):
+            yield path, value
+        elif dataclasses.is_dataclass(value):
+            yield from _array_fields(value, path + ".")
+
+
+@pytest.mark.parametrize("convention", [UNITARY, PRINTED])
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_back_is_the_dual_of_the_dual_space(case, convention):
+    space = case.space(1024)
+    dual = build_dual(space, convention)
+    assert dual.back is dual.back
+    rebuilt = build_dual(dual.dual_space(), dual.provenance)
+    pairs = list(zip(_array_fields(dual.back), _array_fields(rebuilt)))
+    assert pairs
+    for (path, got), (_, expected) in pairs:
+        assert got.tobytes() == expected.tobytes(), path
+
+    # the dual outer function and T~_e at the dual masses, built directly
+    outer_dual = build_outer(dual.dual_symbol)
+    te_dual = evaluate_analytic(outer_dual.coeffs, dual.dual_masses.points)
+    assert dual.back.outer.values.tobytes() == outer_dual.values.tobytes()
+    assert dual.back.outer_at_masses.tobytes() == np.asarray(te_dual).tobytes()
+
+    # membership of a tau-image, against the residuals written out from them
+    vec = _random_vector(np.random.default_rng(5), dual.symbol, dual.masses, band=16)
+    image = apply_tau(vec, dual)
+    report = check_hat_membership(image, dual.back)
+    grid = space.symbol.grid
+    g_coeffs = np.fft.fft(outer_dual.values * image.f1, norm="forward")
+    anti = g_coeffs[grid.size // 2:]
+    assert report.antianalytic_residual == np.sqrt(np.vecdot(anti, anti).real)
+    if dual.dual_masses.count:
+        g_at_points = evaluate_analytic(g_coeffs, dual.dual_masses.points)
+        assert report.mass_mismatch == np.abs(image.mass_values
+                                              - g_at_points / te_dual).max()
+    else:
+        assert report.mass_mismatch == 0.0
 
 
 def test_dual_rejects_degenerate_derivative(grid512):
@@ -184,7 +233,7 @@ def test_l2_inner_matches_laurent_gram(grid512):
 def test_hat_membership_of_embedded_polynomial(mass_space):
     r = dual_of(mass_space)
     vec = embed_analytic_vector(r.symbol, r.masses, [1.0, -0.3, 0.2j])
-    report = check_hat_membership(vec, r.outer, r.masses)
+    report = check_hat_membership(vec, r)
     assert report.antianalytic_residual < 1e-12
     assert report.mass_mismatch < 1e-12
 
@@ -194,7 +243,7 @@ def test_hat_membership_detects_mass_perturbation(mass_space):
     vec = embed_analytic_vector(r.symbol, r.masses, [1.0, 0.5])
     delta = 2e-6
     bumped = TauVector(vec.f1, vec.f2, vec.mass_values + delta)
-    report = check_hat_membership(bumped, r.outer, r.masses)
+    report = check_hat_membership(bumped, r)
     assert abs(report.mass_mismatch - delta) < 1e-12
 
 
