@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -144,7 +145,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     label = raw.get("label", "experiment")
     _expect(isinstance(label, str), "label must be a string")
     seed = raw.get("seed", 20260809)
-    _expect(_is_int(seed), "seed must be an integer")
+    _expect(_is_int(seed) and seed >= 0, "seed must be a nonnegative integer")
 
     grid = raw.get("grid", 4096)
     _expect(_is_int(grid) and grid >= 8 and (grid & (grid - 1)) == 0,
@@ -218,7 +219,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     gates = dict(_DEFAULT_GATES)
     gate_raw = raw.get("gates", {})
-    _expect(isinstance(gate_raw, dict) and set(gate_raw) <= set(gates),
+    _expect(isinstance(gate_raw, dict), "gates must be an object")
+    _expect(set(gate_raw) <= set(gates),
             f"unknown gate keys: {sorted(set(gate_raw) - set(gates))}")
     _expect(all(map(_is_threshold, gate_raw.values())),
             "gate thresholds must be positive finite numbers")
@@ -309,7 +311,7 @@ def build_space(config: ExperimentConfig, grid_size: int | None = None) -> Space
 # studies
 
 
-def _study_asymptotics(config, space):
+def _study_asymptotics(config, space, shared_dual):
     trace = asymptotic_sweep(space, config.n_max, config.degree, config.hankel)
     rows = [{"n": int(n), "kernel_value": float(v), "abs_deviation": float(d)}
             for n, v, d in zip(trace.shifts, trace.values, trace.deviations)]
@@ -320,15 +322,15 @@ def _study_asymptotics(config, space):
     return {"tables": {"asymptotics": rows}, "gates": gates, "scalars": scalars}
 
 
-def _study_duality(config, space):
-    dual = dual_of(space, convention=config.convention)
+def _study_duality(config, space, shared_dual):
+    dual = shared_dual()
     report = duality_identity(space, dual, config.degree, config.hankel)
     gates = [_below("duality.identity_residual", report.residual, config.gates["identity"])]
     return {"tables": {"duality": [dataclasses.asdict(report)]}, "gates": gates,
             "scalars": {"convention": dual.provenance}}
 
 
-def _study_sandwich(config, space):
+def _study_sandwich(config, space, shared_dual):
     cutoffs = config.cutoff_list
     if cutoffs is None:
         cutoffs = [space.masses.count]
@@ -371,9 +373,8 @@ def _study_sandwich(config, space):
     return {"tables": {"sandwich": rows}, "gates": gates, "scalars": {}}
 
 
-def _study_theorem(config, space):
-    dual = dual_of(space, convention=config.convention)
-    rep = theorem_check(space, dual, config.degree, config.hankel, THEOREM_POWERS)
+def _study_theorem(config, space, shared_dual):
+    rep = theorem_check(space, shared_dual(), config.degree, config.hankel, THEOREM_POWERS)
     worst = max(rep.forward_hardy_residual, rep.forward_mass_residual)
     gates = [_below("theorem.membership_residual", worst, config.gates["theorem"]),
              _below("theorem.converse_orthogonality", rep.converse_orthogonality,
@@ -395,9 +396,9 @@ def _random_vector(rng, symbol, masses, band):
     return canonical_vector(symbol, f1, values)
 
 
-def _study_tau(config, space, n_vectors=20):
+def _study_tau(config, space, shared_dual, n_vectors=20):
     rng = np.random.default_rng(config.seed)
-    dual = dual_of(space, convention=config.convention)
+    dual = shared_dual()
     symbol, masses = dual.symbol, dual.masses
     band = min(config.degree, symbol.grid.size // 8)
     rows = []
@@ -429,7 +430,7 @@ def monotone_improvement(values, floor=1e-12, factor=2.0):
     return bool(steps_ok and net_ok)
 
 
-def _study_convergence(config, base_space):
+def _study_convergence(config, base_space, shared_dual):
     """Refinement table for the identity residual and the kernel deviation."""
     grids = config.convergence["grids"]
     degrees = config.convergence["degrees"]
@@ -543,11 +544,14 @@ def write_report(report: RunReport, out_dir: Path):
 def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunReport | None]:
     """Execute the configured studies and persist the report."""
     space = build_space(config)
+    # the duality, theorem and tau studies share one DualData (and its cached
+    # dual side), built when the first of them asks for it
+    shared_dual = functools.cache(lambda: dual_of(space, convention=config.convention))
     tables, gates, scalars, timings = {}, [], {}, {}
     try:
         for study in (s for s in STUDY_ORDER if s in config.studies):
             start = time.perf_counter()
-            out = _STUDY_FUNCS[study](config, space)
+            out = _STUDY_FUNCS[study](config, space, shared_dual)
             timings[study] = time.perf_counter() - start
             tables.update(out["tables"])
             gates.extend(out["gates"])

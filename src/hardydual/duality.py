@@ -38,11 +38,11 @@ from .circle import (
 from .errors import DegenerateDerivative, GridMismatch
 from .kernels import kernel_at_origin
 from .spaces import (
+    GramMatrix,
     SpaceData,
     build_gram_analytic,
     build_gram_laurent,
     effective_data,
-    embed_h2,
     shifted,
 )
 from .tolerances import TOL_DERIV
@@ -243,7 +243,14 @@ def l2_inner(u: TauVector, v: TauVector, symbol: SymbolData, masses: MassSet):
 
 
 def l2_norm(u: TauVector, symbol: SymbolData, masses: MassSet):
-    return _unstacked(np.sqrt(np.maximum(np.real(l2_inner(u, u, symbol, masses)), 0.0)))
+    """sqrt <u, u>, with the circle part ||f1||^2 + ||f2||^2 + 2 Re<f2, R f1>:
+    one grid product and no weighted pair (see :func:`l2_inner`)."""
+    square = (np.vecdot(u.f1, u.f1).real + np.vecdot(u.f2, u.f2).real
+              + 2.0 * np.vecdot(u.f2, symbol.values * u.f1).real) / symbol.grid.size
+    if masses.count:
+        _check_mass_block(u, masses, "mass value blocks do not match the mass set")
+        square += np.vecdot(u.mass_values, masses.weights * u.mass_values).real
+    return _unstacked(np.sqrt(np.maximum(square, 0.0)))
 
 
 def _l2_gram(u: TauVector, v: TauVector, symbol: SymbolData,
@@ -261,6 +268,24 @@ def _l2_gram(u: TauVector, v: TauVector, symbol: SymbolData,
     return gram
 
 
+def _tau_f1_and_masses(vector: TauVector, dual: DualData) -> TauVector:
+    """f1 and the mass values of the tau image of ``vector``; its f2 is None.
+
+    The membership check reads only these two parts, so the theorem check
+    maps its complement columns through this half of :func:`apply_tau`.
+    """
+    grid = dual.symbol.grid
+    f1 = grid.check(vector.f1)
+    f2 = grid.check(vector.f2)
+    _check_mass_block(vector, dual.masses,
+                      "mass value block does not match the primal mass set")
+    work = np.conj(dual.symbol.values) * f2
+    work += f1
+    work *= dual.tau_multipliers[0]
+    mass_tau = -np.conj(dual.inv_T_deriv) * vector.mass_values * dual.masses.weights
+    return TauVector(grid.conjugate_reindex(work), None, mass_tau)
+
+
 def apply_tau(vector: TauVector, dual: DualData) -> TauVector:
     """The involution: L^2(alpha) -> L^2(alpha~), unitary on regular data.
 
@@ -274,23 +299,11 @@ def apply_tau(vector: TauVector, dual: DualData) -> TauVector:
     vector map itself is convention-independent; only the dual weights that
     measure the image differ between the two pairing conventions.
     """
-    grid = dual.symbol.grid
-    f1 = grid.check(vector.f1)
-    f2 = grid.check(vector.f2)
-    _check_mass_block(vector, dual.masses,
-                      "mass value block does not match the primal mass set")
-    r = dual.symbol.values
-    to_f1, to_f2 = dual.tau_multipliers
-    # one work array serves both components, so a stack costs three of its size
-    work = np.conj(r) * f2
-    work += f1
-    work *= to_f1
-    f1_tau = grid.conjugate_reindex(work)
-    np.multiply(r, f1, out=work)
-    work += f2
-    work *= to_f2
-    mass_tau = -np.conj(dual.inv_T_deriv) * vector.mass_values * dual.masses.weights
-    return TauVector(f1_tau, grid.conjugate_reindex(work), mass_tau)
+    image = _tau_f1_and_masses(vector, dual)
+    work = dual.symbol.values * vector.f1
+    work += vector.f2
+    work *= dual.tau_multipliers[1]
+    return TauVector(image.f1, dual.symbol.grid.conjugate_reindex(work), image.mass_values)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +356,9 @@ def _laurent_values(grid, coeffs_band, half_band):
 class TheoremReport:
     """Residuals for the complement-mapping theorem.
 
-    forward_*: worst membership residuals of tau-images of an orthonormal
-    basis of L^2(alpha) minus the embedded analytic polynomials.
+    forward_*: worst membership residuals, each relative to its vector's
+    norm, of tau-images of a basis of the complement of the embedded
+    analytic polynomials in L^2(alpha).
     converse_orthogonality: worst |<tau-image of a condition-side vector,
     test vector>| against B h and B/(t - zeta_k).
     """
@@ -355,14 +369,24 @@ class TheoremReport:
     complement_dimension: int
 
 
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the null space of ``a``, by a full SVD.
+def _complement(gram_l: GramMatrix, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns N spanning null(E^H) and X = G^{-1} N, the complement of the
+    embedded analytic polynomials E in the metric G of ``gram_l``.
 
-    Singular values up to ``s.max() * eps * max(a.shape)`` count as zero.
+    E maps z^p, p = 0..M, to exponent p plus the values zeta_k^p at the
+    masses, so null(E^H) is explicit: the unit vectors at exponents -M..-1,
+    and per mass k the vector that is 1 at mass coordinate k and
+    -conj(zeta_k)^p at exponent p.  Then E^H G X = E^H N = 0, and the
+    complement has dimension M + m with no rank threshold.
     """
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(a.shape)))
-    return vh[rank:].conj().T
+    half_band = int(gram_l.exponents[-1])
+    band = 2 * half_band + 1
+    null = np.zeros((gram_l.order, half_band + points.size), dtype=complex)
+    null[np.arange(half_band), np.arange(half_band)] = 1.0
+    k = np.arange(points.size)
+    null[half_band:band, half_band + k] = -np.conj(points) ** np.arange(half_band + 1)[:, None]
+    null[band + k, half_band + k] = 1.0
+    return null, np.linalg.solve(gram_l.entries, null)
 
 
 def _blocks(count: int):
@@ -376,22 +400,26 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int,
                   converse_powers: int = 8) -> TheoremReport:
     """Residuals of the complement-mapping theorem on the given truncation.
 
-    Forward: the complement columns go through the map in blocks of
-    ``_THEOREM_BLOCK`` rows, and each residual is divided by its vector's
-    norm.  Converse: the condition vectors are mapped back in blocks into
-    one stack, and one Gram of that stack against the test vectors, also
-    built in blocks, gives every pairing, with both norms applied to its
-    entries.  Besides that stack, no more than a block of vectors is alive
-    at once.
+    Forward: the complement of the embedded H^2 is one solve with the
+    Laurent Gram, G^{-1} null(E^H) (:func:`_complement`), and each column's
+    norm comes from that solve.  The columns go through the map in blocks of
+    ``_THEOREM_BLOCK`` rows, computing only the f1 and mass parts of their
+    images, which is all the membership check reads; each residual is
+    divided by its vector's norm.  Converse: the condition vectors are
+    mapped back in blocks into one stack, and one Gram of that stack against
+    the test vectors, also built in blocks, gives every pairing, with both
+    norms applied to its entries.  Besides that stack, no more than a block
+    of vectors is alive at once.
     """
     symbol, masses = dual.symbol, dual.masses
     grid = symbol.grid
     half_band = degree
     gram_l = build_gram_laurent(space, half_band, hankel)
-    embed = embed_h2(space, degree, half_band)
 
-    # orthogonal complement of the embedded analytic columns, one per row
-    complement = _null_space(embed.conj().T @ gram_l.entries).T
+    # complement of the embedded analytic columns, one vector per row; its
+    # norms are x^H G x = n^H x, read off the solve
+    null, complement = (part.T for part in _complement(gram_l, masses.points))
+    norms = np.sqrt(np.vecdot(null, complement).real)
 
     fwd_hardy = 0.0
     fwd_mass = 0.0
@@ -400,10 +428,9 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int,
         cols = complement[rows]
         vec = canonical_vector(symbol, _laurent_values(grid, cols[:, :band], half_band),
                                cols[:, band:])
-        norms = l2_norm(vec, symbol, masses)
-        report = check_hat_membership(apply_tau(vec, dual), dual.back)
-        fwd_hardy = max(fwd_hardy, float((report.antianalytic_residual / norms).max()))
-        fwd_mass = max(fwd_mass, float((report.mass_mismatch / norms).max()))
+        report = check_hat_membership(_tau_f1_and_masses(vec, dual), dual.back)
+        fwd_hardy = max(fwd_hardy, float((report.antianalytic_residual / norms[rows]).max()))
+        fwd_mass = max(fwd_mass, float((report.mass_mismatch / norms[rows]).max()))
 
     # converse: condition-side vectors (the embedded monomials u^p of the
     # dual space) mapped back must annihilate B h and B/(t - zeta_k), which

@@ -20,10 +20,11 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import OrderViolation, RejectBoundary
+from .errors import NotPositiveDefinite, OrderViolation, RejectBoundary
 from .spaces import (
     GramMatrix,
     SpaceData,
+    _pd_failure,
     assemble_gram,
     build_gram_analytic,
     regularized,
@@ -189,10 +190,16 @@ def asymptotic_sweep(space: SpaceData, n_max: int, degree: int,
     group = max(1, size // 4)
     full, rest = divmod(n_max + 1, group)
     parts = []
-    if full:
-        parts.append(_window_kernels(gram.entries, group * np.arange(full), group, size))
-    if rest:
-        parts.append(_window_kernels(gram.entries, [group * full], rest, size))
+    try:
+        if full:
+            parts.append(_window_kernels(gram.entries, group * np.arange(full), group, size))
+        if rest:
+            parts.append(_window_kernels(gram.entries, [group * full], rest, size))
+    except np.linalg.LinAlgError:
+        # the Gram passed its PD check, so a group's reversed Cholesky failed
+        # in roundoff: report it as the Gram's own check would
+        raise NotPositiveDefinite(_pd_failure(gram.entries, gram.min_eig_estimate,
+                                              space.masses.weights)) from None
     values = np.concatenate([part.ravel() for part in parts])
     return AsymptoticTrace(np.arange(n_max + 1), values)
 

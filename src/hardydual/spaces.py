@@ -180,8 +180,6 @@ def hankel_block(symbol: SymbolData, exponents, truncation: int) -> HankelBlock:
 
 
 def _mass_gram(masses: MassSet, exponents: np.ndarray) -> np.ndarray:
-    if masses.count == 0:
-        return np.zeros((exponents.size, exponents.size), dtype=complex)
     v = masses.points[:, None] ** exponents[None, :]
     return v.conj().T @ (masses.weights[:, None] * v)
 
@@ -233,15 +231,21 @@ class GramMatrix:
 
 
 def _finalize_gram(entries, basis_kind, exponents, hankel, weights=()):
-    """Symmetrize and check min eig >= TOL_PSD by a Cholesky of G - TOL_PSD I.
+    """Symmetrize ``entries`` in place and check min eig >= TOL_PSD by a
+    Cholesky of G - TOL_PSD I.
 
     Only a failed Cholesky runs the eigensolver, to report the minimum
     eigenvalue; ``weights`` are the mass weights in the Gram, quoted when
     its scale is the cause.
     """
-    entries = 0.5 * (entries + entries.conj().T)
+    # in place against one conjugate copy, which then holds G - TOL_PSD I
+    work = entries.conj().T
+    entries += work
+    entries *= 0.5
+    np.copyto(work, entries)
+    work[np.diag_indices_from(work)] -= TOL_PSD
     try:
-        np.linalg.cholesky(entries - TOL_PSD * np.eye(entries.shape[0]))
+        np.linalg.cholesky(work)
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(entries)[0])
         if min_eig < TOL_PSD:
@@ -290,8 +294,10 @@ def assemble_gram(space: SpaceData, block: HankelBlock) -> GramMatrix:
     exponents = block.exponents
     if exponents.min() < 0 and masses.has_origin:
         raise ValueError("negative shift undefined for a mass at the origin")
-    entries = np.eye(exponents.size, dtype=complex) - space.rho ** 2 * block.gamma_gram
-    entries += _mass_gram(masses, exponents)
+    entries = np.multiply(block.gamma_gram, -space.rho ** 2)
+    entries[np.diag_indices_from(entries)] += 1.0
+    # adding 0.0 without masses keeps the signs of zeros of I - rho^2 Gamma
+    entries += _mass_gram(masses, exponents) if masses.count else 0.0
     return _finalize_gram(entries, "analytic", np.arange(exponents.size), block,
                           masses.weights)
 

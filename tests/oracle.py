@@ -20,7 +20,6 @@ from hardydual.duality import (
     TauVector,
     TheoremReport,
     _laurent_values,
-    _null_space,
     apply_tau,
     canonical_vector,
     check_hat_membership,
@@ -29,7 +28,7 @@ from hardydual.duality import (
     l2_norm,
 )
 from hardydual.errors import GridMismatch, NotHermitian
-from hardydual.spaces import build_gram_laurent, effective_data, embed_h2
+from hardydual.spaces import build_gram_laurent, effective_data
 
 
 @dataclass(frozen=True)
@@ -164,9 +163,11 @@ def constrained_minimum(matrix):
 def theorem_check_per_column(space, dual, degree, hankel=None, converse_powers=8):
     """The complement-mapping check with one vector per call.
 
-    Each complement column is normalized and mapped on its own; the converse
-    pairs every normalized condition vector, mapped back, with every
-    normalized test vector by one ``l2_inner`` call each.
+    Each complement column is solved from its own column of null(E^H),
+    normalized by its norm on the grid (not from the solve) and mapped by the
+    full ``apply_tau`` on its own; the converse pairs every normalized
+    condition vector, mapped back, with every normalized test vector by one
+    ``l2_inner`` call each.
     """
     def scaled(vec, factor):
         return TauVector(vec.f1 * factor, vec.f2 * factor, vec.mass_values * factor)
@@ -174,11 +175,24 @@ def theorem_check_per_column(space, dual, degree, hankel=None, converse_powers=8
     symbol, masses = effective_data(space)
     grid = symbol.grid
     gram_l = build_gram_laurent(space, degree, hankel)
-    embed = embed_h2(space, degree, degree)
-    complement = _null_space(embed.conj().T @ gram_l.entries)
     band = 2 * degree + 1
+    # null(E^H), one column at a time: the unit vectors at exponents
+    # -degree..-1, then per mass the vector with 1 at its coordinate and
+    # -conj(zeta)^p at exponent p = 0..degree
+    nulls = []
+    for index in range(degree):
+        column = np.zeros(gram_l.order, dtype=complex)
+        column[index] = 1.0
+        nulls.append(column)
+    for k, point in enumerate(masses.points):
+        column = np.zeros(gram_l.order, dtype=complex)
+        column[band + k] = 1.0
+        for p in range(degree + 1):
+            column[degree + p] = -np.conj(point) ** p
+        nulls.append(column)
+    complement = [np.linalg.solve(gram_l.entries, column) for column in nulls]
     fwd_hardy = fwd_mass = 0.0
-    for col in complement.T:
+    for col in complement:
         vec = canonical_vector(symbol, _laurent_values(grid, col[:band], degree),
                                col[band:])
         vec = scaled(vec, 1.0 / l2_norm(vec, symbol, masses))
@@ -205,4 +219,4 @@ def theorem_check_per_column(space, dual, degree, hankel=None, converse_powers=8
         back = apply_tau(cond, dual.back)
         for test in tests:
             converse = max(converse, abs(l2_inner(back, test, symbol, masses)))
-    return TheoremReport(fwd_hardy, fwd_mass, converse, complement.shape[1])
+    return TheoremReport(fwd_hardy, fwd_mass, converse, len(complement))

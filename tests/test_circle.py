@@ -248,7 +248,7 @@ def test_validate_szego_rejects_expansion(grid512):
         validate_szego(symbol_from_samples(grid512, values))
 
 
-def test_validate_szego_flags_touching_node(grid512):
+def test_validate_szego_accepts_touching_node(grid512):
     # |R| = 1 exactly at t = 1, below elsewhere: a contraction, accepted
     # silently; only the outer function needs |R| < 1
     values = 0.5 * (grid512.nodes + 1.0) * np.conj(grid512.nodes)
@@ -352,7 +352,7 @@ def test_blaschke_origin_point_uses_limit_factor(grid512):
     assert np.abs(bl.values - blaschke_value(masses.points, grid512.nodes)).max() < 1e-12
 
 
-def test_blaschke_rejects_near_duplicates():
+def test_mass_set_rejects_near_duplicates():
     # points closer than TOL_BLASCHKE never reach a Blaschke product: the
     # mass set refuses them
     with pytest.raises(DuplicatePoint):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hardydual import cli
 from hardydual.cli import STUDY_ORDER, main
 from hardydual.corpus import mass_single_trace
 
@@ -306,6 +307,68 @@ def test_coinciding_masses_exit_2(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("overrides", [
+    {"gates": -1},
+    {"gates": False},
+    {"seed": -1, "studies": ["tau"]},
+], ids=["gates-int", "gates-false", "seed-negative"])
+def test_non_object_gates_or_negative_seed_exits_2(tmp_path, capsys, overrides):
+    # each of these once ended in a traceback: the gate-key message iterated
+    # a non-object, and the tau study's default_rng refused a negative seed
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, **overrides)
+    code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip()
+    assert code == 2, err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1, err
+
+
+def test_failed_window_factorization_names_the_scale(tmp_path, capsys):
+    # the master Gram passes its PD check, but a reversed Cholesky of one of
+    # the sweep's groups fails in roundoff: exit 3, naming the Gram's scale
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=4096, degree=48, studies=["asymptotics"],
+                  masses=[{"point": [0.5, 0.0], "weight": 1e16},
+                          {"point": [0.999999, 0.0], "weight": 1e8}])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data failure:") and len(err.splitlines()) == 1, err
+    assert "double precision" in err and "largest mass weight" in err
+
+
+@pytest.mark.parametrize("studies, builds", [
+    (["duality", "theorem", "tau"], 1),
+    (["asymptotics", "sandwich"], 0),
+], ids=["dual-studies", "no-dual-study"])
+def test_studies_share_one_dual(tmp_path, monkeypatch, studies, builds):
+    # the dual data is built once per run, and only for a study that reads it
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    build = cli.dual_of
+    monkeypatch.setattr(cli, "dual_of", counted)
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, studies=studies)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == builds
+
+
+def test_degenerate_masses_exit_3_from_the_first_dual_study(tmp_path, capsys):
+    # points 1e-7 apart pass the config check, but B' nearly vanishes there,
+    # so building the shared dual data fails
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, studies=["theorem", "tau"],
+                  masses=[{"point": [0.5, 0.0], "weight": 1.0},
+                          {"point": [0.5 + 1e-7, 0.0], "weight": 1.0}])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == ("data failure: Blaschke derivative vanishes at a mass point "
+                   "(coinciding points?)")
 
 
 @pytest.mark.parametrize("weight", [1e16, 1e300, 1e-16, 1e-300])

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hardydual import (
     CircleGrid,
@@ -26,8 +27,9 @@ from hardydual import (
     zero_symbol,
 )
 from hardydual.corpus import BY_NAME, CASES
-from hardydual.duality import PRINTED, UNITARY, _laurent_values, _null_space
+from hardydual.duality import PRINTED, UNITARY, _complement, _laurent_values
 from hardydual.spaces import build_gram_laurent, effective_data, embed_h2
+from test_stacked import random_pairs
 
 
 def _random_vector(rng, symbol, masses, band=50):
@@ -306,19 +308,36 @@ def test_identity_across_corpus(case):
     assert report.vector_residual < 1e-6, case.name
 
 
+def _assert_complement_relations(space, degree):
+    # the theorem's complement basis X = G^{-1} N against its defining
+    # relations, and its span against the null space of E^H G from numpy's SVD
+    embed = embed_h2(space, degree, degree)
+    gram = build_gram_laurent(space, degree)
+    null, complement = _complement(gram, effective_data(space)[1].points)
+    assert complement.shape[1] == degree + space.masses.count
+    assert np.abs(embed.conj().T @ null).max() <= 1e-15
+    relative = (np.linalg.norm(embed.conj().T @ gram.entries @ complement)
+                / (np.linalg.norm(embed) * np.linalg.norm(gram.entries)
+                   * np.linalg.norm(complement)))
+    assert relative <= 1e-13
+    a = embed.conj().T @ gram.entries
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > s.max() * np.finfo(float).eps * max(a.shape)))
+    ref = vh[rank:].conj().T
+    q, _ = np.linalg.qr(complement)
+    assert q.shape == ref.shape
+    assert np.abs(q @ q.conj().T - ref @ ref.conj().T).max() < 1e-12
+
+
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
-def test_null_space_matches_scipy_reference(case):
-    # theorem_check's complement basis against scipy's null_space, kept as a
-    # test-only reference: same subspace, orthonormal columns
-    scipy_linalg = pytest.importorskip("scipy.linalg")
-    space = case.space(2048)
-    degree = 24
-    a = embed_h2(space, degree, degree).conj().T @ build_gram_laurent(space, degree).entries
-    q = _null_space(a)
-    ref = scipy_linalg.null_space(a)
-    assert q.shape == ref.shape, case.name
-    assert np.abs(q @ q.conj().T - ref @ ref.conj().T).max() < 1e-12, case.name
-    assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() < 1e-13, case.name
+def test_complement_basis_relations(case):
+    _assert_complement_relations(case.space(2048), 24)
+
+
+@given(random_pairs())
+@settings(deadline=None, max_examples=20)
+def test_complement_basis_relations_on_random_pairs(space):
+    _assert_complement_relations(space, 16)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
@@ -333,15 +352,9 @@ def test_complement_vectors_annihilate_test_functions(case):
 
 def test_complement_orthogonal_to_blaschke_multiples(mass_space):
     # complement basis vectors against B z^p directly, in the two-sided metric
-    import scipy.linalg
-
-    from hardydual.spaces import build_gram_laurent, embed_h2
-
     half_band = 32
-    gram_l = build_gram_laurent(mass_space, half_band)
-    embed = embed_h2(mass_space, half_band, half_band)
-    complement = scipy.linalg.null_space(embed.conj().T @ gram_l.entries)
     r = dual_of(mass_space)
+    _, complement = _complement(build_gram_laurent(mass_space, half_band), r.masses.points)
     grid = r.symbol.grid
     band = 2 * half_band + 1
 
