@@ -21,7 +21,6 @@ from .circle import (
     build_blaschke,
     build_outer,
     evaluate_analytic,
-    riesz_project,
     riesz_project_values,
     symbol_from_coefficients,
     symbol_from_expression,
@@ -54,7 +53,6 @@ from .errors import (
     DuplicatePoint,
     GridMismatch,
     HardyDualError,
-    NotHermitian,
     NotPositiveDefinite,
     OrderViolation,
     RejectBoundary,

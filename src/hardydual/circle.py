@@ -35,6 +35,12 @@ ANTIANALYTIC = "antianalytic"
 # inner block b of the two-level power table in evaluate_analytic
 _POWER_BLOCK = 128
 
+# longest sum handed to BLAS in one call.  OpenBLAS splits a complex dot of
+# more than 10000 elements over its threads, and the bits of the split sum
+# depend on the thread count; partial sums of fixed chunks, added in a fixed
+# order, do not.  A sum of at most this length is one call.
+SUM_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class CircleGrid:
@@ -82,6 +88,33 @@ class CircleGrid:
         return float(np.sqrt(np.mean(np.abs(self.check(values)) ** 2)))
 
 
+def sum_chunks(length: int) -> list[slice]:
+    """Slices of ``SUM_CHUNK`` consecutive terms covering 0..length-1 (at
+    least one slice, so an empty sum is still one call)."""
+    return [slice(start, min(start + SUM_CHUNK, length))
+            for start in range(0, max(length, 1), SUM_CHUNK)]
+
+
+def chunked_vecdot(a, b):
+    """``np.vecdot(a, b)`` along the last axis, summed in chunks of
+    ``SUM_CHUNK`` added in order, so its bits do not depend on BLAS threads."""
+    first, *rest = sum_chunks(a.shape[-1])
+    total = np.vecdot(a[..., first], b[..., first])
+    for chunk in rest:
+        total += np.vecdot(a[..., chunk], b[..., chunk])
+    return total
+
+
+def chunked_matmul(a, b):
+    """``a @ b``, contracting in chunks of ``SUM_CHUNK`` added in order, so its
+    bits do not depend on BLAS threads."""
+    first, *rest = sum_chunks(a.shape[-1])
+    total = a[..., first] @ b[..., first, :]
+    for chunk in rest:
+        total += a[..., chunk] @ b[..., chunk, :]
+    return total
+
+
 def coefficient(coeffs, p: int) -> complex:
     """Coefficient of t**p from an FFT-layout array."""
     coeffs = np.asarray(coeffs)
@@ -109,7 +142,8 @@ def evaluate_analytic(coeffs, z):
     inner = _running_powers(flat, block)  # z**i
     outer = _running_powers(inner[:, -1:] * flat, rows)  # z**(b*j)
     powers = (outer[:, :, None] * inner[:, None, :]).reshape(len(flat), rows * block)
-    return (powers[:, :n] @ c[..., None]).reshape(c.shape[:-1] + z.shape)[()]
+    values = chunked_matmul(powers[:, :n], c[..., None])
+    return values.reshape(c.shape[:-1] + z.shape)[()]
 
 
 def _running_powers(base: np.ndarray, count: int) -> np.ndarray:
@@ -119,20 +153,13 @@ def _running_powers(base: np.ndarray, count: int) -> np.ndarray:
     return np.multiply.accumulate(steps, axis=1)
 
 
-def riesz_project(coeffs, sign: str) -> np.ndarray:
-    """Riesz projection acting on FFT-layout coefficients (last axis).
+def riesz_project_values(values, sign: str) -> np.ndarray:
+    """Riesz projection acting on grid samples (FFT round trip, last axis).
 
     ``analytic`` keeps frequencies p >= 0, ``antianalytic`` keeps p <= -1.
     The shared +-size/2 bin counts as antianalytic, so the two projections
     are exactly complementary.
     """
-    out = np.array(coeffs, dtype=complex)
-    out[..., _dropped_half(out.shape[-1], sign)] = 0
-    return out
-
-
-def riesz_project_values(values, sign: str) -> np.ndarray:
-    """Riesz projection acting on grid samples (FFT round trip, last axis)."""
     c = np.fft.fft(np.asarray(values, dtype=complex))
     c[..., _dropped_half(c.shape[-1], sign)] = 0
     return np.fft.ifft(c, out=c)

@@ -14,7 +14,6 @@ import numpy as np
 from .circle import (
     CircleGrid,
     MassSet,
-    evaluate_formula,
     symbol_from_expression,
     zero_symbol,
 )
@@ -38,15 +37,6 @@ class CorpusCase:
         else:
             masses = MassSet.empty()
         return SpaceData(symbol, masses)
-
-    def symbol_values(self, nodes) -> np.ndarray:
-        """Evaluate the symbol on arbitrary unit-circle nodes (oracle use)."""
-        nodes = np.asarray(nodes, dtype=complex)
-        if self.formula is None:
-            return np.zeros_like(nodes)
-        return np.broadcast_to(
-            np.asarray(evaluate_formula(self.formula, nodes), dtype=complex),
-            nodes.shape).copy()
 
 
 CASES = (

@@ -31,6 +31,8 @@ from .circle import (
     SymbolData,
     build_blaschke,
     build_outer,
+    chunked_matmul,
+    chunked_vecdot,
     evaluate_analytic,
     riesz_project_values,
     symbol_from_samples,
@@ -233,7 +235,7 @@ def l2_inner(u: TauVector, v: TauVector, symbol: SymbolData, masses: MassSet):
     grid; mass part: sum nu_k u_k conj(v_k).  Stacks pair row by row.
     """
     a, b = _weighted_pair(u, symbol.values)
-    inner = (np.vecdot(v.f1, a) + np.vecdot(v.f2, b)) / symbol.grid.size
+    inner = (chunked_vecdot(v.f1, a) + chunked_vecdot(v.f2, b)) / symbol.grid.size
     if masses.count:
         message = "mass value blocks do not match the mass set"
         _check_mass_block(u, masses, message)
@@ -245,8 +247,8 @@ def l2_inner(u: TauVector, v: TauVector, symbol: SymbolData, masses: MassSet):
 def l2_norm(u: TauVector, symbol: SymbolData, masses: MassSet):
     """sqrt <u, u>, with the circle part ||f1||^2 + ||f2||^2 + 2 Re<f2, R f1>:
     one grid product and no weighted pair (see :func:`l2_inner`)."""
-    square = (np.vecdot(u.f1, u.f1).real + np.vecdot(u.f2, u.f2).real
-              + 2.0 * np.vecdot(u.f2, symbol.values * u.f1).real) / symbol.grid.size
+    square = (chunked_vecdot(u.f1, u.f1).real + chunked_vecdot(u.f2, u.f2).real
+              + 2.0 * chunked_vecdot(u.f2, symbol.values * u.f1).real) / symbol.grid.size
     if masses.count:
         _check_mass_block(u, masses, "mass value blocks do not match the mass set")
         square += np.vecdot(u.mass_values, masses.weights * u.mass_values).real
@@ -260,8 +262,8 @@ def _l2_gram(u: TauVector, v: TauVector, symbol: SymbolData,
     The weight is Hermitian, so <u, v> = sum conj(W v) . u.
     """
     a, b = _weighted_pair(v, symbol.values)
-    gram = u.f1 @ np.conj(a, out=a).T
-    gram += u.f2 @ np.conj(b, out=b).T
+    gram = chunked_matmul(u.f1, np.conj(a, out=a).T)
+    gram += chunked_matmul(u.f2, np.conj(b, out=b).T)
     gram /= symbol.grid.size
     if masses.count:
         gram += (masses.weights * u.mass_values) @ np.conj(v.mass_values).T
@@ -330,7 +332,7 @@ def check_hat_membership(vector: TauVector, data: DualData) -> HatMembershipRepo
     g = outer.values * grid.check(vector.f1)
     g_coeffs = np.fft.fft(g, norm="forward", out=g)
     anti = g_coeffs[..., grid.size // 2:]  # frequencies p <= -1
-    anti = np.sqrt(np.vecdot(anti, anti).real)
+    anti = np.sqrt(chunked_vecdot(anti, anti).real)
     if masses.count:
         g_at_points = evaluate_analytic(g_coeffs, masses.points)
         mismatch = np.abs(vector.mass_values

@@ -37,9 +37,5 @@ class RejectBoundary(HardyDualError):
     """Point evaluation requested on or outside the unit circle."""
 
 
-class NotHermitian(HardyDualError):
-    """Matrix expected to be Hermitian is not."""
-
-
 class ConfigError(HardyDualError):
     """Experiment configuration failed validation."""

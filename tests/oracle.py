@@ -27,8 +27,13 @@ from hardydual.duality import (
     l2_inner,
     l2_norm,
 )
-from hardydual.errors import GridMismatch, NotHermitian
+from hardydual.circle import evaluate_formula
+from hardydual.errors import GridMismatch, HardyDualError
 from hardydual.spaces import build_gram_laurent, effective_data
+
+
+class NotHermitian(HardyDualError):
+    """Matrix expected to be Hermitian is not."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,34 @@ def quad_inner(f, g, weight=None):
         raise GridMismatch("matrix weight needs (2,2,N) weight and (2,N) samples")
     wf = np.einsum("abn,bn->an", weight, f)
     return complex(np.mean(np.sum(wf * np.conj(g), axis=0)))
+
+
+def riesz_project(coeffs, sign):
+    """Riesz projection acting on FFT-layout coefficients (last axis).
+
+    ``analytic`` keeps frequencies p >= 0, the lower half of the array;
+    ``antianalytic`` keeps p <= -1, the upper half with the shared +-size/2
+    bin, so the two projections are exactly complementary.
+    """
+    out = np.array(coeffs, dtype=complex)
+    half = out.shape[-1] // 2
+    if sign == "analytic":
+        out[..., half:] = 0
+    elif sign == "antianalytic":
+        out[..., :half] = 0
+    else:
+        raise ValueError(f"sign must be 'analytic' or 'antianalytic', got {sign!r}")
+    return out
+
+
+def symbol_values(case, nodes):
+    """A corpus case's symbol evaluated on arbitrary unit-circle nodes."""
+    nodes = np.asarray(nodes, dtype=complex)
+    if case.formula is None:
+        return np.zeros_like(nodes)
+    return np.broadcast_to(
+        np.asarray(evaluate_formula(case.formula, nodes), dtype=complex),
+        nodes.shape).copy()
 
 
 def fd_derivative(fn, point, step=1e-6):

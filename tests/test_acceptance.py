@@ -37,6 +37,7 @@ from oracle import (
     fd_derivative,
     gram_entry_quadrature,
     quad_inner,
+    symbol_values,
 )
 from hardydual.spaces import effective_data
 
@@ -179,7 +180,7 @@ def test_criterion_8_oracle_equivalence(corpus_spaces):
     for case in CASES:
         space = corpus_spaces[case.name]
         gram = build_gram_analytic(space, 12, hankel=96)
-        values = case.symbol_values(refined)
+        values = symbol_values(case, refined)
         _, masses = effective_data(space)
         for row, col in [(0, 0), (2, 1), (5, 5), (0, 12)]:
             oracle_entry = gram_entry_quadrature(values, refined, masses.points,

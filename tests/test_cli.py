@@ -465,3 +465,43 @@ def test_order_violation_rows_and_strict_summary(tmp_path):
     assert gates["sandwich.worst_margin"]["value"] is None
     assert gates["sandwich.worst_margin"]["passed"] is False
     assert summary["all_passed"] is False
+
+
+def test_readme_config_never_imports_numpy_random(tmp_path):
+    # the tau study draws from the standard library's generator; numpy.random
+    # alone would add about 6 MB to the run's peak memory
+    config = REPO / "perfbench" / "readme_config.json"
+    script = ("import sys; from hardydual.cli import main; "
+              f"code = main(['run', {str(config)!r}, '--out', {str(tmp_path / 'o')!r}]); "
+              "print('numpy.random' in sys.modules); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("overrides", [
+    {"grid": 16384, "degree": 64, "studies": ["duality", "theorem", "tau"],
+     "masses": [{"point": [0.5, 0.0], "weight": 3.0},
+                {"point": [-0.3, 0.4], "weight": 0.8}]},
+    {"grid": 32768, "degree": 16, "studies": ["asymptotics"]},
+], ids=["16384-vector-studies", "32768-asymptotics"])
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, overrides):
+    # OpenBLAS splits a complex dot of more than 10000 elements over its
+    # threads; every grid-length sum is taken in fixed chunks below that
+    config = json.loads((REPO / "perfbench" / "readme_config.json").read_text())
+    config.update(overrides)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "hardydual", "run", str(cfg),
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].glob("*.csv")) + ["summary.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hardydual import GridMismatch, NotHermitian
+from hardydual import GridMismatch
 from oracle import (
+    NotHermitian,
     constrained_minimum,
     dense_psd_check,
     fd_derivative,
