@@ -88,31 +88,21 @@ class CircleGrid:
         return float(np.sqrt(np.mean(np.abs(self.check(values)) ** 2)))
 
 
-def sum_chunks(length: int) -> list[slice]:
-    """Slices of ``SUM_CHUNK`` consecutive terms covering 0..length-1 (at
-    least one slice, so an empty sum is still one call)."""
-    return [slice(start, min(start + SUM_CHUNK, length))
-            for start in range(0, max(length, 1), SUM_CHUNK)]
+def chunked_sum(contract, length: int):
+    """Sum of ``contract(chunk)`` over slices of at most ``SUM_CHUNK``
+    consecutive terms covering 0..length-1, added in order.  A sum of at most
+    ``SUM_CHUNK`` terms is one call (an empty one too)."""
+    first, *rest = range(0, max(length, 1), SUM_CHUNK)
+    total = contract(slice(first, min(first + SUM_CHUNK, length)))
+    for start in rest:
+        total += contract(slice(start, min(start + SUM_CHUNK, length)))
+    return total
 
 
 def chunked_vecdot(a, b):
-    """``np.vecdot(a, b)`` along the last axis, summed in chunks of
-    ``SUM_CHUNK`` added in order, so its bits do not depend on BLAS threads."""
-    first, *rest = sum_chunks(a.shape[-1])
-    total = np.vecdot(a[..., first], b[..., first])
-    for chunk in rest:
-        total += np.vecdot(a[..., chunk], b[..., chunk])
-    return total
-
-
-def chunked_matmul(a, b):
-    """``a @ b``, contracting in chunks of ``SUM_CHUNK`` added in order, so its
+    """``np.vecdot(a, b)`` along the last axis by :func:`chunked_sum`, so its
     bits do not depend on BLAS threads."""
-    first, *rest = sum_chunks(a.shape[-1])
-    total = a[..., first] @ b[..., first, :]
-    for chunk in rest:
-        total += a[..., chunk] @ b[..., chunk, :]
-    return total
+    return chunked_sum(lambda s: np.vecdot(a[..., s], b[..., s]), a.shape[-1])
 
 
 def coefficient(coeffs, p: int) -> complex:
@@ -142,8 +132,7 @@ def evaluate_analytic(coeffs, z):
     inner = _running_powers(flat, block)  # z**i
     outer = _running_powers(inner[:, -1:] * flat, rows)  # z**(b*j)
     powers = (outer[:, :, None] * inner[:, None, :]).reshape(len(flat), rows * block)
-    values = chunked_matmul(powers[:, :n], c[..., None])
-    return values.reshape(c.shape[:-1] + z.shape)[()]
+    return (powers[:, :n] @ c[..., None]).reshape(c.shape[:-1] + z.shape)[()]
 
 
 def _running_powers(base: np.ndarray, count: int) -> np.ndarray:

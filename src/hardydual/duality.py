@@ -31,7 +31,6 @@ from .circle import (
     SymbolData,
     build_blaschke,
     build_outer,
-    chunked_matmul,
     chunked_vecdot,
     evaluate_analytic,
     riesz_project_values,
@@ -262,8 +261,8 @@ def _l2_gram(u: TauVector, v: TauVector, symbol: SymbolData,
     The weight is Hermitian, so <u, v> = sum conj(W v) . u.
     """
     a, b = _weighted_pair(v, symbol.values)
-    gram = chunked_matmul(u.f1, np.conj(a, out=a).T)
-    gram += chunked_matmul(u.f2, np.conj(b, out=b).T)
+    gram = u.f1 @ np.conj(a, out=a).T
+    gram += u.f2 @ np.conj(b, out=b).T
     gram /= symbol.grid.size
     if masses.count:
         gram += (masses.weights * u.mass_values) @ np.conj(v.mass_values).T

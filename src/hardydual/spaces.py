@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import CircleGrid, MassSet, SymbolData, sum_chunks
+from .circle import CircleGrid, MassSet, SymbolData, chunked_sum
 from .errors import NotPositiveDefinite
 from .tolerances import TOL_PSD
 
@@ -129,18 +129,16 @@ def _lagged_gram(c: np.ndarray, truncation: int, order: int) -> np.ndarray:
     """G[m, l] = sum_{j<J} conj(c[j+m]) c[j+l] for m, l < order.
 
     ``c`` needs J + order - 1 terms.  The first row is ``np.correlate``, one
-    length-J dot per column, summed over chunks of ``circle.SUM_CHUNK`` terms
-    in order (one call up to that length); the rest follows down the
+    length-J dot per column, summed by ``circle.chunked_sum`` (one call up
+    to ``circle.SUM_CHUNK`` terms); the rest follows down the
     diagonals by the displacement recurrence
     G[m+1, l+1] = G[m, l] - conj(c[m]) c[l] + conj(c[J+m]) c[J+l],
     each row mirrored into its column as it is made.
     """
     J = truncation
     gram = np.empty((order, order), dtype=c.dtype)
-    first, *rest = sum_chunks(J)
-    gram[0] = np.correlate(c[first.start:first.stop + order - 1], c[first], "valid")
-    for chunk in rest:
-        gram[0] += np.correlate(c[chunk.start:chunk.stop + order - 1], c[chunk], "valid")
+    gram[0] = chunked_sum(
+        lambda s: np.correlate(c[s.start:s.stop + order - 1], c[s], "valid"), J)
     gram[1:, 0] = np.conj(gram[0, 1:])
     for m in range(1, order):
         gram[m, m:] = (gram[m - 1, m - 1:-1]

@@ -80,22 +80,30 @@ complex_lists = st.lists(
 @given(complex_lists)
 @settings(deadline=None, max_examples=50)
 def test_riesz_projections_complementary_and_idempotent(coeffs):
-    c = np.asarray(coeffs)
-    plus = riesz_project(c, "analytic")
-    minus = riesz_project(c, "antianalytic")
-    assert np.array_equal(plus + minus, c)
-    assert np.array_equal(riesz_project(plus, "analytic"), plus)
-    assert np.array_equal(riesz_project(minus, "antianalytic"), minus)
-    assert np.all(riesz_project(plus, "antianalytic") == 0)
+    grid = CircleGrid(8)
+    v = grid.values(np.asarray(coeffs))
+    tol = 1e-14 * (1.0 + np.abs(v).max())
+    plus = riesz_project_values(v, "analytic")
+    minus = riesz_project_values(v, "antianalytic")
+    assert np.abs(plus + minus - v).max() <= tol
+    assert np.abs(riesz_project_values(plus, "analytic") - plus).max() <= tol
+    assert np.abs(riesz_project_values(minus, "antianalytic") - minus).max() <= tol
+    assert np.abs(riesz_project_values(plus, "antianalytic")).max() <= tol
+    # the shared +-size/2 bin goes to the antianalytic half
+    assert np.abs(grid.coefficients(plus)[4:]).max() <= tol
+    assert np.abs(grid.coefficients(minus)[:4]).max() <= tol
 
 
 def test_riesz_antianalytic_keeps_negative_index():
+    grid = CircleGrid(16)
     coeffs = np.zeros(16, dtype=complex)
     coeffs[-1 % 16] = 2.5 + 1j
+    coeffs[8] = 0.75j  # the shared +-8 bin
     coeffs[0] = -1.0
-    out = riesz_project(coeffs, "antianalytic")
-    assert out[-1 % 16] == 2.5 + 1j
-    assert np.all(out[:8] == 0)
+    out = grid.coefficients(riesz_project_values(grid.values(coeffs), "antianalytic"))
+    assert abs(out[-1 % 16] - (2.5 + 1j)) < 1e-15
+    assert abs(out[8] - 0.75j) < 1e-15
+    assert np.abs(out[:8]).max() < 1e-15
 
 
 def test_riesz_grid_route_matches_coefficient_shift(grid512):
@@ -109,7 +117,7 @@ def test_riesz_grid_route_matches_coefficient_shift(grid512):
 
 def test_riesz_rejects_unknown_sign():
     with pytest.raises(ValueError):
-        riesz_project(np.zeros(8, dtype=complex), "sideways")
+        riesz_project_values(np.zeros(8, dtype=complex), "sideways")
 
 
 # --- series evaluation inside the disk ---------------------------------------
