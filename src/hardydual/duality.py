@@ -14,6 +14,13 @@ convention here is the unitarity-consistent
 
 with (1/T)'(zeta_k) = B'(zeta_k)/T_e(zeta_k) evaluated in closed form.  Both
 conventions are selectable and the choice is recorded in ``provenance``.
+
+The complement-mapping theorem (:func:`theorem_check`) does not go through
+:func:`apply_tau` and :func:`check_hat_membership` column by column: its
+columns are Laurent polynomials, for which P_-(R f1) splits exactly into a
+grid product and a short convolution (:class:`_LaurentProjection`), so the
+membership residuals of a column's tau image are one linear grid map of
+it, with factors built once per check.
 """
 
 from __future__ import annotations
@@ -254,39 +261,6 @@ def l2_norm(u: TauVector, symbol: SymbolData, masses: MassSet):
     return _unstacked(np.sqrt(np.maximum(square, 0.0)))
 
 
-def _l2_gram(u: TauVector, v: TauVector, symbol: SymbolData,
-             masses: MassSet) -> np.ndarray:
-    """Inner products <u_i, v_j> of two stacks, as one matrix product.
-
-    The weight is Hermitian, so <u, v> = sum conj(W v) . u.
-    """
-    a, b = _weighted_pair(v, symbol.values)
-    gram = u.f1 @ np.conj(a, out=a).T
-    gram += u.f2 @ np.conj(b, out=b).T
-    gram /= symbol.grid.size
-    if masses.count:
-        gram += (masses.weights * u.mass_values) @ np.conj(v.mass_values).T
-    return gram
-
-
-def _tau_f1_and_masses(vector: TauVector, dual: DualData) -> TauVector:
-    """f1 and the mass values of the tau image of ``vector``; its f2 is None.
-
-    The membership check reads only these two parts, so the theorem check
-    maps its complement columns through this half of :func:`apply_tau`.
-    """
-    grid = dual.symbol.grid
-    f1 = grid.check(vector.f1)
-    f2 = grid.check(vector.f2)
-    _check_mass_block(vector, dual.masses,
-                      "mass value block does not match the primal mass set")
-    work = np.conj(dual.symbol.values) * f2
-    work += f1
-    work *= dual.tau_multipliers[0]
-    mass_tau = -np.conj(dual.inv_T_deriv) * vector.mass_values * dual.masses.weights
-    return TauVector(grid.conjugate_reindex(work), None, mass_tau)
-
-
 def apply_tau(vector: TauVector, dual: DualData) -> TauVector:
     """The involution: L^2(alpha) -> L^2(alpha~), unitary on regular data.
 
@@ -300,11 +274,20 @@ def apply_tau(vector: TauVector, dual: DualData) -> TauVector:
     vector map itself is convention-independent; only the dual weights that
     measure the image differ between the two pairing conventions.
     """
-    image = _tau_f1_and_masses(vector, dual)
-    work = dual.symbol.values * vector.f1
-    work += vector.f2
+    grid = dual.symbol.grid
+    f1 = grid.check(vector.f1)
+    f2 = grid.check(vector.f2)
+    _check_mass_block(vector, dual.masses,
+                      "mass value block does not match the primal mass set")
+    work = np.conj(dual.symbol.values) * f2
+    work += f1
+    work *= dual.tau_multipliers[0]
+    image_f1 = grid.conjugate_reindex(work)
+    work = dual.symbol.values * f1
+    work += f2
     work *= dual.tau_multipliers[1]
-    return TauVector(image.f1, dual.symbol.grid.conjugate_reindex(work), image.mass_values)
+    mass_tau = -np.conj(dual.inv_T_deriv) * vector.mass_values * dual.masses.weights
+    return TauVector(image_f1, grid.conjugate_reindex(work), mass_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +326,6 @@ def check_hat_membership(vector: TauVector, data: DualData) -> HatMembershipRepo
 
 # ---------------------------------------------------------------------------
 # the duality theorem and its scalar corollary
-
-
-def _laurent_values(grid, coeffs_band, half_band):
-    """Grid samples of Laurent polynomials given coefficients on -M..M (last axis)."""
-    coeffs_band = np.asarray(coeffs_band)
-    full = np.zeros(coeffs_band.shape[:-1] + (grid.size,), dtype=complex)
-    full[..., (np.arange(coeffs_band.shape[-1]) - half_band) % grid.size] = coeffs_band
-    return np.fft.ifft(full, norm="forward", out=full)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,6 +371,75 @@ def _blocks(count: int):
             for start in range(0, count, _THEOREM_BLOCK))
 
 
+class _LaurentProjection:
+    """P_-(R f1) for Laurent polynomials f1 of exponents -M..M, split as
+    R_core f1 plus a boundary correction.
+
+    In FFT layout on N bins, a coefficient r_s with s in N/2+M..N-1-M moves
+    every exponent -M..M into the antianalytic half, so its part of
+    P_-(R f1) is R_core f1, ``core`` the grid samples of those coefficients.
+    Every other coefficient that reaches the antianalytic half lies in one
+    of two runs of 2M: the zero run s = -M..M-1 and the Nyquist run
+    s = N/2-M..N/2+M-1, less the bins the zero run holds (the runs meet
+    when M > N/4, and R_core is then empty).  Their part, the boundary
+    correction, is the linear convolution of each run with the 2M+1
+    coefficients of f1, by FFTs of a power-of-two length >= 4M: 4M terms
+    per run, of which those on antianalytic bins are added onto their bins
+    mod N, as the FFT round trip aliases them, the shared N/2 bin included.
+    """
+
+    def __init__(self, symbol: SymbolData, half_band: int):
+        size, half, m = symbol.grid.size, symbol.grid.size // 2, half_band
+        core = np.zeros(size, dtype=complex)
+        core[half + m:size - m] = symbol.coeffs[half + m:size - m]
+        self.core = np.fft.ifft(core, norm="forward", out=core)
+        offsets = np.arange(-m, m)
+        runs = np.stack((offsets % size, (offsets + half) % size))
+        run_coeffs = symbol.coeffs[runs]
+        run_coeffs[1, (runs[1] + m) % size < 2 * m] = 0.0  # bins of the zero run
+        self._terms = 4 * m
+        self._run_spectra = np.fft.fft(run_coeffs, n=1 << max(4 * m - 1, 0).bit_length())
+        # term i of a run's convolution is the coefficient of t^(first bin - M + i)
+        bins = (runs[:, :1] - m + np.arange(4 * m)) % size
+        self._kept = np.flatnonzero(bins >= half)
+        self._targets = bins.ravel()[self._kept]
+
+    def add_correction(self, coeffs: np.ndarray, out: np.ndarray) -> None:
+        """Add the FFT-layout spectra of the boundary corrections of the rows
+        of ``coeffs`` (exponents -M..M along the last axis) onto ``out``."""
+        length = self._run_spectra.shape[-1]
+        terms = np.fft.ifft(np.fft.fft(coeffs[:, None, :], n=length) * self._run_spectra)
+        terms = terms[..., :self._terms].reshape(coeffs.shape[0], 2 * self._terms)
+        np.add.at(out, (slice(None), self._targets), terms[:, self._kept])
+
+
+def _rolled_antianalytic(spectrum: np.ndarray, shifts: np.ndarray, out=None) -> np.ndarray:
+    """Row i: the antianalytic half (bins N/2..N-1, the shared N/2 bin
+    included) of the spectrum of t^q F for q = shifts[i], given the
+    FFT-layout spectrum of F.  Multiplying by t^q rolls a spectrum by q."""
+    half = spectrum.shape[-1] // 2
+    return spectrum.take(np.arange(half, 2 * half) - shifts[:, None], mode="wrap", out=out)
+
+
+def _antianalytic_shifts(spectrum: np.ndarray, shifts: np.ndarray,
+                         out: np.ndarray) -> np.ndarray:
+    """Grid samples of P_-(t^q F) into row i of ``out`` for q = shifts[i],
+    from the forward-normalized FFT-layout spectrum of F: one inverse FFT
+    of :func:`_rolled_antianalytic` per row, as :func:`riesz_project_values`
+    would give from the samples of t^q F."""
+    half = spectrum.shape[-1] // 2
+    out[:, :half] = 0.0
+    _rolled_antianalytic(spectrum, shifts, out[:, half:])
+    return np.fft.ifft(out, norm="forward", out=out)
+
+
+def _monomials(grid, powers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Grid samples of t^p into row i of ``out`` for p = powers[i]:
+    t_j^p = t_{pj mod N}."""
+    return grid.nodes.take(np.multiply.outer(powers, np.arange(grid.size)),
+                           mode="wrap", out=out)
+
+
 def theorem_check(space: SpaceData, dual: DualData, degree: int,
                   hankel: Optional[int] = None,
                   converse_powers: int = 8) -> TheoremReport:
@@ -403,76 +447,152 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int,
 
     Forward: the complement of the embedded H^2 is one solve with the
     Laurent Gram, G^{-1} null(E^H) (:func:`_complement`), and each column's
-    norm comes from that solve.  The columns go through the map in blocks of
-    ``_THEOREM_BLOCK`` rows, computing only the f1 and mass parts of their
-    images, which is all the membership check reads; each residual is
-    divided by its vector's norm.  Converse: the condition vectors are
-    mapped back in blocks into one stack, and one Gram of that stack against
-    the test vectors, also built in blocks, gives every pairing, with both
-    norms applied to its entries.  Besides that stack, no more than a block
-    of vectors is alive at once.
-    """
-    symbol, masses = dual.symbol, dual.masses
-    grid = symbol.grid
-    half_band = degree
-    gram_l = build_gram_laurent(space, half_band, hankel)
+    norm comes from that solve.  A column is a Laurent polynomial f1 of
+    exponents -M..M with mass values, and its tau image's membership
+    residuals read only g = T~_e f1~.  On the grid, g(conj t) is one linear
+    map of f1 and of the boundary correction c of P_-(R f1)
+    (:class:`_LaurentProjection`), h = w1 f1 + w2 c, whose factors fold
+    together t conj(B)/conj(T_e), conj(R), R_core and T~_e(conj t) and are
+    built once.  Per column, one stacked inverse FFT gives f1 and c from
+    their coefficients, and one inverse FFT of h gives the spectrum of g:
+    three transforms of grid length, where mapping the column by
+    :func:`apply_tau` and testing it by :func:`check_hat_membership` takes
+    four.  The antianalytic residual is the norm of g's coefficients at
+    -N/2..-1, the mass mismatch evaluates its analytic ones at the masses
+    of ``dual.back``, and each is divided by its vector's norm.  The
+    columns go in blocks of ``_THEOREM_BLOCK`` rows through two buffers
+    reused by every block.
 
+    Converse: the condition vectors, the embedded monomials u^p of the
+    dual space, are mapped back in blocks, each to the one grid vector its
+    pairings with canonical test vectors read (:func:`_converse_orthogonality`),
+    and one matrix product of those against the test vectors B t^q and
+    B/(t - zeta_k), built in blocks, gives every pairing, with both norms
+    applied to its entries.  Multiplying by t^q rolls a spectrum, so
+    P_-(R~ u^p) takes one inverse FFT of a roll of the spectrum of R~, and
+    the norm of B t^q is read off a roll of the spectrum of R B.
+    """
+    gram_l = build_gram_laurent(space, degree, hankel)
     # complement of the embedded analytic columns, one vector per row; its
     # norms are x^H G x = n^H x, read off the solve
-    null, complement = (part.T for part in _complement(gram_l, masses.points))
+    null, complement = (part.T for part in _complement(gram_l, dual.masses.points))
     norms = np.sqrt(np.vecdot(null, complement).real)
-
-    fwd_hardy = 0.0
-    fwd_mass = 0.0
-    band = 2 * half_band + 1
-    for rows in _blocks(complement.shape[0]):
-        cols = complement[rows]
-        vec = canonical_vector(symbol, _laurent_values(grid, cols[:, :band], half_band),
-                               cols[:, band:])
-        report = check_hat_membership(_tau_f1_and_masses(vec, dual), dual.back)
-        fwd_hardy = max(fwd_hardy, float((report.antianalytic_residual / norms[rows]).max()))
-        fwd_mass = max(fwd_mass, float((report.mass_mismatch / norms[rows]).max()))
-
-    # converse: condition-side vectors (the embedded monomials u^p of the
-    # dual space) mapped back must annihilate B h and B/(t - zeta_k), which
-    # span the closure-side subspace
-    count = converse_powers + 1
-    monomials = np.eye(count, dtype=complex)
-    back = TauVector(np.empty((count, grid.size), dtype=complex),
-                     np.empty((count, grid.size), dtype=complex),
-                     np.empty((count, masses.count), dtype=complex))
-    condition_norms = np.empty(count)
-    for rows in _blocks(count):
-        condition = embed_analytic_vector(dual.dual_symbol, dual.dual_masses,
-                                          monomials[rows])
-        condition_norms[rows] = l2_norm(condition, dual.dual_symbol, dual.dual_masses)
-        image = apply_tau(condition, dual.back)
-        back.f1[rows], back.f2[rows], back.mass_values[rows] = \
-            image.f1, image.f2, image.mass_values
-
-    converse = 0.0
-    for rows in _blocks(count + masses.count):
-        tests = _converse_tests(symbol, masses, dual.blaschke, converse_powers, rows)
-        gram = _l2_gram(back, tests, symbol, masses)
-        gram /= condition_norms[:, None] * l2_norm(tests, symbol, masses)
-        converse = max(converse, float(np.abs(gram).max()))
-
+    # two calls, so that the forward buffers are gone before the converse stack
+    fwd_hardy, fwd_mass = _forward_residuals(dual, complement, norms, degree)
+    converse = _converse_orthogonality(dual, converse_powers)
     return TheoremReport(fwd_hardy, fwd_mass, converse, complement.shape[0])
 
 
+def _forward_residuals(dual: DualData, complement: np.ndarray, norms: np.ndarray,
+                       half_band: int) -> tuple[float, float]:
+    """Worst membership residuals, relative to ``norms``, of the tau images
+    of the complement rows (see :func:`theorem_check`)."""
+    symbol, masses, back = dual.symbol, dual.masses, dual.back
+    grid = symbol.grid
+    band = 2 * half_band + 1
+    projection = _LaurentProjection(symbol, half_band)
+    # f1~(conj t) = t conj(B)/conj(T_e) (f1 - conj(R) (R_core f1 + c)), so
+    # g(conj t) = T~_e(conj t) f1~(conj t) = w1 f1 + w2 c
+    w1 = grid.conjugate_reindex(back.outer.values) * dual.tau_multipliers[0]
+    w2 = -np.conj(symbol.values) * w1
+    w1 += w2 * projection.core
+    layout = (np.arange(band) - half_band) % grid.size
+    stacked = np.empty((_THEOREM_BLOCK, 2, grid.size), dtype=complex)
+    mapped = np.empty((_THEOREM_BLOCK, grid.size), dtype=complex)
+
+    fwd_hardy = 0.0
+    fwd_mass = 0.0
+    for rows in _blocks(complement.shape[0]):
+        cols = complement[rows]
+        pair = stacked[:cols.shape[0]]
+        pair.fill(0.0)
+        pair[:, 0, layout] = cols[:, :band]
+        projection.add_correction(cols[:, :band], pair[:, 1])
+        f1, c = np.fft.ifft(pair, norm="forward", out=pair).transpose(1, 0, 2)
+        h = np.multiply(f1, w1, out=mapped[:cols.shape[0]])
+        c *= w2
+        h += c
+        # h(t) = g(conj t), so the inverse FFT of h is the spectrum of g
+        g_coeffs = np.fft.ifft(h, out=h)
+        anti = g_coeffs[:, grid.size // 2:]
+        anti = np.sqrt(chunked_vecdot(anti, anti).real)
+        fwd_hardy = max(fwd_hardy, float((anti / norms[rows]).max()))
+        if masses.count:
+            g_at_points = evaluate_analytic(g_coeffs, back.masses.points)
+            mass_tau = -np.conj(dual.inv_T_deriv) * cols[:, band:] * masses.weights
+            mismatch = np.abs(mass_tau - g_at_points / back.outer_at_masses).max(axis=-1)
+            fwd_mass = max(fwd_mass, float((mismatch / norms[rows]).max()))
+    return fwd_hardy, fwd_mass
+
+
+def _converse_orthogonality(dual: DualData, converse_powers: int) -> float:
+    """Worst normalized |<tau-image of a condition vector, test vector>|:
+    the embedded monomials u^p of the dual space, mapped back, must
+    annihilate B t^q and B/(t - zeta_k), which span the closure-side
+    subspace (see :func:`theorem_check`).
+
+    A test vector v is canonical, v.f2 = -P_-(R v.f1), and P_- is an
+    orthogonal projection on the grid, so the circle part of <u, v> is
+    sum conj(v.f1) (a - conj(R) P_-(b)) / N with (a, b) the weighted pair
+    of u: one grid vector per condition, and no f2 for the tests.
+    """
+    symbol, masses = dual.symbol, dual.masses
+    grid = symbol.grid
+    count = converse_powers + 1
+    paired = np.empty((count, grid.size), dtype=complex)
+    paired_masses = np.empty((count, masses.count), dtype=complex)
+    condition_norms = np.empty(count)
+    for rows in _blocks(count):
+        powers = np.arange(rows.start, rows.stop)
+        f1 = _monomials(grid, powers, np.empty((powers.size, grid.size), dtype=complex))
+        f2 = _antianalytic_shifts(dual.dual_symbol.coeffs, powers, np.empty_like(f1))
+        condition = TauVector(f1, np.negative(f2, out=f2),
+                              dual.dual_masses.points ** powers[:, None])
+        condition_norms[rows] = l2_norm(condition, dual.dual_symbol, dual.dual_masses)
+        image = apply_tau(condition, dual.back)
+        a, b = _weighted_pair(image, symbol.values)
+        a -= np.conj(symbol.values) * riesz_project_values(b, "antianalytic")
+        paired[rows] = a
+        paired_masses[rows] = masses.weights * image.mass_values
+
+    rb_spectrum = grid.coefficients(symbol.values * dual.blaschke.values)
+    converse = 0.0
+    for rows in _blocks(count + masses.count):
+        f1, values, norms = _converse_tests(symbol, masses, dual.blaschke, rb_spectrum,
+                                            converse_powers, rows)
+        gram = paired @ np.conj(f1).T
+        gram /= grid.size
+        if masses.count:
+            gram += paired_masses @ np.conj(values).T
+        gram /= condition_norms[:, None] * norms
+        converse = max(converse, float(np.abs(gram).max()))
+    return converse
+
+
 def _converse_tests(symbol: SymbolData, masses: MassSet, blaschke: BlaschkeData,
-                    powers: int, rows: slice) -> TauVector:
+                    rb_spectrum: np.ndarray, powers: int, rows: slice):
     """Rows ``rows`` of the converse test vectors: B t^q for q = 0..powers,
-    then B/(t - zeta_k), whose zero at zeta_k divides out (value B'(zeta_k))."""
-    t = symbol.grid.nodes
+    then B/(t - zeta_k), whose zero at zeta_k divides out (value B'(zeta_k)).
+
+    Returns their f1 rows, mass values and norms.  A canonical vector has
+    ||v||^2 = ||f1||^2 - ||P_-(R f1)||^2 plus its mass part, and the
+    spectrum of R B t^q is that of R B (``rb_spectrum``) rolled by q.
+    """
+    grid = symbol.grid
     index = np.arange(rows.start, rows.stop)
     q = index[index <= powers]
     k = index[index > powers] - (powers + 1)
-    f1 = np.concatenate((blaschke.values * t ** q[:, None],
-                         blaschke.values / (t - masses.points[k, None])))
+    f1 = np.empty((index.size, grid.size), dtype=complex)
+    _monomials(grid, q, f1[:q.size])
+    f1[:q.size] *= blaschke.values
+    np.divide(blaschke.values, grid.nodes - masses.points[k, None], out=f1[q.size:])
+    anti = np.concatenate((_rolled_antianalytic(rb_spectrum, q),
+                           grid.coefficients(symbol.values * f1[q.size:])[:, grid.size // 2:]))
     values = np.zeros((index.size, masses.count), dtype=complex)
     values[q.size + np.arange(k.size), k] = blaschke.derivative_at_zeros[k]
-    return canonical_vector(symbol, f1, values)
+    square = (chunked_vecdot(f1, f1).real / grid.size - chunked_vecdot(anti, anti).real
+              + np.vecdot(values, masses.weights * values).real)
+    return f1, values, np.sqrt(square)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,8 +6,10 @@ coefficients come from Vandermonde-style quadrature instead of the FFT,
 derivatives from Richardson-extrapolated central differences, and PSD
 checks from a dense eigensolve.  Agreement with the production numbers is
 evidence, not tautology.  :func:`theorem_check_per_column` is the theorem
-check one vector at a time, built on the library's single-vector calls: a
-reference for the block layout of the stacked check, not for its maths.
+check one vector at a time, built on the library's single-vector calls
+(``apply_tau``, ``check_hat_membership``) and on :func:`laurent_values`: a
+reference for the fused grid map and block layout of the stacked check,
+not for the maths of the single-vector calls.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 from hardydual.duality import (
     TauVector,
     TheoremReport,
-    _laurent_values,
     apply_tau,
     canonical_vector,
     check_hat_membership,
@@ -112,6 +113,14 @@ def symbol_values(case, nodes):
         nodes.shape).copy()
 
 
+def laurent_values(grid, coeffs_band, half_band):
+    """Grid samples of Laurent polynomials given coefficients on -M..M (last axis)."""
+    coeffs_band = np.asarray(coeffs_band)
+    full = np.zeros(coeffs_band.shape[:-1] + (grid.size,), dtype=complex)
+    full[..., (np.arange(coeffs_band.shape[-1]) - half_band) % grid.size] = coeffs_band
+    return np.fft.ifft(full, norm="forward", out=full)
+
+
 def fd_derivative(fn, point, step=1e-6):
     """Central difference with one Richardson extrapolation step."""
     point = complex(point)
@@ -193,14 +202,18 @@ def constrained_minimum(matrix):
     return float((matrix[0, 0] - np.vdot(y, g).conjugate()).real)
 
 
-def theorem_check_per_column(space, dual, degree, hankel=None, converse_powers=8):
+def theorem_check_per_column(space, dual, degree, hankel=None, converse_powers=8,
+                             gram_norms=False):
     """The complement-mapping check with one vector per call.
 
     Each complement column is solved from its own column of null(E^H),
     normalized by its norm on the grid (not from the solve) and mapped by the
     full ``apply_tau`` on its own; the converse pairs every normalized
     condition vector, mapped back, with every normalized test vector by one
-    ``l2_inner`` call each.
+    ``l2_inner`` call each.  With ``gram_norms`` a column is normalized by
+    sqrt(x^H G x) instead, the norm in the metric the production check
+    reads off its solve: on a grid where the symbol's coefficients alias
+    visibly, the grid norm differs from it at the aliasing level.
     """
     def scaled(vec, factor):
         return TauVector(vec.f1 * factor, vec.f2 * factor, vec.mass_values * factor)
@@ -226,9 +239,11 @@ def theorem_check_per_column(space, dual, degree, hankel=None, converse_powers=8
     complement = [np.linalg.solve(gram_l.entries, column) for column in nulls]
     fwd_hardy = fwd_mass = 0.0
     for col in complement:
-        vec = canonical_vector(symbol, _laurent_values(grid, col[:band], degree),
+        vec = canonical_vector(symbol, laurent_values(grid, col[:band], degree),
                                col[band:])
-        vec = scaled(vec, 1.0 / l2_norm(vec, symbol, masses))
+        norm = np.sqrt(np.vdot(col, gram_l.entries @ col).real) if gram_norms \
+            else l2_norm(vec, symbol, masses)
+        vec = scaled(vec, 1.0 / norm)
         report = check_hat_membership(apply_tau(vec, dual), dual.back)
         fwd_hardy = max(fwd_hardy, report.antianalytic_residual)
         fwd_mass = max(fwd_mass, report.mass_mismatch)

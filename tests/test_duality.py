@@ -22,13 +22,23 @@ from hardydual import (
     evaluate_analytic,
     l2_inner,
     l2_norm,
+    riesz_project_values,
     symbol_from_expression,
+    symbol_from_samples,
     theorem_check,
     zero_symbol,
 )
 from hardydual.corpus import BY_NAME, CASES
-from hardydual.duality import PRINTED, UNITARY, _complement, _laurent_values
+from hardydual.duality import (
+    PRINTED,
+    UNITARY,
+    _antianalytic_shifts,
+    _complement,
+    _LaurentProjection,
+)
 from hardydual.spaces import build_gram_laurent, effective_data, embed_h2
+import oracle
+from oracle import laurent_values
 from test_stacked import random_pairs
 
 
@@ -276,6 +286,108 @@ def test_theorem_mixed_case(grid4096):
     assert report.converse_orthogonality < 1e-8
 
 
+THEOREM_FIELDS = ("forward_hardy_residual", "forward_mass_residual", "converse_orthogonality")
+
+
+def _assert_matches_per_column(space, degree, gram_norms=False):
+    """theorem_check against the per-column reference: 1e-9 relative, over a
+    1e-15 floor for residuals at roundoff."""
+    dual = dual_of(space)
+    report = theorem_check(space, dual, degree)
+    reference = oracle.theorem_check_per_column(space, dual, degree, gram_norms=gram_norms)
+    assert report.complement_dimension == reference.complement_dimension
+    for name in THEOREM_FIELDS:
+        value, expected = getattr(report, name), getattr(reference, name)
+        assert abs(value - expected) <= 1e-9 * abs(expected) + 1e-15, (name, value, expected)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
+def test_theorem_check_matches_per_column_on_corpus(case):
+    _assert_matches_per_column(case.space(256), 16)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
+def test_theorem_check_matches_per_column_where_runs_meet(case):
+    # degree 20 > 64/4: the zero and Nyquist runs of the projection overlap
+    # and R_core is empty.  On so coarse a grid the corpus symbols alias
+    # visibly, so both sides normalize by the Gram norm
+    _assert_matches_per_column(case.space(64), 20, gram_norms=True)
+
+
+@pytest.mark.parametrize("size, degree", [(256, 16), (64, 20)])
+def test_theorem_check_matches_per_column_on_jump_symbol(size, degree):
+    # a jump: coefficients decay like 1/p, so the Nyquist run is far from zero
+    grid = CircleGrid(size)
+    values = np.where(np.arange(size) < size // 2, 0.5, -0.3 + 0.2j)
+    masses = MassSet(np.array([0.3j, -0.4]), np.array([1.0, 2.0]))
+    space = SpaceData(symbol_from_samples(grid, values), masses)
+    assert abs(space.symbol.coefficient(size // 2 - 1)) > 1e-3
+    _assert_matches_per_column(space, degree, gram_norms=True)
+
+
+@pytest.mark.parametrize("size, half_band",
+                         [(8, 3), (64, 0), (64, 5), (64, 15), (64, 16), (64, 17),
+                          (64, 31), (1024, 16)])
+def test_laurent_projection_equals_fft_round_trip(size, half_band):
+    # R_core f1 plus the boundary correction is P_-(R f1) as the FFT round
+    # trip computes it, for a symbol with every coefficient nonzero
+    grid = CircleGrid(size)
+    rng = np.random.default_rng(size + half_band)
+    symbol = symbol_from_samples(grid, rng.standard_normal(size)
+                                 + 1j * rng.standard_normal(size))
+    coeffs = rng.standard_normal((3, 2 * half_band + 1)) \
+        + 1j * rng.standard_normal((3, 2 * half_band + 1))
+    f1 = laurent_values(grid, coeffs, half_band)
+    projection = _LaurentProjection(symbol, half_band)
+    correction = np.zeros((3, size), dtype=complex)
+    projection.add_correction(coeffs, correction)
+    expected = riesz_project_values(symbol.values * f1, "antianalytic")
+    error = projection.core * f1 + grid.values(correction) - expected
+    assert np.abs(error).max() <= 2e-15 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("size", [8, 64, 1024, 16384])
+def test_antianalytic_shifts_roll_the_spectrum(size):
+    grid = CircleGrid(size)
+    rng = np.random.default_rng(size)
+    samples = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / 3
+    shifts = np.arange(12)
+    rolled = _antianalytic_shifts(grid.coefficients(samples), shifts,
+                                  np.empty((shifts.size, size), dtype=complex))
+    for q, row in zip(shifts, rolled):
+        t_q = grid.nodes[q * np.arange(size) % size]  # t_j^q = t_{qj mod N}
+        expected = riesz_project_values(t_q * samples, "antianalytic")
+        assert np.abs(row - expected).max() <= 1e-15
+
+
+def test_theorem_forward_takes_three_grid_ffts_per_column(monkeypatch):
+    space = BY_NAME["mixed_two_mass"].space(1024)
+    assert space.masses.count == 2
+    dual = dual_of(space)
+    dual.back, dual.tau_multipliers  # built once, outside the count
+    rows = []
+
+    def counting(transform):
+        def counted(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.shape[-1] == space.symbol.grid.size:
+                rows.append(a.size // a.shape[-1])
+            return transform(a, *args, **kwargs)
+        return counted
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+
+    def grid_rows(degree):
+        rows.clear()
+        report = theorem_check(space, dual, degree)
+        assert report.complement_dimension == degree + 2
+        return sum(rows)
+
+    # the degrees differ by 8 complement columns and share everything else
+    assert grid_rows(16) - grid_rows(8) == 3 * 8
+
+
 def test_identity_single_mass(mass_space):
     report = duality_identity(mass_space, dual_of(mass_space), 40)
     # closed form: 2 * sqrt(5/17) * sqrt(17/20) = 1
@@ -435,4 +547,4 @@ def test_laurent_values_scatter_matches_loop(size, half_band):
     full = np.zeros(size, dtype=complex)
     for i, c in enumerate(band):
         full[(i - half_band) % size] = c
-    assert np.array_equal(_laurent_values(grid, band, half_band), grid.values(full))
+    assert np.array_equal(laurent_values(grid, band, half_band), grid.values(full))
