@@ -115,24 +115,44 @@ def evaluate_analytic(coeffs, z):
     """Evaluate sum_{p >= 0} c_p z**p from an FFT-layout coefficient array.
 
     Only the analytic half of the array is used, every coefficient of it;
-    valid for |z| < 1.  The powers z**p of all points are built at once in
-    two levels, z**(b*j + i) = z**(b*j) * z**i with 0 <= i < b, each level
-    by running products, and meet the coefficients in one matrix product.
-    Scalar in, scalar out; an array of points gives an array of its shape.
-    A stack of coefficient arrays (leading axes) gives the stack of those
-    results, each row by the same matrix-vector product as alone.
+    valid for |z| < 1.  The powers of all points come from one
+    :func:`power_table` and meet the coefficients in one matrix product
+    (:func:`evaluate_with_table`).  Scalar in, scalar out; an array of
+    points gives an array of its shape.  A stack of coefficient arrays
+    (leading axes) gives the stack of those results, each row by the same
+    matrix-vector product as alone.
     """
     c = np.asarray(coeffs, dtype=complex)
-    c = c[..., : c.shape[-1] // 2]
-    n = c.shape[-1]
     z = np.asarray(z, dtype=complex)
-    block = min(_POWER_BLOCK, max(n, 1))
-    rows = -(-max(n, 1) // block)
-    flat = z.reshape(-1, 1)
+    values = evaluate_with_table(c, power_table(z, c.shape[-1] // 2))
+    return values.reshape(c.shape[:-1] + z.shape)[()]
+
+
+def power_table(z, count: int) -> np.ndarray:
+    """Rows z**0 .. z**(count-1), one per point of ``z`` (flattened).
+
+    The powers are built in two levels, z**(b*j + i) = z**(b*j) * z**i with
+    0 <= i < b, each level by running products.  A caller that evaluates
+    many series at the same points builds the table once.
+    """
+    block = min(_POWER_BLOCK, max(count, 1))
+    rows = -(-max(count, 1) // block)
+    flat = np.asarray(z, dtype=complex).reshape(-1, 1)
     inner = _running_powers(flat, block)  # z**i
     outer = _running_powers(inner[:, -1:] * flat, rows)  # z**(b*j)
     powers = (outer[:, :, None] * inner[:, None, :]).reshape(len(flat), rows * block)
-    return (powers[:, :n] @ c[..., None]).reshape(c.shape[:-1] + z.shape)[()]
+    return powers[:, :count]
+
+
+def evaluate_with_table(coeffs, table: np.ndarray) -> np.ndarray:
+    """sum_p c_p z**p at the points of a :func:`power_table` of as many
+    powers as the analytic half of the FFT-layout ``coeffs``.
+
+    Leading axes of ``coeffs`` make a stack; the result has the points
+    along its last axis.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    return (table @ c[..., : c.shape[-1] // 2, None])[..., 0]
 
 
 def _running_powers(base: np.ndarray, count: int) -> np.ndarray:

@@ -446,8 +446,7 @@ def _study_convergence(config, base_space, shared_dual):
     residuals = []
     for grid_size, degree in zip(grids, degrees):
         space = build_space(config, grid_size=grid_size)
-        dual = dual_of(space, convention=config.convention)
-        rep = duality_identity(space, dual, degree)
+        rep = duality_identity(space, dual_of(space, convention=config.convention), degree)
         trace = asymptotic_sweep(space, config.n_max, degree)
         rows.append({"grid": grid_size, "degree": degree,
                      "identity_residual": rep.residual,

@@ -40,11 +40,13 @@ from .circle import (
     build_outer,
     chunked_vecdot,
     evaluate_analytic,
+    evaluate_with_table,
+    power_table,
     riesz_project_values,
     symbol_from_samples,
 )
 from .errors import DegenerateDerivative, GridMismatch
-from .kernels import kernel_at_origin
+from .kernels import KernelVector, kernel_at_origin
 from .spaces import (
     GramMatrix,
     SpaceData,
@@ -472,21 +474,23 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int,
     P_-(R~ u^p) takes one inverse FFT of a roll of the spectrum of R~, and
     the norm of B t^q is read off a roll of the spectrum of R B.
     """
-    gram_l = build_gram_laurent(space, degree, hankel)
+    # two calls, so that the Laurent Gram, the complement and the forward
+    # buffers are gone before the converse stack
+    fwd_hardy, fwd_mass, dimension = _forward_residuals(space, dual, degree, hankel)
+    converse = _converse_orthogonality(dual, converse_powers)
+    return TheoremReport(fwd_hardy, fwd_mass, converse, dimension)
+
+
+def _forward_residuals(space: SpaceData, dual: DualData, half_band: int,
+                       hankel: Optional[int]) -> tuple[float, float, int]:
+    """Worst membership residuals, each relative to its vector's norm, of
+    the tau images of the complement rows, and the complement's dimension
+    (see :func:`theorem_check`)."""
+    gram_l = build_gram_laurent(space, half_band, hankel)
     # complement of the embedded analytic columns, one vector per row; its
     # norms are x^H G x = n^H x, read off the solve
     null, complement = (part.T for part in _complement(gram_l, dual.masses.points))
     norms = np.sqrt(np.vecdot(null, complement).real)
-    # two calls, so that the forward buffers are gone before the converse stack
-    fwd_hardy, fwd_mass = _forward_residuals(dual, complement, norms, degree)
-    converse = _converse_orthogonality(dual, converse_powers)
-    return TheoremReport(fwd_hardy, fwd_mass, converse, complement.shape[0])
-
-
-def _forward_residuals(dual: DualData, complement: np.ndarray, norms: np.ndarray,
-                       half_band: int) -> tuple[float, float]:
-    """Worst membership residuals, relative to ``norms``, of the tau images
-    of the complement rows (see :func:`theorem_check`)."""
     symbol, masses, back = dual.symbol, dual.masses, dual.back
     grid = symbol.grid
     band = 2 * half_band + 1
@@ -497,6 +501,8 @@ def _forward_residuals(dual: DualData, complement: np.ndarray, norms: np.ndarray
     w2 = -np.conj(symbol.values) * w1
     w1 += w2 * projection.core
     layout = (np.arange(band) - half_band) % grid.size
+    # powers of the dual masses, one table for every block
+    powers = power_table(back.masses.points, grid.size // 2)
     stacked = np.empty((_THEOREM_BLOCK, 2, grid.size), dtype=complex)
     mapped = np.empty((_THEOREM_BLOCK, grid.size), dtype=complex)
 
@@ -518,11 +524,11 @@ def _forward_residuals(dual: DualData, complement: np.ndarray, norms: np.ndarray
         anti = np.sqrt(chunked_vecdot(anti, anti).real)
         fwd_hardy = max(fwd_hardy, float((anti / norms[rows]).max()))
         if masses.count:
-            g_at_points = evaluate_analytic(g_coeffs, back.masses.points)
+            g_at_points = evaluate_with_table(g_coeffs, powers)
             mass_tau = -np.conj(dual.inv_T_deriv) * cols[:, band:] * masses.weights
             mismatch = np.abs(mass_tau - g_at_points / back.outer_at_masses).max(axis=-1)
             fwd_mass = max(fwd_mass, float((mismatch / norms[rows]).max()))
-    return fwd_hardy, fwd_mass
+    return fwd_hardy, fwd_mass, complement.shape[0]
 
 
 def _converse_orthogonality(dual: DualData, converse_powers: int) -> float:
@@ -543,17 +549,8 @@ def _converse_orthogonality(dual: DualData, converse_powers: int) -> float:
     paired_masses = np.empty((count, masses.count), dtype=complex)
     condition_norms = np.empty(count)
     for rows in _blocks(count):
-        powers = np.arange(rows.start, rows.stop)
-        f1 = _monomials(grid, powers, np.empty((powers.size, grid.size), dtype=complex))
-        f2 = _antianalytic_shifts(dual.dual_symbol.coeffs, powers, np.empty_like(f1))
-        condition = TauVector(f1, np.negative(f2, out=f2),
-                              dual.dual_masses.points ** powers[:, None])
-        condition_norms[rows] = l2_norm(condition, dual.dual_symbol, dual.dual_masses)
-        image = apply_tau(condition, dual.back)
-        a, b = _weighted_pair(image, symbol.values)
-        a -= np.conj(symbol.values) * riesz_project_values(b, "antianalytic")
-        paired[rows] = a
-        paired_masses[rows] = masses.weights * image.mass_values
+        paired[rows], paired_masses[rows], condition_norms[rows] = _paired_conditions(
+            dual, np.arange(rows.start, rows.stop))
 
     rb_spectrum = grid.coefficients(symbol.values * dual.blaschke.values)
     converse = 0.0
@@ -567,6 +564,27 @@ def _converse_orthogonality(dual: DualData, converse_powers: int) -> float:
         gram /= condition_norms[:, None] * norms
         converse = max(converse, float(np.abs(gram).max()))
     return converse
+
+
+def _paired_conditions(dual: DualData, powers: np.ndarray):
+    """The grid vectors a - conj(R) P_-(b), the mass parts and the norms of
+    the condition vectors u^p, p in ``powers``, mapped back (see
+    :func:`_converse_orthogonality`).  Each grid array dies at its last
+    read: the conditions once mapped, their images once weighted."""
+    symbol, grid = dual.symbol, dual.symbol.grid
+    f1 = _monomials(grid, powers, np.empty((powers.size, grid.size), dtype=complex))
+    f2 = _antianalytic_shifts(dual.dual_symbol.coeffs, powers, np.empty_like(f1))
+    condition = TauVector(f1, np.negative(f2, out=f2),
+                          dual.dual_masses.points ** powers[:, None])
+    del f1, f2
+    norms = l2_norm(condition, dual.dual_symbol, dual.dual_masses)
+    image = apply_tau(condition, dual.back)
+    del condition
+    a, b = _weighted_pair(image, symbol.values)
+    mass_part = dual.masses.weights * image.mass_values
+    del image
+    a -= np.conj(symbol.values) * riesz_project_values(b, "antianalytic")
+    return a, mass_part, norms
 
 
 def _converse_tests(symbol: SymbolData, masses: MassSet, blaschke: BlaschkeData,
@@ -607,6 +625,16 @@ class IdentityReport:
     vector_residual: float
 
 
+def _down_kernel_vector(symbol: SymbolData, masses: MassSet,
+                        kernel: KernelVector) -> TauVector:
+    """Canonical vector of z^{-1} K, K the normalized kernel of alpha_{-1}."""
+    grid = symbol.grid
+    k_full = _analytic_layout(grid, kernel.normalized())
+    f1 = np.conj(grid.nodes) * grid.values(k_full)
+    mass_values = masses.points ** (-1) * evaluate_analytic(k_full, masses.points)
+    return canonical_vector(symbol, f1, mass_values)
+
+
 def duality_identity(space: SpaceData, dual: DualData, degree: int,
                      hankel: Optional[int] = None) -> IdentityReport:
     """Evaluate the identity and its vector form on the given truncation.
@@ -615,29 +643,23 @@ def duality_identity(space: SpaceData, dual: DualData, degree: int,
     onto the normalized dual kernel.
     """
     symbol, masses = dual.symbol, dual.masses
-    grid = symbol.grid
 
-    down = shifted(space, -1)
-    gram_down = build_gram_analytic(down, degree, hankel)
-    kernel_down = kernel_at_origin(gram_down)
-
-    gram_dual = build_gram_analytic(dual.dual_space(), degree, hankel)
-    kernel_dual = kernel_at_origin(gram_dual)
+    # each Gram is released once its kernel is solved
+    kernel_down = kernel_at_origin(build_gram_analytic(shifted(space, -1), degree, hankel))
+    kernel_dual = kernel_at_origin(build_gram_analytic(dual.dual_space(), degree, hankel))
 
     product = dual.T_at_zero * kernel_down.norm * kernel_dual.norm
     residual = abs(product - 1.0)
 
-    # vector form: tau(z^{-1} K^{alpha_{-1}}) against the dual kernel
-    k_full = _analytic_layout(grid, kernel_down.normalized())
-    f1 = np.conj(grid.nodes) * grid.values(k_full)
-    mass_values = masses.points ** (-1) * evaluate_analytic(k_full, masses.points)
-    vec = canonical_vector(symbol, f1, mass_values)
-    image = apply_tau(vec, dual)
-
-    khat = kernel_dual.normalized()
-    expected = embed_analytic_vector(dual.dual_symbol, dual.dual_masses, khat)
-    diff = TauVector(image.f1 - expected.f1, image.f2 - expected.f2,
-                     image.mass_values - expected.mass_values)
+    # vector form: tau(z^{-1} K^{alpha_{-1}}) against the dual kernel; the
+    # difference overwrites the image, read for the last time
+    image = apply_tau(_down_kernel_vector(symbol, masses, kernel_down), dual)
+    expected = embed_analytic_vector(dual.dual_symbol, dual.dual_masses,
+                                     kernel_dual.normalized())
+    diff = TauVector(np.subtract(image.f1, expected.f1, out=image.f1),
+                     np.subtract(image.f2, expected.f2, out=image.f2),
+                     np.subtract(image.mass_values, expected.mass_values,
+                                 out=image.mass_values))
     vector_residual = l2_norm(diff, dual.dual_symbol, dual.dual_masses)
 
     return IdentityReport(product, residual, dual.T_at_zero,

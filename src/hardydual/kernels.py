@@ -239,6 +239,15 @@ def _require_order(name: str, margin: float, tol: float):
         )
 
 
+def _dual_parts(space: SpaceData):
+    """(T(0), dual space) and T_e(0) of the dual data of ``space``; the rest
+    of the dual data is released on return."""
+    from .duality import dual_of  # cycle: duality uses kernels
+
+    dual = dual_of(space)
+    return (dual.T_at_zero, dual.dual_space()), dual.outer.value_at_zero
+
+
 def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
                    degree: int, hankel: Optional[int] = None,
                    tol_order: float = TOL_ORDER) -> SandwichReport:
@@ -258,18 +267,20 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     k_cut = kernel_at_origin(g_cut).norm
     k_rho = kernel_at_origin(g_rho).norm
     k_both = kernel_at_origin(g_both).norm
+    del g_both
 
     margin_cutoff = k_cut - k_alpha
     margin_scaled = k_alpha - k_rho
     _require_order("K(cutoff) >= K(alpha)", margin_cutoff, tol_order)
     _require_order("K(alpha) >= K(scaled)", margin_scaled, tol_order)
 
-    psd_cut = float(np.linalg.eigvalsh(g_alpha.entries - g_cut.entries)[0])
-    psd_rho = float(np.linalg.eigvalsh(g_rho.entries - g_alpha.entries)[0])
+    # each difference overwrites the entries of a Gram read for the last time
+    diff = np.subtract(g_alpha.entries, g_cut.entries, out=g_cut.entries)
+    psd_cut = float(np.linalg.eigvalsh(diff)[0])
+    diff = np.subtract(g_rho.entries, g_alpha.entries, out=g_rho.entries)
+    psd_rho = float(np.linalg.eigvalsh(diff)[0])
     _require_order("Gram(alpha) - Gram(cutoff) PSD", psd_cut, tol_order)
     _require_order("Gram(scaled) - Gram(alpha) PSD", psd_rho, tol_order)
-
-    from .duality import dual_of  # cycle: duality uses kernels
 
     # the dual of each variant shifted up by one, kept as (T(0), dual space),
     # and the value at 0 of its outer factor: a shift leaves |R| alone and a
@@ -278,9 +289,12 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
                 "both": (sp_both, k_both)}
     duals, te0 = {}, {}
     for label, (sp, _) in variants.items():
-        dual = dual_of(shifted(sp, 1))
-        duals[label] = (dual.T_at_zero, dual.dual_space())
-        te0[label] = dual.outer.value_at_zero
+        duals[label], te0[label] = _dual_parts(shifted(sp, 1))
+    # the primal Grams go only now: released before the duals, they would
+    # lie at the top of the heap and be handed back to the system, and the
+    # dual phase would fault their pages in again; released here, below the
+    # dual spaces, they are reused by the dual Grams
+    del g_alpha, g_cut, g_rho, diff
     b0 = float(np.prod(np.abs(base.masses.points)))
     b0_cut = float(np.prod(np.abs(sp_cut.masses.points)))
 

@@ -240,15 +240,20 @@ def _finalize_gram(entries, basis_kind, exponents, hankel, weights=()):
     eigenvalue; ``weights`` are the mass weights in the Gram, quoted when
     its scale is the cause.
     """
-    # in place against one conjugate copy, which then holds G - TOL_PSD I
-    work = entries.conj().T
-    entries += work
+    entries += entries.conj().T
     entries *= 0.5
-    np.copyto(work, entries)
-    work[np.diag_indices_from(work)] -= TOL_PSD
+    # G - TOL_PSD I in place: the saved diagonal goes back after the check
+    diag = np.diag_indices_from(entries)
+    diagonal = entries[diag]
+    entries[diag] -= TOL_PSD
     try:
-        np.linalg.cholesky(work)
+        np.linalg.cholesky(entries)
     except np.linalg.LinAlgError:
+        passed = False
+    else:
+        passed = True
+    entries[diag] = diagonal
+    if not passed:
         min_eig = float(np.linalg.eigvalsh(entries)[0])
         if min_eig < TOL_PSD:
             raise NotPositiveDefinite(_pd_failure(entries, min_eig, weights)) from None
@@ -338,9 +343,8 @@ def build_gram_laurent(space: SpaceData, half_band: int,
     block = hankel_block(symbol, exponents, hankel)
     dim = exponents.size + masses.count
     entries = np.zeros((dim, dim), dtype=complex)
-    entries[: exponents.size, : exponents.size] = (
-        np.eye(exponents.size, dtype=complex) - block.gamma_gram
-    )
+    np.subtract(np.eye(exponents.size, dtype=complex), block.gamma_gram,
+                out=entries[: exponents.size, : exponents.size])
     if masses.count:
         entries[exponents.size:, exponents.size:] = np.diag(masses.weights)
     return _finalize_gram(entries, "laurent", exponents, block, masses.weights)

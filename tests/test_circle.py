@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardydual import (
@@ -21,7 +21,7 @@ from hardydual import (
     validate_szego,
     zero_symbol,
 )
-from hardydual.circle import evaluate_formula
+from hardydual.circle import _POWER_BLOCK, evaluate_formula
 from hardydual.corpus import CASES
 from oracle import blaschke_value, fd_derivative, riesz_project, symbol_values
 
@@ -122,11 +122,6 @@ def test_riesz_rejects_unknown_sign():
 
 # --- series evaluation inside the disk ---------------------------------------
 
-# rounding allowance, in units of eps * sum_p (p+1) |c_p| |z|^p, shared by the
-# block-Vandermonde product and numpy's Horner polyval
-EVAL_ROUNDING = 8.0
-
-
 @st.composite
 def analytic_series(draw):
     """FFT-layout coefficients with a drawn decay and spikes up to the band edge."""
@@ -159,27 +154,80 @@ def _horner_longdouble(coeffs, z):
     return out
 
 
-def _rounding_scale(coeffs, z):
+def _rounding_bounds(coeffs, z):
+    """Rounding bounds, at each point of ``z``, of ``evaluate_analytic``, of
+    Horner's rule in double, and of Horner's rule in long double.
+
+    Let u be the unit roundoff (eps / 2).  A complex product is off by at
+    most mu |a b| with mu = sqrt(5) u (Brent, Percival and Zimmermann,
+    2007), a complex sum by u |a + b|, and gamma_k = k u / (1 - k u).
+
+    ``evaluate_analytic`` forms z**p, p = b j + i (b = _POWER_BLOCK), as
+    outer[j] * inner[i]: inner[i] is a running product of i factors z,
+    w = inner[b-1] z takes b products, and outer[j] is a running product
+    of j factors w.  So the table entry t_p carries at most p + j + 1
+    complex roundings, |t_p - z**p| <= ((1 + mu)^(p+j+1) - 1) |z|^p.  The
+    n table entries then meet the coefficients in one BLAS product, whose
+    summation order (blocking, accumulators, FMA) is not known.  Its real
+    and imaginary parts are each a sum of 2n real products, so in any order
+    every product passes through at most 2n roundings: each part is off by
+    at most gamma_2n sum_p |c_p| |t_p|, the modulus by sqrt(2) times that.
+    Every coefficient, the constant term included, is carried through the
+    whole sum; an allowance weighting c_p by p + 1, as Horner's rule does,
+    undercounts c_0.  Together,
+
+        |error| <= sum_p |c_p| |z|^p ((1 + sqrt(2) gamma_2n) (1 + mu)^(p+j+1) - 1).
+
+    In Horner's rule c_p passes through p products and p + 1 sums, so
+
+        |error| <= sum_p |c_p| |z|^p ((1 + mu)^p (1 + u)^(p+1) - 1).
+
+    The factors are formed through log1p and expm1, since 1 + u is 1 in
+    double for the long-double u.
+    """
     c = np.abs(coeffs[: coeffs.size // 2])
     p = np.arange(c.size)
-    return np.array([np.sum((p + 1) * c * abs(point) ** p)
-                     for point in np.atleast_1d(z)]).reshape(np.shape(z))
+
+    def horner(eps):
+        u = eps / 2
+        return np.expm1(p * np.log1p(np.sqrt(5) * u) + (p + 1) * np.log1p(u))
+
+    u = np.finfo(float).eps / 2
+    gamma = 2 * c.size * u / (1 - 2 * c.size * u)
+    table = np.expm1(np.log1p(np.sqrt(2) * gamma)
+                     + (p + p // _POWER_BLOCK + 1) * np.log1p(np.sqrt(5) * u))
+
+    def bound(factor):
+        return np.array([np.sum(factor * c * abs(point) ** p)
+                         for point in np.atleast_1d(z)]).reshape(np.shape(z))
+
+    return (bound(table), bound(horner(np.finfo(float).eps)),
+            bound(horner(np.finfo(np.longdouble).eps)))
+
+
+def _spiked_series():
+    """1024 coefficients with a spike of 1.3e5j at index 0: a draw on which
+    an allowance weighting c_0 by 1 once failed."""
+    rng = np.random.default_rng(0)
+    coeffs = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    coeffs[0] += 1.3e5j
+    return coeffs
 
 
 @given(analytic_series(), disk_points)
+@example(_spiked_series(), [0.984375 * np.exp(1.375j)])
 @settings(deadline=None, max_examples=60)
 def test_evaluate_analytic_within_horner_rounding(coeffs, points):
-    eps = np.finfo(float).eps
     horner = np.polynomial.polynomial.polyval
     forms = [np.array(points, dtype=complex)] + [complex(z) for z in points]
     for z in forms:
         ref = _horner_longdouble(coeffs, z)
-        allowed = EVAL_ROUNDING * eps * _rounding_scale(coeffs, z)
+        bound_table, bound_horner, bound_ref = _rounding_bounds(coeffs, z)
         new = evaluate_analytic(coeffs, z)
         old = horner(z, coeffs[: coeffs.size // 2])
         assert np.shape(new) == np.shape(old)
-        assert np.all(np.abs(new - ref) <= allowed)
-        assert np.all(np.abs(old - ref) <= allowed)
+        assert np.all(np.abs(new - ref) <= bound_table + bound_ref)
+        assert np.all(np.abs(old - ref) <= bound_horner + bound_ref)
 
 
 def test_evaluate_analytic_at_origin_is_constant_term():
