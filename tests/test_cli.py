@@ -107,6 +107,43 @@ def test_touching_symbol_exits_3(tmp_path):
     assert "touches 1" in lines[0]
 
 
+@pytest.mark.parametrize("formula, message", [
+    ("1e308*t", "sup |R| = 1e+308 exceeds 1 (not a contraction)"),
+    ("1/(t-1)", "symbol has non-finite samples (NaN or inf)"),
+    ("exp(1000*t)", "symbol has non-finite samples (NaN or inf)"),
+], ids=["overflow-in-fft", "division-by-zero", "overflow-in-formula"])
+def test_overflowing_symbol_exits_2_without_warnings(tmp_path, formula, message):
+    # the README config with a symbol that overflows: the contraction check
+    # prints the only stderr line, even where numpy's warnings are errors
+    config = json.loads((REPO / "perfbench" / "readme_config.json").read_text())
+    config["symbol"] = {"kind": "expression", "formula": formula}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "hardydual", "run", str(cfg), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [f"config error: {message}"]
+
+
+@pytest.mark.parametrize("target", ["symbol_from_expression", "asymptotic_sweep"],
+                         ids=["build-space", "study"])
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, target):
+    # a refused allocation while building the space or in a study is a
+    # data failure of one line, not a traceback; no report is written
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, refuse)
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, symbol={"kind": "expression", "formula": "0.3*conj(t)"},
+                  studies=["asymptotics", "duality"])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "data failure: out of memory\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_gate_failure_exits_4_report_written(tmp_path):
     cfg = tmp_path / "c.json"
     _write_config(cfg)

@@ -1,14 +1,19 @@
 """Peak memory of the Gram paths, in Gram sizes.
 
 A Gram size is the (degree + 1)^2 complex entries of one analytic Gram.
-``sandwich_check`` builds four primal Grams of one data pair and then a
-dual Gram per variant; ``duality_identity`` builds two Grams and then works
-on grid vectors.  Their peaks (tracemalloc, numpy's arrays included) count
-the Gram-sized and grid-sized arrays alive at once.  The PSD checks write
-their differences into Grams read for the last time, the primal Grams are
-gone before the first dual Gram, each dual data before the next, and each
-Gram of the identity once its kernel is solved.  Holding them all to the
-end of the call reads about 11.8 and 6.5 Gram sizes."""
+``sandwich_check`` builds four primal Grams of one data pair from one
+Hankel Gram Gamma and then a dual Gram per variant; ``duality_identity``
+builds two Grams and then works on grid vectors; ``theorem_check`` builds
+the Laurent Gram, of order 2 degree + 1 + m, and its complement;
+``asymptotic_sweep`` reads every shift from one Gram on
+z^0..z^(degree + n_max).  Their peaks (tracemalloc, numpy's arrays
+included) count the Gram-sized and grid-sized arrays alive at once.  The
+PSD checks write their differences into Grams read for the last time, the
+primal Grams are gone before the first dual Gram, each dual data before the
+next, and each Gram of the identity once its kernel is solved.  A Gram
+holds only its entries: Gamma is dropped once assembled, which the
+sandwich, theorem and sweep bounds would miss by about 0.9, 2.7 and 1.3
+Gram sizes."""
 
 import tracemalloc
 
@@ -19,8 +24,11 @@ from hardydual.corpus import BY_NAME
 
 GRID, DEGREE = 4096, 128
 GRAM_BYTES = (DEGREE + 1) ** 2 * 16
-SANDWICH_GRAMS = 8
+SANDWICH_GRAMS = 7
 IDENTITY_GRAMS = 5
+THEOREM_GRAMS = 13.5
+SWEEP_GRAMS = 5
+N_MAX = 16
 CASES = ("mixed_two_mass", "mixed_rational", "mass_single")
 
 
@@ -55,3 +63,18 @@ def test_duality_identity_peak(name):
     dual = hd.dual_of(space)
     peak = _peak_grams(lambda: hd.duality_identity(space, dual, DEGREE))
     assert peak <= IDENTITY_GRAMS
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_theorem_check_peak(name):
+    space = BY_NAME[name].space(GRID)
+    dual = hd.dual_of(space)
+    peak = _peak_grams(lambda: hd.theorem_check(space, dual, DEGREE))
+    assert peak <= THEOREM_GRAMS
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_asymptotic_sweep_peak(name):
+    space = BY_NAME[name].space(GRID)
+    peak = _peak_grams(lambda: hd.asymptotic_sweep(space, N_MAX, DEGREE))
+    assert peak <= SWEEP_GRAMS
