@@ -84,9 +84,6 @@ class CircleGrid:
         v = self.check(values)
         return np.concatenate((v[..., :1], v[..., :0:-1]), axis=-1)
 
-    def norm(self, values) -> float:
-        return float(np.sqrt(np.mean(np.abs(self.check(values)) ** 2)))
-
 
 def chunked_sum(contract, length: int):
     """Sum of ``contract(chunk)`` over slices of at most ``SUM_CHUNK``
@@ -103,12 +100,6 @@ def chunked_vecdot(a, b):
     """``np.vecdot(a, b)`` along the last axis by :func:`chunked_sum`, so its
     bits do not depend on BLAS threads."""
     return chunked_sum(lambda s: np.vecdot(a[..., s], b[..., s]), a.shape[-1])
-
-
-def coefficient(coeffs, p: int) -> complex:
-    """Coefficient of t**p from an FFT-layout array."""
-    coeffs = np.asarray(coeffs)
-    return complex(coeffs[p % coeffs.size])
 
 
 def evaluate_analytic(coeffs, z):
@@ -202,9 +193,6 @@ class SymbolData:
     @cached_property
     def sup_modulus(self) -> float:
         return float(np.abs(self.values).max())
-
-    def coefficient(self, p: int) -> complex:
-        return coefficient(self.coeffs, p)
 
 
 def symbol_from_samples(grid: CircleGrid, values) -> SymbolData:

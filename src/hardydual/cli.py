@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .circle import CircleGrid, MassSet, symbol_from_coefficients, \
     symbol_from_expression, symbol_from_samples, validate_szego
-from .duality import UNITARY, PRINTED, apply_tau, dual_of, \
+from .duality import CONVERSE_POWERS, UNITARY, PRINTED, apply_tau, dual_of, \
     duality_identity, l2_norm, canonical_vector, theorem_check, TauVector
 from .errors import ConfigError, HardyDualError, OrderViolation, SzegoViolation
 from .kernels import asymptotic_sweep, kernel_at_origin, sandwich_check
@@ -40,9 +40,7 @@ from .tolerances import TOL_ORDER
 
 SCHEMA_VERSION = 1
 STUDY_ORDER = ("asymptotics", "duality", "sandwich", "theorem", "tau", "convergence")
-# the theorem study maps the dual monomials u^0..u^THEOREM_POWERS back, so the
-# grid's analytic band must hold THEOREM_POWERS + 1 coefficients
-THEOREM_POWERS = 8
+TAU_VECTORS = 20  # random vectors drawn by the tau study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,6 +123,10 @@ def _is_threshold(value):
     return _is_real(value) and 0 < value < math.inf
 
 
+def _is_path(value):  # printable: no NUL, newline or lone surrogate
+    return isinstance(value, str) and value.isprintable() and value != ""
+
+
 def _as_complex(pair, what):
     if _is_real(pair):
         return complex(pair)
@@ -150,7 +152,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     grid = raw.get("grid", 4096)
     _expect(_is_int(grid) and grid >= 8 and (grid & (grid - 1)) == 0,
-            f"grid must be a power of two >= 8, got {grid}")
+            f"grid must be a power of two >= 8, got {grid!r}")
     degree = raw.get("degree", 48)
     _expect(_is_int(degree) and 0 <= degree < grid // 2,
             f"degree must lie in 0..{grid // 2 - 1}")
@@ -168,6 +170,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"unknown symbol keys: {sorted(set(symbol_spec) - allowed)}")
     _expect(isinstance(symbol_spec.get("entries", {}), dict),
             "symbol entries must be an object")
+    formula = symbol_spec.get("formula")
+    _expect(kind != "expression" or (isinstance(formula, str) and formula != ""),
+            "symbol formula must be a nonempty string")
+    _expect("path" not in symbol_spec or _is_path(symbol_spec["path"]),
+            "symbol path must be a nonempty printable string")
 
     mass_spec = raw.get("masses", [])
     _expect(isinstance(mass_spec, list), "masses must be a list")
@@ -190,8 +197,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     top = degree + n_max if "asymptotics" in studies else degree
     _expect(top < grid // 2,
             f"degree + n_max must stay below {grid // 2} for the asymptotics study")
-    _expect("theorem" not in studies or grid // 2 > THEOREM_POWERS,
-            f"the theorem study needs grid/2 > {THEOREM_POWERS}, got grid {grid}")
+    _expect("theorem" not in studies or grid // 2 > CONVERSE_POWERS,
+            f"the theorem study needs grid/2 > {CONVERSE_POWERS}, got grid {grid}")
     hankel = raw.get("hankel")
     if hankel is not None:
         _expect(_is_int(hankel) and 1 <= hankel <= grid // 2 - top,
@@ -247,6 +254,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _expect(isinstance(output, dict) and set(output) <= {"dir"},
             "output supports only the key 'dir'")
     out_dir = output.get("dir", "out")
+    _expect(_is_path(out_dir), "output dir must be a nonempty printable string")
 
     return ExperimentConfig(
         label=label, seed=seed, grid=grid, degree=degree, hankel=hankel,
@@ -379,7 +387,7 @@ def _study_sandwich(config, space, shared_dual):
 
 
 def _study_theorem(config, space, shared_dual):
-    rep = theorem_check(space, shared_dual(), config.degree, config.hankel, THEOREM_POWERS)
+    rep = theorem_check(space, shared_dual(), config.degree, config.hankel)
     worst = max(rep.forward_hardy_residual, rep.forward_mass_residual)
     gates = [_below("theorem.membership_residual", worst, config.gates["theorem"]),
              _below("theorem.converse_orthogonality", rep.converse_orthogonality,
@@ -406,7 +414,7 @@ def _random_vector(rng, symbol, masses, band):
     return canonical_vector(symbol, grid.values(full), normals[exponents.size:])
 
 
-def _study_tau(config, space, shared_dual, n_vectors=20):
+def _study_tau(config, space, shared_dual):
     # the standard library's generator: numpy.random alone would add about
     # 6 MB and 14 ms to a run's import
     rng = random.Random(config.seed)
@@ -415,7 +423,7 @@ def _study_tau(config, space, shared_dual, n_vectors=20):
     band = min(config.degree, symbol.grid.size // 8)
     rows = []
     worst_unit = worst_inv = 0.0
-    for index in range(n_vectors):
+    for index in range(TAU_VECTORS):
         vec = _random_vector(rng, symbol, masses, band)
         norm = l2_norm(vec, symbol, masses)
         image = apply_tau(vec, dual)
@@ -434,11 +442,11 @@ def _study_tau(config, space, shared_dual, n_vectors=20):
     return {"tables": {"tau": rows}, "gates": gates, "scalars": {}}
 
 
-def monotone_improvement(values, floor=1e-12, factor=2.0):
-    """Nonincreasing up to a factor guard, with a plateau floor."""
+def monotone_improvement(values):
+    """Nonincreasing up to a factor-2 guard per step, with a plateau floor of 1e-12."""
     values = [float(v) for v in values]
-    steps_ok = all(b <= factor * max(a, floor) for a, b in zip(values, values[1:]))
-    net_ok = values[-1] <= max(values[0], floor) * (1 + 1e-9) or values[0] < 1e-10
+    steps_ok = all(b <= 2.0 * max(a, 1e-12) for a, b in zip(values, values[1:]))
+    net_ok = values[-1] <= max(values[0], 1e-12) * (1 + 1e-9) or values[0] < 1e-10
     return bool(steps_ok and net_ok)
 
 
@@ -563,7 +571,9 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunR
         shared_dual = functools.cache(lambda: dual_of(space, convention=config.convention))
         for study in (s for s in STUDY_ORDER if s in config.studies):
             start = time.perf_counter()
-            out = _STUDY_FUNCS[study](config, space, shared_dual)
+            # an overflow or 0/0 raises: the data's scale is beyond double range
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                out = _STUDY_FUNCS[study](config, space, shared_dual)
             timings[study] = time.perf_counter() - start
             tables.update(out["tables"])
             gates.extend(out["gates"])
@@ -571,13 +581,19 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunR
                 scalars[study] = out["scalars"]
     except ConfigError:
         raise
-    except (HardyDualError, MemoryError) as exc:
-        # a MemoryError is a backstop: it may carry no message
+    except (HardyDualError, MemoryError, FloatingPointError, ValueError) as exc:
+        # a MemoryError may carry no message; a ValueError from a study comes
+        # from derived data, such as a shifted weight nu |zeta|^2 that underflows
+        if isinstance(exc, FloatingPointError):
+            exc = f"{exc}: the data's scale is beyond double range"
         print(f"data failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA, None
 
     report = RunReport(config, tables, gates, scalars, timings)
-    write_report(report, Path(out_dir or config.out_dir))
+    try:
+        write_report(report, Path(out_dir or config.out_dir))
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report: {exc}") from exc
     return (EXIT_OK if report.all_passed else EXIT_GATE), report
 
 

@@ -48,7 +48,6 @@ from .circle import (
 from .errors import DegenerateDerivative, GridMismatch
 from .kernels import KernelVector, kernel_at_origin
 from .spaces import (
-    GramMatrix,
     SpaceData,
     build_gram_analytic,
     build_gram_laurent,
@@ -59,6 +58,9 @@ from .tolerances import TOL_DERIV
 
 UNITARY = "unitary"
 PRINTED = "printed"
+
+# the theorem check's converse maps the dual monomials u^0..u^CONVERSE_POWERS back
+CONVERSE_POWERS = 8
 
 # rows per block of the theorem check's stacked vectors: at 16384/64 blocks of
 # 2 to 8 rows are equally fast and a fifth faster than single rows, and 2 has
@@ -347,9 +349,11 @@ class TheoremReport:
     complement_dimension: int
 
 
-def _complement(gram_l: GramMatrix, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _complement(gram_l: np.ndarray, half_band: int,
+                points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns N spanning null(E^H) and X = G^{-1} N, the complement of the
-    embedded analytic polynomials E in the metric G of ``gram_l``.
+    embedded analytic polynomials E in the Laurent Gram G = ``gram_l`` on
+    z^-M..z^M, M = ``half_band``, and the masses at ``points``.
 
     E maps z^p, p = 0..M, to exponent p plus the values zeta_k^p at the
     masses, so null(E^H) is explicit: the unit vectors at exponents -M..-1,
@@ -357,14 +361,13 @@ def _complement(gram_l: GramMatrix, points: np.ndarray) -> tuple[np.ndarray, np.
     -conj(zeta_k)^p at exponent p.  Then E^H G X = E^H N = 0, and the
     complement has dimension M + m with no rank threshold.
     """
-    half_band = int(gram_l.exponents[-1])
     band = 2 * half_band + 1
-    null = np.zeros((gram_l.order, half_band + points.size), dtype=complex)
+    null = np.zeros((gram_l.shape[0], half_band + points.size), dtype=complex)
     null[np.arange(half_band), np.arange(half_band)] = 1.0
     k = np.arange(points.size)
     null[half_band:band, half_band + k] = -np.conj(points) ** np.arange(half_band + 1)[:, None]
     null[band + k, half_band + k] = 1.0
-    return null, np.linalg.solve(gram_l.entries, null)
+    return null, np.linalg.solve(gram_l, null)
 
 
 def _blocks(count: int):
@@ -443,8 +446,7 @@ def _monomials(grid, powers: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def theorem_check(space: SpaceData, dual: DualData, degree: int,
-                  hankel: Optional[int] = None,
-                  converse_powers: int = 8) -> TheoremReport:
+                  hankel: Optional[int] = None) -> TheoremReport:
     """Residuals of the complement-mapping theorem on the given truncation.
 
     Forward: the complement of the embedded H^2 is one solve with the
@@ -466,18 +468,22 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int,
     reused by every block.
 
     Converse: the condition vectors, the embedded monomials u^p of the
-    dual space, are mapped back in blocks, each to the one grid vector its
-    pairings with canonical test vectors read (:func:`_converse_orthogonality`),
-    and one matrix product of those against the test vectors B t^q and
-    B/(t - zeta_k), built in blocks, gives every pairing, with both norms
-    applied to its entries.  Multiplying by t^q rolls a spectrum, so
-    P_-(R~ u^p) takes one inverse FFT of a roll of the spectrum of R~, and
-    the norm of B t^q is read off a roll of the spectrum of R B.
+    dual space, p = 0..CONVERSE_POWERS, are mapped back in blocks, each to
+    the one grid vector its pairings with canonical test vectors read
+    (:func:`_converse_orthogonality`), and one matrix product of those
+    against the test vectors B t^q and B/(t - zeta_k), built in blocks,
+    gives every pairing, with both norms applied to its entries.
+    Multiplying by t^q rolls a spectrum, so P_-(R~ u^p) takes one inverse
+    FFT of a roll of the spectrum of R~, and the norm of B t^q is read off
+    a roll of the spectrum of R B.  A grid whose analytic band cannot hold
+    u^CONVERSE_POWERS raises ValueError.
     """
+    if space.grid.size // 2 <= CONVERSE_POWERS:
+        raise ValueError(f"the theorem check needs grid/2 > {CONVERSE_POWERS}")
     # two calls, so that the Laurent Gram, the complement and the forward
     # buffers are gone before the converse stack
     fwd_hardy, fwd_mass, dimension = _forward_residuals(space, dual, degree, hankel)
-    converse = _converse_orthogonality(dual, converse_powers)
+    converse = _converse_orthogonality(dual)
     return TheoremReport(fwd_hardy, fwd_mass, converse, dimension)
 
 
@@ -489,9 +495,9 @@ def _forward_residuals(space: SpaceData, dual: DualData, half_band: int,
     gram_l = build_gram_laurent(space, half_band, hankel)
     # complement of the embedded analytic columns, one vector per row; its
     # norms are x^H G x = n^H x, read off the solve
-    null, complement = (part.T for part in _complement(gram_l, dual.masses.points))
-    norms = np.sqrt(np.vecdot(null, complement).real)
     symbol, masses, back = dual.symbol, dual.masses, dual.back
+    null, complement = (part.T for part in _complement(gram_l, half_band, masses.points))
+    norms = np.sqrt(np.vecdot(null, complement).real)
     grid = symbol.grid
     band = 2 * half_band + 1
     projection = _LaurentProjection(symbol, half_band)
@@ -531,7 +537,7 @@ def _forward_residuals(space: SpaceData, dual: DualData, half_band: int,
     return fwd_hardy, fwd_mass, complement.shape[0]
 
 
-def _converse_orthogonality(dual: DualData, converse_powers: int) -> float:
+def _converse_orthogonality(dual: DualData) -> float:
     """Worst normalized |<tau-image of a condition vector, test vector>|:
     the embedded monomials u^p of the dual space, mapped back, must
     annihilate B t^q and B/(t - zeta_k), which span the closure-side
@@ -544,7 +550,7 @@ def _converse_orthogonality(dual: DualData, converse_powers: int) -> float:
     """
     symbol, masses = dual.symbol, dual.masses
     grid = symbol.grid
-    count = converse_powers + 1
+    count = CONVERSE_POWERS + 1
     paired = np.empty((count, grid.size), dtype=complex)
     paired_masses = np.empty((count, masses.count), dtype=complex)
     condition_norms = np.empty(count)
@@ -555,8 +561,7 @@ def _converse_orthogonality(dual: DualData, converse_powers: int) -> float:
     rb_spectrum = grid.coefficients(symbol.values * dual.blaschke.values)
     converse = 0.0
     for rows in _blocks(count + masses.count):
-        f1, values, norms = _converse_tests(symbol, masses, dual.blaschke, rb_spectrum,
-                                            converse_powers, rows)
+        f1, values, norms = _converse_tests(symbol, masses, dual.blaschke, rb_spectrum, rows)
         gram = paired @ np.conj(f1).T
         gram /= grid.size
         if masses.count:
@@ -588,8 +593,8 @@ def _paired_conditions(dual: DualData, powers: np.ndarray):
 
 
 def _converse_tests(symbol: SymbolData, masses: MassSet, blaschke: BlaschkeData,
-                    rb_spectrum: np.ndarray, powers: int, rows: slice):
-    """Rows ``rows`` of the converse test vectors: B t^q for q = 0..powers,
+                    rb_spectrum: np.ndarray, rows: slice):
+    """Rows ``rows`` of the converse test vectors: B t^q, q <= CONVERSE_POWERS,
     then B/(t - zeta_k), whose zero at zeta_k divides out (value B'(zeta_k)).
 
     Returns their f1 rows, mass values and norms.  A canonical vector has
@@ -598,8 +603,8 @@ def _converse_tests(symbol: SymbolData, masses: MassSet, blaschke: BlaschkeData,
     """
     grid = symbol.grid
     index = np.arange(rows.start, rows.stop)
-    q = index[index <= powers]
-    k = index[index > powers] - (powers + 1)
+    q = index[index <= CONVERSE_POWERS]
+    k = index[index > CONVERSE_POWERS] - (CONVERSE_POWERS + 1)
     f1 = np.empty((index.size, grid.size), dtype=complex)
     _monomials(grid, q, f1[:q.size])
     f1[:q.size] *= blaschke.values

@@ -56,12 +56,10 @@ class KernelVector:
 
 def kernel_at_point(gram: GramMatrix, point: complex) -> KernelVector:
     """Solve G k = (conj(point)^m)_m, the evaluation functional at ``point``."""
-    if gram.basis_kind != "analytic":
-        raise ValueError("reproducing kernels use the analytic-basis Gram")
     point = complex(point)
     if abs(point) >= 1.0:
         raise RejectBoundary(f"evaluation point {point} not inside the open disk")
-    rhs = np.conj(point) ** gram.exponents
+    rhs = np.conj(point) ** np.arange(gram.order)
     coeffs = gram.solve(rhs)
     norm_sq = np.vdot(coeffs, rhs)
     if norm_sq.real <= 0:
@@ -129,18 +127,18 @@ class AsymptoticTrace:
     def deviations(self) -> np.ndarray:
         return np.abs(self.values - 1.0)
 
-    def converged_at(self, tol: float = 1e-3, run: int = 3) -> Optional[int]:
-        """First shift opening ``run`` consecutive deviations below ``tol``."""
+    def converged_at(self, tol: float = 1e-3) -> Optional[int]:
+        """First shift opening three consecutive deviations below ``tol``."""
         dev = self.deviations
-        for i in range(dev.size - run + 1):
-            if np.all(dev[i: i + run] < tol):
+        for i in range(dev.size - 2):
+            if np.all(dev[i: i + 3] < tol):
                 return int(self.shifts[i])
         return None
 
-    def tail_monotone(self, start: int = 4, slack: float = 1e-13) -> bool:
-        """|K - 1| nonincreasing from ``start`` on, with a roundoff floor."""
-        dev = self.deviations[self.shifts >= start]
-        return bool(np.all(dev[1:] <= dev[:-1] * (1 + 1e-9) + slack))
+    def tail_monotone(self) -> bool:
+        """|K - 1| nonincreasing from shift 4 on, with a roundoff floor of 1e-13."""
+        dev = self.deviations[self.shifts >= 4]
+        return bool(np.all(dev[1:] <= dev[:-1] * (1 + 1e-9) + 1e-13))
 
 
 def _window_kernels(entries: np.ndarray, starts, count: int,

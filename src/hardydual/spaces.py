@@ -98,13 +98,10 @@ def effective_data(space: SpaceData) -> tuple[SymbolData, MassSet]:
         if space.shift < 0 and masses.has_origin:
             raise ValueError("negative shift undefined for a mass at the origin")
         weights = masses.weights * np.abs(masses.points) ** (2 * space.shift)
+        if not np.all(weights > 0):
+            raise ValueError(f"a mass weight nu |zeta|^{2 * space.shift} underflows to 0")
         masses = MassSet(masses.points, weights)
     return eff_symbol, masses
-
-
-def default_hankel_truncation(grid_size: int, top_exponent: int) -> int:
-    """Largest J whose Hankel rows stay in the negative band up to ``top_exponent``."""
-    return grid_size // 2 - top_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +168,7 @@ def analytic_hankel(space: SpaceData, degree: int,
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if hankel is None:
-        hankel = default_hankel_truncation(space.grid.size, space.shift + degree)
+        hankel = space.grid.size // 2 - (space.shift + degree)
     return hankel_block(space.symbol, np.arange(space.shift, space.shift + degree + 1),
                         hankel)
 
@@ -183,18 +180,15 @@ def _mass_gram(masses: MassSet, exponents: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Hermitian positive matrix of the metric on a truncated basis.
+    """Hermitian positive matrix of the metric on z^0..z^{order-1}.
 
-    ``basis_kind`` is "analytic" (exponents 0..M) or "laurent" (exponents
-    -M..M followed by the point-mass coordinates).  :meth:`solve` is one LU
-    solve with the entries: numpy has no triangular solve, so a Cholesky
-    factor would only add a factorization.  The smallest eigenvalue is
-    computed on first use.
+    :meth:`solve` is one LU solve with the entries: numpy has no triangular
+    solve, so a Cholesky factor would only add a factorization.  The
+    smallest eigenvalue is computed on first use.  The Laurent Gram of
+    :func:`build_gram_laurent` is a plain array, not a GramMatrix.
     """
 
     entries: np.ndarray
-    basis_kind: str
-    exponents: np.ndarray
 
     @property
     def order(self) -> int:
@@ -210,22 +204,20 @@ class GramMatrix:
     def window(self, start: int, size: int) -> "GramMatrix":
         """Principal window on basis indices start..start+size-1.
 
-        For an analytic Gram of alpha_n this is the Gram of alpha_{n+start}
-        on z^0..z^{size-1} with this Gram's truncation J.  It needs no PD
-        check of its own: by Cauchy interlacing its smallest eigenvalue is
-        at least this Gram's, which passed TOL_PSD.
+        For a Gram of alpha_n this is the Gram of alpha_{n+start} on
+        z^0..z^{size-1} with this Gram's truncation J.  It needs no PD check
+        of its own: by Cauchy interlacing its smallest eigenvalue is at
+        least this Gram's, which passed TOL_PSD.
         """
-        if self.basis_kind != "analytic":
-            raise ValueError("windows are taken of analytic-basis Grams")
         if size < 1 or start < 0 or start + size > self.order:
             raise ValueError(f"window {start}..{start + size - 1} outside 0..{self.order - 1}")
         rows = slice(start, start + size)
-        return GramMatrix(self.entries[rows, rows], "analytic", np.arange(size))
+        return GramMatrix(self.entries[rows, rows])
 
 
-def _finalize_gram(entries, basis_kind, exponents, weights=()):
-    """Symmetrize ``entries`` in place and check min eig >= TOL_PSD by a
-    Cholesky of G - TOL_PSD I.
+def _finalize_gram(entries, weights=()) -> np.ndarray:
+    """Symmetrize ``entries`` in place, check min eig >= TOL_PSD by a
+    Cholesky of G - TOL_PSD I, and return them.
 
     Only a failed Cholesky runs the eigensolver, to report the minimum
     eigenvalue; ``weights`` are the mass weights in the Gram, quoted when
@@ -248,7 +240,7 @@ def _finalize_gram(entries, basis_kind, exponents, weights=()):
         min_eig = float(np.linalg.eigvalsh(entries)[0])
         if min_eig < TOL_PSD:
             raise NotPositiveDefinite(_pd_failure(entries, min_eig, weights)) from None
-    return GramMatrix(entries, basis_kind, exponents)
+    return entries
 
 
 def _pd_failure(entries, min_eig: float, weights) -> str:
@@ -296,7 +288,7 @@ def assemble_gram(space: SpaceData, gamma: np.ndarray) -> GramMatrix:
     entries[np.diag_indices_from(entries)] += 1.0
     # adding 0.0 without masses keeps the signs of zeros of I - rho^2 Gamma
     entries += _mass_gram(masses, space.shift + np.arange(order)) if masses.count else 0.0
-    return _finalize_gram(entries, "analytic", np.arange(order), masses.weights)
+    return GramMatrix(_finalize_gram(entries, masses.weights))
 
 
 def build_gram_analytic(space: SpaceData, degree: int,
@@ -312,8 +304,8 @@ def build_gram_analytic(space: SpaceData, degree: int,
 
 
 def build_gram_laurent(space: SpaceData, half_band: int,
-                       hankel: Optional[int] = None) -> GramMatrix:
-    """Gram of the two-sided metric on z^-M..z^M plus mass coordinates.
+                       hankel: Optional[int] = None) -> np.ndarray:
+    """Gram entries of the two-sided metric on z^-M..z^M plus mass coordinates.
 
     The circle block uses the same Hankel expression as the analytic Gram
     (the norm identity ||f||^2 - ||P_-(R f)||^2 holds for every Laurent
@@ -323,7 +315,7 @@ def build_gram_laurent(space: SpaceData, half_band: int,
         raise ValueError("half_band must be >= 0")
     symbol, masses = effective_data(space)
     if hankel is None:
-        hankel = default_hankel_truncation(symbol.grid.size, half_band)
+        hankel = symbol.grid.size // 2 - half_band  # no Hankel row wraps
     exponents = np.arange(-half_band, half_band + 1)
     # Gamma is made before the entries: in the other order, glibc's heap
     # placement raised the peak RSS of repeated theorem checks by 2.4 MB
@@ -335,7 +327,7 @@ def build_gram_laurent(space: SpaceData, half_band: int,
     del gamma
     if masses.count:
         entries[exponents.size:, exponents.size:] = np.diag(masses.weights)
-    return _finalize_gram(entries, "laurent", exponents, masses.weights)
+    return _finalize_gram(entries, masses.weights)
 
 
 def embed_h2(space: SpaceData, degree: int, half_band: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hardydual.duality import (
+    CONVERSE_POWERS,
     TauVector,
     TheoremReport,
     apply_tau,
@@ -202,8 +203,7 @@ def constrained_minimum(matrix):
     return float((matrix[0, 0] - np.vdot(y, g).conjugate()).real)
 
 
-def theorem_check_per_column(space, dual, degree, hankel=None, converse_powers=8,
-                             gram_norms=False):
+def theorem_check_per_column(space, dual, degree, hankel=None, gram_norms=False):
     """The complement-mapping check with one vector per call.
 
     Each complement column is solved from its own column of null(E^H),
@@ -227,21 +227,21 @@ def theorem_check_per_column(space, dual, degree, hankel=None, converse_powers=8
     # -conj(zeta)^p at exponent p = 0..degree
     nulls = []
     for index in range(degree):
-        column = np.zeros(gram_l.order, dtype=complex)
+        column = np.zeros(gram_l.shape[0], dtype=complex)
         column[index] = 1.0
         nulls.append(column)
     for k, point in enumerate(masses.points):
-        column = np.zeros(gram_l.order, dtype=complex)
+        column = np.zeros(gram_l.shape[0], dtype=complex)
         column[band + k] = 1.0
         for p in range(degree + 1):
             column[degree + p] = -np.conj(point) ** p
         nulls.append(column)
-    complement = [np.linalg.solve(gram_l.entries, column) for column in nulls]
+    complement = [np.linalg.solve(gram_l, column) for column in nulls]
     fwd_hardy = fwd_mass = 0.0
     for col in complement:
         vec = canonical_vector(symbol, laurent_values(grid, col[:band], degree),
                                col[band:])
-        norm = np.sqrt(np.vdot(col, gram_l.entries @ col).real) if gram_norms \
+        norm = np.sqrt(np.vdot(col, gram_l @ col).real) if gram_norms \
             else l2_norm(vec, symbol, masses)
         vec = scaled(vec, 1.0 / norm)
         report = check_hat_membership(apply_tau(vec, dual), dual.back)
@@ -249,7 +249,7 @@ def theorem_check_per_column(space, dual, degree, hankel=None, converse_powers=8
         fwd_mass = max(fwd_mass, report.mass_mismatch)
 
     tests = []
-    for q in range(converse_powers + 1):
+    for q in range(CONVERSE_POWERS + 1):
         tests.append(canonical_vector(symbol, dual.blaschke.values * grid.nodes ** q,
                                       np.zeros(masses.count, dtype=complex)))
     for k in range(masses.count):
@@ -259,7 +259,7 @@ def theorem_check_per_column(space, dual, degree, hankel=None, converse_powers=8
             symbol, dual.blaschke.values / (grid.nodes - masses.points[k]), values))
     tests = [scaled(v, 1.0 / l2_norm(v, symbol, masses)) for v in tests]
     converse = 0.0
-    for p in range(converse_powers + 1):
+    for p in range(CONVERSE_POWERS + 1):
         coeffs = np.zeros(p + 1, dtype=complex)
         coeffs[p] = 1.0
         cond = embed_analytic_vector(dual.dual_symbol, dual.dual_masses, coeffs)

@@ -89,7 +89,7 @@ def test_criterion_3_asymptotics(corpus_spaces):
     for name, space in corpus_spaces.items():
         trace = asymptotic_sweep(space, 16, 48)
         final = float(trace.deviations[-1])
-        monotone = trace.tail_monotone(start=4)
+        monotone = trace.tail_monotone()
         ok = ok and final < 1e-3 and monotone
         details.append(f"{name}:{final:.1e}{'' if monotone else '!mono'}")
     closed = asymptotic_sweep(corpus_spaces["mass_single"], 16, 48)

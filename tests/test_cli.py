@@ -1,12 +1,20 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hardydual import cli
 from hardydual.cli import STUDY_ORDER, main
@@ -542,3 +550,131 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, overrides):
     names = sorted(p.name for p in outs[0].glob("*.csv")) + ["summary.json"]
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("path", [0, 2], ids=["stdin", "stderr"])
+def test_non_string_sample_path_exits_2(tmp_path, path):
+    # an integer path is a file descriptor to open(): 0 read the samples from
+    # stdin, and 2 closed stderr before the error could be printed; a fresh
+    # process, so that no descriptor of the test runner is at stake
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=64, degree=8, masses=[], N_list=[0],
+                  symbol={"kind": "samples", "path": path})
+    samples = json.dumps([[0.0, 0.0]] * 64)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-m", "hardydual", "run", str(cfg),
+                           "--out", str(tmp_path / "o")], env=env, input=samples,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["config error: symbol path must be a nonempty "
+                                        "printable string"]
+
+
+@pytest.mark.parametrize("output, symbol", [
+    ({"dir": 5}, None), ({"dir": None}, None), ({"dir": ["o"]}, None),
+    ({"dir": {"o": 1}}, None), ({"dir": ""}, None), ({"dir": "o\nut"}, None),
+    ({}, {"kind": "expression"}),
+], ids=["int", "null", "list", "object", "empty", "newline", "no-formula"])
+def test_bad_output_dir_or_formula_exits_2(tmp_path, capsys, monkeypatch, output, symbol):
+    monkeypatch.chdir(tmp_path)  # where a report with no usable dir would go
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, output=output, **({"symbol": symbol} if symbol else {}))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # --out naming an existing file: the report cannot be written
+    cfg = tmp_path / "c.json"
+    _write_config(cfg)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", str(cfg), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: cannot write the report")
+
+
+@pytest.mark.parametrize("weight, study", [
+    (1e308, "asymptotics"), (1e308, "duality"), (1e308, "sandwich"),
+    (5e-324, "duality"), (5e-324, "sandwich"),
+])
+def test_mass_weight_beyond_double_range_exits_3(tmp_path, capsys, weight, study):
+    # Grams or dual weights that overflow, or a shifted weight nu |zeta|^2
+    # that underflows: one data-failure line, no warning and no traceback
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, masses=[{"point": [0.5, 0.0], "weight": weight}], studies=[study])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data failure: ")
+
+
+# --- mutations of the README config -----------------------------------------------
+
+# the README config at 256/16; convergence levels fit n_max 16 (d + n_max < g/2)
+_FUZZ_BASE = {**json.loads((REPO / "perfbench" / "readme_config.json").read_text()),
+              "grid": 256, "degree": 16,
+              "convergence": {"grids": [64, 128, 256], "degrees": [8, 12, 16]}}
+
+
+def _fuzz_paths(node, prefix=()):
+    """Every key path of a config, nested keys and list items included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _fuzz_paths(value, prefix + (key,))
+
+
+# no "/" or ".": a mutated output.dir stays inside the run's directory
+_fuzz_text = st.text(alphabet="tj*+-()01 ab\n", max_size=8)
+_fuzz_scalar = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, 2]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.5, -0.5, 1e-300]),
+    _fuzz_text)
+_fuzz_value = st.one_of(_fuzz_scalar, st.lists(_fuzz_scalar, max_size=3),
+                        st.dictionaries(_fuzz_text, _fuzz_scalar, max_size=2))
+_fuzz_mutations = st.lists(st.tuples(st.sampled_from(list(_fuzz_paths(_FUZZ_BASE))),
+                                     _fuzz_value), min_size=1, max_size=2)
+
+
+@given(_fuzz_mutations)
+@example([(("output", "dir"), 5)])
+@example([(("output", "dir"), None)])
+@example([(("symbol",), {"kind": "expression"})])
+@settings(deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_readme_config_exits_cleanly(mutations):
+    # a documented exit code, no exception, one stderr line for exits 2 and
+    # 3 and none for 0 and 4; warnings count as stderr output
+    config = copy.deepcopy(_FUZZ_BASE)
+    for path, value in mutations:
+        node = config
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation replaced a node on the path
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        cwd = os.getcwd()
+        os.chdir(workdir)
+        try:
+            Path("c.json").write_text(json.dumps(config))
+            code = main(["run", "c.json"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    assert not caught, [str(w.message) for w in caught]
+    text = err.getvalue()
+    if code in (0, 4):
+        assert text == "", text
+    else:
+        assert text.count("\n") == 1 and text.endswith("\n"), text

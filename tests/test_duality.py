@@ -30,6 +30,7 @@ from hardydual import (
 )
 from hardydual.corpus import BY_NAME, CASES
 from hardydual.duality import (
+    CONVERSE_POWERS,
     PRINTED,
     UNITARY,
     _antianalytic_shifts,
@@ -67,7 +68,7 @@ def test_dual_single_mass_closed_form(mass_space):
 def test_dual_rank_one_hankel(hankel_space):
     dual = dual_of(hankel_space)
     # R~(u) = -0.6 u: analytic, so the dual Hankel part vanishes
-    assert abs(dual.dual_symbol.coefficient(1) + 0.6) < 1e-12
+    assert abs(dual.dual_symbol.coeffs[1] + 0.6) < 1e-12
     others = dual.dual_symbol.coeffs.copy()
     others[1] = 0.0
     assert np.abs(others).max() < 1e-12
@@ -235,7 +236,7 @@ def test_l2_inner_matches_laurent_gram(grid512):
     full[(np.arange(-6, 7)) % grid512.size] = coeffs
     vec = canonical_vector(sym, grid512.values(full), mass_values)
     coords = np.concatenate([coeffs, mass_values])
-    gram_norm = np.vdot(coords, gram.entries @ coords).real
+    gram_norm = np.vdot(coords, gram @ coords).real
     quad_norm = l2_norm(vec, sym, m) ** 2
     assert abs(gram_norm - quad_norm) < 1e-12
 
@@ -286,6 +287,22 @@ def test_theorem_mixed_case(grid4096):
     assert report.converse_orthogonality < 1e-8
 
 
+@pytest.mark.parametrize("size", [8, 16])
+def test_theorem_check_refuses_grid_too_small_for_the_converse(size):
+    # the converse maps u^0..u^CONVERSE_POWERS back; a grid whose analytic
+    # band cannot hold them read a converse near 1 (0.99993 at 8, 0.99932 at 16)
+    masses = MassSet(np.array([0.5]), np.array([3.0]))
+    space = SpaceData(symbol_from_expression(CircleGrid(size), "0.3*conj(t)"), masses)
+    with pytest.raises(ValueError, match=f"grid/2 > {CONVERSE_POWERS}"):
+        theorem_check(space, dual_of(space), 2)
+
+
+def test_theorem_check_runs_on_the_smallest_grid_for_the_converse():
+    masses = MassSet(np.array([0.5]), np.array([3.0]))
+    space = SpaceData(symbol_from_expression(CircleGrid(32), "0.3*conj(t)"), masses)
+    assert theorem_check(space, dual_of(space), 2).converse_orthogonality < 1e-9
+
+
 THEOREM_FIELDS = ("forward_hardy_residual", "forward_mass_residual", "converse_orthogonality")
 
 
@@ -321,7 +338,7 @@ def test_theorem_check_matches_per_column_on_jump_symbol(size, degree):
     values = np.where(np.arange(size) < size // 2, 0.5, -0.3 + 0.2j)
     masses = MassSet(np.array([0.3j, -0.4]), np.array([1.0, 2.0]))
     space = SpaceData(symbol_from_samples(grid, values), masses)
-    assert abs(space.symbol.coefficient(size // 2 - 1)) > 1e-3
+    assert abs(space.symbol.coeffs[size // 2 - 1]) > 1e-3
     _assert_matches_per_column(space, degree, gram_norms=True)
 
 
@@ -425,14 +442,14 @@ def _assert_complement_relations(space, degree):
     # relations, and its span against the null space of E^H G from numpy's SVD
     embed = embed_h2(space, degree, degree)
     gram = build_gram_laurent(space, degree)
-    null, complement = _complement(gram, effective_data(space)[1].points)
+    null, complement = _complement(gram, degree, effective_data(space)[1].points)
     assert complement.shape[1] == degree + space.masses.count
     assert np.abs(embed.conj().T @ null).max() <= 1e-15
-    relative = (np.linalg.norm(embed.conj().T @ gram.entries @ complement)
-                / (np.linalg.norm(embed) * np.linalg.norm(gram.entries)
+    relative = (np.linalg.norm(embed.conj().T @ gram @ complement)
+                / (np.linalg.norm(embed) * np.linalg.norm(gram)
                    * np.linalg.norm(complement)))
     assert relative <= 1e-13
-    a = embed.conj().T @ gram.entries
+    a = embed.conj().T @ gram
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     rank = int(np.sum(s > s.max() * np.finfo(float).eps * max(a.shape)))
     ref = vh[rank:].conj().T
@@ -466,7 +483,8 @@ def test_complement_orthogonal_to_blaschke_multiples(mass_space):
     # complement basis vectors against B z^p directly, in the two-sided metric
     half_band = 32
     r = dual_of(mass_space)
-    _, complement = _complement(build_gram_laurent(mass_space, half_band), r.masses.points)
+    _, complement = _complement(build_gram_laurent(mass_space, half_band), half_band,
+                                r.masses.points)
     grid = r.symbol.grid
     band = 2 * half_band + 1
 

@@ -1,4 +1,5 @@
-"""The paper's invariants on random data, against closed forms.
+"""The paper's invariants on random data, against closed forms, and under
+rotation of the corpus data.
 
 For the zero symbol with masses nu_k at zeta_k, the metric on z^0..z^M is
 I + V^H diag(nu) V with V_kp = zeta_k^p, and the Woodbury identity gives the
@@ -14,11 +15,23 @@ roundoff.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardydual import CircleGrid, MassSet, SpaceData, asymptotic_sweep, zero_symbol
-from hardydual.corpus import mass_single_trace
+from hardydual import (
+    CircleGrid,
+    MassSet,
+    SpaceData,
+    asymptotic_sweep,
+    build_gram_analytic,
+    dual_of,
+    duality_identity,
+    kernel_at_origin,
+    symbol_from_samples,
+    zero_symbol,
+)
+from hardydual.corpus import CASES, mass_single_trace
 
 GRID = CircleGrid(4096)
 DEGREE = 48
@@ -66,3 +79,38 @@ def test_woodbury_single_mass_is_the_rank_one_trace():
     values = woodbury_kernel_values(np.array([0.5]), np.array([3.0]), N_MAX, None)
     expected = [mass_single_trace(n) for n in range(N_MAX + 1)]
     assert np.abs(values - expected).max() < 1e-15
+
+
+# --- rotation --------------------------------------------------------------------
+
+ROTATION_TOL = 1e-14
+
+
+def _rotated(space, k):
+    """The data turned by k grid steps: R(t) -> R(t w^k), zeta -> zeta w^-k,
+    w = e^{2 pi i/size}.  Every kernel value, T(0) and the identity are
+    invariant, since rotation is unitary in every metric of the pair."""
+    grid = space.grid
+    symbol = symbol_from_samples(grid, np.roll(space.symbol.values, -k))
+    turn = np.exp(-2j * np.pi * k / grid.size)
+    return SpaceData(symbol, MassSet(space.masses.points * turn, space.masses.weights))
+
+
+def _rotation_invariants(space):
+    dual = dual_of(space)
+    identity = duality_identity(space, dual, DEGREE)
+    return (kernel_at_origin(build_gram_analytic(space, DEGREE)).norm,
+            asymptotic_sweep(space, N_MAX, DEGREE).values,
+            dual.T_at_zero, identity.product)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_rotation_leaves_the_invariants_unchanged(case):
+    space = case.space(GRID.size)
+    k0, sweep, t0, product = _rotation_invariants(space)
+    for k in (1, 37, 1024):
+        k0_rot, sweep_rot, t0_rot, product_rot = _rotation_invariants(_rotated(space, k))
+        assert abs(k0_rot - k0) <= ROTATION_TOL, k
+        assert np.abs(sweep_rot - sweep).max() <= ROTATION_TOL, k
+        assert abs(t0_rot - t0) <= ROTATION_TOL * t0, k
+        assert abs(product_rot - product) <= ROTATION_TOL, k

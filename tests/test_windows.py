@@ -120,14 +120,14 @@ def test_negative_shift_system_matches_laurent_route(space):
     half_band = DEGREE + 2
     laurent = build_gram_laurent(space, half_band, HANKEL)
     points = space.masses.points
-    columns = np.zeros((laurent.order, len(shifts)), dtype=complex)
+    columns = np.zeros((laurent.shape[0], len(shifts)), dtype=complex)
     grams = [build_gram_analytic(shifted(space, n), DEGREE, HANKEL) for n in shifts]
     for i, (n, gram) in enumerate(zip(shifts, grams)):
         coeffs = kernel_at_origin(gram).normalized()
         columns[half_band + n: half_band + n + DEGREE + 1, i] = coeffs
         columns[2 * half_band + 1:, i] = points ** n * np.polynomial.polynomial.polyval(
             points, coeffs)
-    expected = columns.conj().T @ laurent.entries @ columns
+    expected = columns.conj().T @ laurent @ columns
     _assert_close(system.gram, expected, grams[0].entries)  # shift -2: the largest entries
 
 
