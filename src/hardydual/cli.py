@@ -621,18 +621,20 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.grid is not None:
-        raw["grid"] = args.grid
-    if args.degree is not None:
-        raw["degree"] = args.degree
-    if args.convention is not None:
-        raw["convention"] = args.convention
-    if args.tol_gate is not None:
-        raw.setdefault("gates", {})
-        for key in ("identity", "theorem", "tau"):
-            raw["gates"][key] = args.tol_gate
-
     try:
+        # the overrides write into the config, so its type is checked first
+        _expect(isinstance(raw, dict), "configuration must be a JSON object")
+        if args.grid is not None:
+            raw["grid"] = args.grid
+        if args.degree is not None:
+            raw["degree"] = args.degree
+        if args.convention is not None:
+            raw["convention"] = args.convention
+        if args.tol_gate is not None:
+            gates = raw.setdefault("gates", {})
+            _expect(isinstance(gates, dict), "gates must be an object")
+            for key in ("identity", "theorem", "tau"):
+                gates[key] = args.tol_gate
         config = parse_config(raw)
         code, _ = run(config, out_dir=args.out)
     except ConfigError as exc:

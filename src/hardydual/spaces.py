@@ -18,8 +18,11 @@ the same Hankel Gram Gamma as I - rho^2 Gamma + (mass Gram of the masses):
 Gamma is a plain array from :func:`analytic_hankel`, held by the caller that
 recombines it, while a GramMatrix holds only its entries.
 
-Gamma is assembled by its displacement recurrence, and a Gram is checked
-positive definite by one Cholesky factorization of G - TOL_PSD I; its
+Gamma is assembled by its displacement recurrence.  A Gram is certified
+positive definite by a Gershgorin floor on its smallest eigenvalue, which
+the contraction R makes 1 - rho^2 (Gamma's largest absolute row sum) less a
+rounding slack (:func:`_eig_floor`); only a Gram whose floor falls short of
+TOL_PSD is checked by one Cholesky factorization of G - TOL_PSD I.  Its
 windows inherit the check by Cauchy interlacing.  Every factorization goes
 through numpy.linalg, so one LAPACK serves the whole process.
 """
@@ -123,11 +126,17 @@ def _lagged_gram(c: np.ndarray, truncation: int, order: int) -> np.ndarray:
     gram[0] = chunked_sum(
         lambda s: np.correlate(c[s.start:s.stop + order - 1], c[s], "valid"), J)
     gram[1:, 0] = np.conj(gram[0, 1:])
+    head = np.conj(c[:order - 1])
+    tail = np.conj(c[J:J + order - 1])
+    work = np.empty(order - 1, dtype=c.dtype)
     for m in range(1, order):
-        gram[m, m:] = (gram[m - 1, m - 1:-1]
-                       - np.conj(c[m - 1]) * c[m - 1:order - 1]
-                       + np.conj(c[J + m - 1]) * c[J + m - 1:J + order - 1])
-        gram[m + 1:, m] = np.conj(gram[m, m + 1:])
+        row = gram[m, m:]
+        term = work[:order - m]
+        np.multiply(head[m - 1], c[m - 1:order - 1], out=term)
+        np.subtract(gram[m - 1, m - 1:-1], term, out=row)
+        np.multiply(tail[m - 1], c[J + m - 1:J + order - 1], out=term)
+        row += term
+        np.conjugate(row[1:], out=gram[m + 1:, m])
     return gram
 
 
@@ -215,16 +224,21 @@ class GramMatrix:
         return GramMatrix(self.entries[rows, rows])
 
 
-def _finalize_gram(entries, weights=()) -> np.ndarray:
-    """Symmetrize ``entries`` in place, check min eig >= TOL_PSD by a
-    Cholesky of G - TOL_PSD I, and return them.
+def _finalize_gram(entries, weights=(), floor=-np.inf) -> np.ndarray:
+    """Symmetrize ``entries`` in place, check min eig >= TOL_PSD, and return
+    them.
 
-    Only a failed Cholesky runs the eigensolver, to report the minimum
-    eigenvalue; ``weights`` are the mass weights in the Gram, quoted when
-    its scale is the cause.
+    ``floor`` is a lower bound on the symmetrized Gram's smallest eigenvalue
+    that already counts the Cholesky's own rounding (:func:`_eig_floor`).  A
+    floor above TOL_PSD certifies the Gram; otherwise the check is a Cholesky
+    of G - TOL_PSD I.  Only a failed Cholesky runs the eigensolver, to report
+    the minimum eigenvalue; ``weights`` are the mass weights in the Gram,
+    quoted when its scale is the cause.
     """
     entries += entries.conj().T
     entries *= 0.5
+    if floor > TOL_PSD:
+        return entries
     # G - TOL_PSD I in place: the saved diagonal goes back after the check
     diag = np.diag_indices_from(entries)
     diagonal = entries[diag]
@@ -241,6 +255,35 @@ def _finalize_gram(entries, weights=()) -> np.ndarray:
         if min_eig < TOL_PSD:
             raise NotPositiveDefinite(_pd_failure(entries, min_eig, weights)) from None
     return entries
+
+
+def _eig_floor(gamma, rho2: float, mass_rows: float, dim: int) -> float:
+    """Lower bound on the smallest eigenvalue of I - rho2 Gamma + (mass Gram)
+    as assembled and symmetrized in floating point, of size ``dim``.
+
+    The mass Gram V^H diag(nu) V is PSD, and by Gershgorin lambda_max(Gamma)
+    is at most Gamma's largest absolute row sum.  The slack
+    16 dim^2 eps (1 + rho2 rowsum + mass_rows) covers the rounding of the
+    mass Gram's product, of the assembly and of the symmetrization, and the
+    Cholesky's own completion threshold (about dim^2 eps times the largest
+    diagonal entry); ``mass_rows`` bounds the mass Gram's absolute row sums
+    (:func:`_mass_rows`).  An overflow gives a non-finite floor, which
+    certifies nothing.
+    """
+    with np.errstate(all="ignore"):
+        rows = rho2 * float(np.abs(gamma).sum(axis=1).max())
+        slack = 16 * dim * dim * np.finfo(float).eps * (1.0 + rows + mass_rows)
+        return 1.0 - rows - slack
+
+
+def _mass_rows(masses: MassSet, exponents: np.ndarray) -> float:
+    """sum_k nu_k max_e |zeta_k|^e sum_e |zeta_k|^e, a bound on the absolute
+    row sums of the mass Gram on ``exponents``."""
+    if not masses.count:
+        return 0.0
+    with np.errstate(all="ignore"):
+        powers = np.abs(masses.points)[:, None] ** exponents[None, :]
+        return float(masses.weights @ (powers.max(axis=1) * powers.sum(axis=1)))
 
 
 def _pd_failure(entries, min_eig: float, weights) -> str:
@@ -284,11 +327,14 @@ def assemble_gram(space: SpaceData, gamma: np.ndarray) -> GramMatrix:
     if space.shift < 0 and masses.has_origin:
         raise ValueError("negative shift undefined for a mass at the origin")
     order = gamma.shape[0]
+    exponents = space.shift + np.arange(order)
+    floor = _eig_floor(gamma, space.rho ** 2, _mass_rows(masses, exponents),
+                       order + masses.count)
     entries = np.multiply(gamma, -space.rho ** 2)
     entries[np.diag_indices_from(entries)] += 1.0
     # adding 0.0 without masses keeps the signs of zeros of I - rho^2 Gamma
-    entries += _mass_gram(masses, space.shift + np.arange(order)) if masses.count else 0.0
-    return GramMatrix(_finalize_gram(entries, masses.weights))
+    entries += _mass_gram(masses, exponents) if masses.count else 0.0
+    return GramMatrix(_finalize_gram(entries, masses.weights, floor))
 
 
 def build_gram_analytic(space: SpaceData, degree: int,
@@ -321,13 +367,15 @@ def build_gram_laurent(space: SpaceData, half_band: int,
     # placement raised the peak RSS of repeated theorem checks by 2.4 MB
     gamma = hankel_block(symbol, exponents, hankel)
     dim = exponents.size + masses.count
+    # the mass block diag(nu) is uncoupled: its pivots are nu - TOL_PSD exactly
+    floor = min(_eig_floor(gamma, 1.0, 0.0, dim), np.min(masses.weights, initial=np.inf))
     entries = np.zeros((dim, dim), dtype=complex)
     np.subtract(np.eye(exponents.size, dtype=complex), gamma,
                 out=entries[: exponents.size, : exponents.size])
     del gamma
     if masses.count:
         entries[exponents.size:, exponents.size:] = np.diag(masses.weights)
-    return _finalize_gram(entries, masses.weights)
+    return _finalize_gram(entries, masses.weights, floor)
 
 
 def embed_h2(space: SpaceData, degree: int, half_band: int) -> np.ndarray:

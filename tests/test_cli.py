@@ -370,6 +370,22 @@ def test_non_object_gates_or_negative_seed_exits_2(tmp_path, capsys, overrides):
     assert err.startswith("config error:") and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("raw, flags", [
+    ([], ["--grid", "256"]),
+    ({"gates": 5}, ["--tol-gate", "1e-3"]),
+    ("x", ["--convention", "printed"]),
+    ([1], ["--degree", "8"]),
+], ids=["list-grid", "gates-int-tol-gate", "str-convention", "list-degree"])
+def test_command_line_override_of_a_non_object_exits_2(tmp_path, capsys, raw, flags):
+    # the overrides write into the loaded JSON, so its type is checked first
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    code = main(["run", str(cfg), "--out", str(tmp_path / "o"), *flags])
+    err = capsys.readouterr().err.strip()
+    assert code == 2, err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1, err
+
+
 def test_failed_window_factorization_names_the_scale(tmp_path, capsys):
     # the master Gram passes its PD check, but a reversed Cholesky of one of
     # the sweep's groups fails in roundoff: exit 3, naming the Gram's scale

@@ -1,8 +1,14 @@
+import contextlib
+import json
+import re
+import sys
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from hardydual import (
@@ -21,10 +27,14 @@ from hardydual import (
     symbol_from_expression,
     zero_symbol,
 )
+from hardydual import cli, spaces
 from hardydual.circle import riesz_project_values
 from hardydual.corpus import CASES
+from hardydual.tolerances import TOL_PSD
 from oracle import dense_psd_check, gram_entry_quadrature, symbol_values
 from hardydual.spaces import GramMatrix, _finalize_gram, hankel_block
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 # --- effective data -----------------------------------------------------------
@@ -209,6 +219,120 @@ def test_pd_threshold_unchanged():
         _finalize_gram(np.diag([1.0, 5e-13]).astype(complex))
     gram = GramMatrix(_finalize_gram(np.diag([1.0, 2e-12]).astype(complex)))
     assert gram.min_eig_estimate == pytest.approx(2e-12)
+
+
+CERTIFICATE_GRID = 256
+
+
+@st.composite
+def metric_data(draw):
+    """A trigonometric symbol with 0 < sup|R| <= 1, 0-3 masses of weight
+    1e-20..1e20 at least 45 degrees apart, a shift in -1..3 and rho in (0, 1]."""
+    grid = CircleGrid(CERTIFICATE_GRID)
+    powers = draw(st.lists(st.integers(-6, 4), min_size=1, max_size=4, unique=True))
+    parts = st.floats(-1.0, 1.0)
+    coeffs = [complex(draw(parts), draw(parts)) for _ in powers]
+    assume(any(abs(c) > 1e-3 for c in coeffs))
+    raw = symbol_from_coefficients(grid, dict(zip(powers, coeffs)))
+    scale = draw(st.floats(0.0, 1.0, exclude_min=True)) / raw.sup_modulus
+    symbol = symbol_from_coefficients(grid, {p: c * scale for p, c in zip(powers, coeffs)})
+    slots = draw(st.lists(st.integers(0, 7), max_size=3, unique=True))
+    masses = MassSet.empty()
+    if slots:
+        radii = [draw(st.floats(0.05, 0.95)) for _ in slots]
+        points = np.array(radii) * np.exp(2j * np.pi * np.array(slots) / 8)
+        weights = np.array([10.0 ** draw(st.floats(-20.0, 20.0)) for _ in slots])
+        masses = MassSet(points, weights)
+    return SpaceData(symbol, masses, shift=draw(st.integers(-1, 3)),
+                     rho=draw(st.floats(0.0, 1.0, exclude_min=True)))
+
+
+def _checked(build, *args):
+    """The entries ``build`` returns and the eigenvalue floor it passed to
+    ``_finalize_gram``."""
+    floors = []
+    finalize = spaces._finalize_gram
+
+    def spy(entries, weights=(), floor=-np.inf):
+        floors.append(floor)
+        return finalize(entries, weights, floor)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "_finalize_gram", spy)
+        gram = build(*args)
+    return getattr(gram, "entries", gram), floors[0]
+
+
+@given(metric_data(), st.integers(0, 16))
+@settings(deadline=None, max_examples=80)
+def test_certified_gram_passes_the_cholesky_check(space, degree):
+    # a floor above TOL_PSD skips the Cholesky, so it must be one that succeeds
+    for build in (build_gram_analytic, build_gram_laurent):
+        try:
+            entries, floor = _checked(build, space, degree)
+        except NotPositiveDefinite:
+            continue
+        event(f"{build.__name__}: {'certified' if floor > TOL_PSD else 'factored'}")
+        if floor > TOL_PSD:
+            np.linalg.cholesky(entries - TOL_PSD * np.eye(entries.shape[0]))
+            assert np.linalg.eigvalsh(entries)[0] >= floor
+
+
+def test_certified_grams_skip_the_cholesky(tmp_path, monkeypatch):
+    callers = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    # every Gram of the README config is certified; the sweep's factors remain
+    readme = REPO / "perfbench" / "readme_config.json"
+    assert cli.main(["run", str(readme), "--out", str(tmp_path / "o")]) == 0
+    assert callers and "_finalize_gram" not in callers
+    callers.clear()
+    grid = CircleGrid(CERTIFICATE_GRID)
+    # Gamma's row sums of this inner symbol reach 1.5 sup|R|^2: Gershgorin falls short
+    near_one = symbol_from_expression(grid, "0.999999*conj((t-0.5)/(1-0.5*t))")
+    build_gram_analytic(SpaceData(near_one, MassSet.empty()), 16)
+    heavy = MassSet(np.array([0.5]), np.array([1e16]))
+    with contextlib.suppress(NotPositiveDefinite):  # the roundoff of a 1e16 Gram decides
+        build_gram_analytic(SpaceData(zero_symbol(grid), heavy), 16)
+    _finalize_gram(np.eye(2, dtype=complex))  # no floor: the Cholesky decides
+    assert callers == ["_finalize_gram"] * 3
+
+
+def _scale_line(roundoff: str, weight: float) -> str:
+    """``_pd_failure``'s line for a Gram whose scale hides TOL_PSD; the
+    eigenvalue's digits are roundoff and match any number."""
+    return (r"data failure: Gram minimum eigenvalue -?[0-9]\.[0-9]{3}e[+-][0-9]+ "
+            + re.escape(f"is within the roundoff {roundoff} of the Gram's scale "
+                        f"{weight:.3e}, so tolerance 1e-12 cannot be resolved in "
+                        f"double precision; the largest mass weight, {weight:.3e}, "
+                        "sets that scale (a dual weight 1/(nu |(1/T)'|^2) grows as "
+                        "nu shrinks)"))
+
+
+@pytest.mark.parametrize("weight, line", [
+    (1e305, _scale_line("6.4e+290", 1e305)),
+    (1e307, _scale_line("6.4e+292", 1e307)),
+    (1e308, re.escape("data failure: overflow encountered in add: "
+                      "the data's scale is beyond double range")),
+], ids=["1e305", "1e307", "1e308"])
+def test_huge_weight_messages_do_not_depend_on_the_floor(tmp_path, capsys, weight, line):
+    # the floor overflows silently; the Gram's own overflow or PD check speaks
+    config = {"grid": 256, "degree": 16, "n_max": 12, "studies": list(cli.STUDY_ORDER),
+              "masses": [{"point": [0.5, 0.0], "weight": weight}],
+              "convergence": {"grids": [128, 256], "degrees": [8, 16]}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and re.fullmatch(line, err[:-1]), err
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
