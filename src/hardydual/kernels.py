@@ -5,7 +5,10 @@ the origin solves G k = e_0, so k(0) = (G^{-1})_{00} = ||k||^2 and the
 normalized value is K(0) = sqrt((G^{-1})_{00}).  Every routine that needs
 several Grams of one data pair assembles one Gram and reads the others from
 it: shifts are principal windows, and regularizations recombine the one
-Hankel Gram Gamma it was assembled from (see :func:`sandwich_check`).
+Hankel Gram Gamma it was assembled from (see :func:`sandwich_check`, which
+builds each distinct variant once).  The orthonormal system reads every
+window's kernel vector from one solve with its covering Gram
+(:func:`_covering_kernels`).
 
 The asymptotic sweep takes its windows max(1, (degree + 1) // 4) at a time:
 the sub-Gram covering a group is factored once by a reversed Cholesky
@@ -95,18 +98,58 @@ class OrthonormalSystem:
         return float(np.abs(self.gram - np.eye(self.gram.shape[0])).max())
 
 
+def _covering_kernels(entries: np.ndarray, starts, size: int) -> np.ndarray:
+    """Kernel vectors k_n = G_n^{-1} e_0 of the windows G_n = G[n:n+s, n:n+s].
+
+    Row i holds k_n for n = starts[i], s = ``size``; G = ``entries`` covers
+    every window, of order c + s - 1.  One solve gives H = G^{-1} on the unit
+    columns {0..c-1} and {s..c+s-2}: the first index of every window and
+    every index outside one.  With I = n..n+s-1 and C the c - 1 indices
+    outside window n, the inverse of G[I, I] is the Schur complement of
+    H[C, C] in H, so
+
+        k_n = H[I, n] - H[I, C] H[C, C]^{-1} H[C, n].
+
+    The small systems go through numpy as one stack.
+    """
+    order = entries.shape[0]
+    count = order - size + 1
+    cols = np.union1d(np.arange(count), np.arange(size, order))
+    unit = np.zeros((order, cols.size), dtype=complex)
+    unit[cols, np.arange(cols.size)] = 1.0
+    inv = np.linalg.solve(entries, unit)
+    starts = np.asarray(starts, dtype=int)
+    outside = np.arange(count - 1)[None, :]
+    outside = np.where(outside < starts[:, None], outside, outside + size)
+    at_n = np.searchsorted(cols, starts)[:, None]
+    at_out = np.searchsorted(cols, outside)
+    rows = starts[:, None] + np.arange(size)
+    coupling = np.linalg.solve(inv[outside[:, :, None], at_out[:, None, :]],
+                               inv[outside, at_n][..., None])
+    return inv[rows, at_n] - (inv[rows[:, :, None], at_out[:, None, :]] @ coupling)[..., 0]
+
+
 def orthonormal_system(space: SpaceData, shifts: Sequence[int], degree: int,
                        hankel: Optional[int] = None) -> OrthonormalSystem:
+    """e_n = z^n K^{alpha_n} for each shift n, from one Gram on
+    z^(min n)..z^(max n + degree) and one solve with it
+    (:func:`_covering_kernels`)."""
     shifts = np.asarray(sorted(int(n) for n in shifts), dtype=int)
     if shifts.size == 0:
         raise ValueError("need at least one shift")
+    repeated = shifts[1:][shifts[1:] == shifts[:-1]]
+    if repeated.size:
+        raise ValueError(f"shift {int(repeated[0])} is repeated; each e_n is one vector")
     n_min, n_max = int(shifts[0]), int(shifts[-1])
 
     gram = build_gram_analytic(shifted(space, n_min), degree + n_max - n_min, hankel)
+    kernels = _covering_kernels(gram.entries, shifts - n_min, degree + 1)
+    norm_sq = kernels[:, 0].real
+    if np.any(norm_sq <= 0):
+        raise OrderViolation("kernel norm came out nonpositive; Gram unusable")
     columns = np.zeros((gram.order, shifts.size), dtype=complex)
     for i, n in enumerate(shifts - n_min):
-        kernel = kernel_at_origin(gram.window(int(n), degree + 1))
-        columns[n: n + degree + 1, i] = kernel.normalized()
+        columns[n: n + degree + 1, i] = kernels[i] / np.sqrt(norm_sq[i])
     system_gram = columns.conj().T @ gram.entries @ columns
     return OrthonormalSystem(shifts, columns, system_gram,
                              "laurent" if n_min < 0 else "analytic")
@@ -248,75 +291,90 @@ def _dual_parts(space: SpaceData):
     return (dual.T_at_zero, dual.dual_space()), dual.outer.value_at_zero
 
 
+def _psd_margin(upper: GramMatrix, lower: GramMatrix, out: GramMatrix) -> float:
+    """Smallest eigenvalue of upper - lower, written over ``out``'s entries
+    (one of the two, read for the last time).  Equal Grams, or a difference
+    that comes out exactly zero, give 0.0 with no eigensolve: the eigensolve
+    of a zero matrix gives +0.0 too."""
+    if upper is lower:
+        return 0.0
+    diff = np.subtract(upper.entries, lower.entries, out=out.entries)
+    return float(np.linalg.eigvalsh(diff)[0]) if diff.any() else 0.0
+
+
 def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
                    degree: int, hankel: Optional[int] = None,
                    tol_order: float = TOL_ORDER) -> SandwichReport:
+    """The variants (rho', N') in {1, rho} x {m, min(N, m)} of the shifted
+    pair; each distinct one is assembled, solved and dualized once.  With
+    N >= m the cutoff is alpha itself and "both" is "scaled"; with rho = 1
+    "scaled" is alpha and "both" is the cutoff."""
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]; 1 gives the degenerate equalities")
     base = shifted(space, n)
-    sp_cut = regularized(base, mass_cutoff=cutoff)
-    sp_rho = regularized(base, rho=rho)
-    sp_both = regularized(base, rho=rho, mass_cutoff=cutoff)
+    spaces = {"alpha": base,
+              "cutoff": regularized(base, mass_cutoff=cutoff),
+              "scaled": regularized(base, rho=rho),
+              "both": regularized(base, rho=rho, mass_cutoff=cutoff)}
+    # a Gram and a dual read only rho and the masses kept, so equal pairs
+    # give equal bits
+    pair = {label: (sp.rho, sp.masses.count) for label, sp in spaces.items()}
 
     gamma = analytic_hankel(base, degree, hankel)
-    g_alpha = assemble_gram(base, gamma)
-    g_cut = assemble_gram(sp_cut, gamma)
-    g_rho = assemble_gram(sp_rho, gamma)
-    g_both = assemble_gram(sp_both, gamma)
+    grams = {}
+    for label, sp in spaces.items():
+        if pair[label] not in grams:
+            grams[pair[label]] = assemble_gram(sp, gamma)
     del gamma
-
-    k_alpha = kernel_at_origin(g_alpha).norm
-    k_cut = kernel_at_origin(g_cut).norm
-    k_rho = kernel_at_origin(g_rho).norm
-    k_both = kernel_at_origin(g_both).norm
-    del g_both
+    k = {key: kernel_at_origin(gram).norm for key, gram in grams.items()}
+    g_alpha, g_cut, g_rho = (grams[pair[label]] for label in ("alpha", "cutoff", "scaled"))
+    del grams
+    k_alpha, k_cut, k_rho, k_both = (k[pair[label]] for label in spaces)
 
     margin_cutoff = k_cut - k_alpha
     margin_scaled = k_alpha - k_rho
     _require_order("K(cutoff) >= K(alpha)", margin_cutoff, tol_order)
     _require_order("K(alpha) >= K(scaled)", margin_scaled, tol_order)
 
-    # each difference overwrites the entries of a Gram read for the last time
-    diff = np.subtract(g_alpha.entries, g_cut.entries, out=g_cut.entries)
-    psd_cut = float(np.linalg.eigvalsh(diff)[0])
-    diff = np.subtract(g_rho.entries, g_alpha.entries, out=g_rho.entries)
-    psd_rho = float(np.linalg.eigvalsh(diff)[0])
+    # each difference overwrites the entries of the Gram other than alpha's
+    psd_cut = _psd_margin(g_alpha, g_cut, out=g_cut)
+    psd_rho = _psd_margin(g_rho, g_alpha, out=g_rho)
     _require_order("Gram(alpha) - Gram(cutoff) PSD", psd_cut, tol_order)
     _require_order("Gram(scaled) - Gram(alpha) PSD", psd_rho, tol_order)
 
     # the dual of each variant shifted up by one, kept as (T(0), dual space),
     # and the value at 0 of its outer factor: a shift leaves |R| alone and a
     # mass cutoff leaves R alone, so "cutoff" gives T_e(0), "scaled" T_e^rho(0)
-    variants = {"cutoff": (sp_cut, k_cut), "scaled": (sp_rho, k_rho),
-                "both": (sp_both, k_both)}
-    duals, te0 = {}, {}
-    for label, (sp, _) in variants.items():
-        duals[label], te0[label] = _dual_parts(shifted(sp, 1))
+    labels = ("cutoff", "scaled", "both")
+    duals = {}
+    for label in labels:
+        if pair[label] not in duals:
+            duals[pair[label]] = _dual_parts(shifted(spaces[label], 1))
     # the primal Grams go only now: released before the duals, they would
     # lie at the top of the heap and be handed back to the system, and the
     # dual phase would fault their pages in again; released here, below the
     # dual spaces, they are reused by the dual Grams
-    del g_alpha, g_cut, g_rho, diff
+    del g_alpha, g_cut, g_rho
+    te0_cut, te0_rho = (duals[pair[label]][1] for label in ("cutoff", "scaled"))
     b0 = float(np.prod(np.abs(base.masses.points)))
-    b0_cut = float(np.prod(np.abs(sp_cut.masses.points)))
+    b0_cut = float(np.prod(np.abs(spaces["cutoff"].masses.points)))
 
-    chain_upper = (te0["scaled"] / te0["cutoff"]) * k_both - k_cut
+    chain_upper = (te0_rho / te0_cut) * k_both - k_cut
     chain_lower = k_rho - (b0 / b0_cut) * k_both
     _require_order("K(cutoff) <= (T_e^rho(0)/T_e(0)) K(both)", chain_upper, tol_order)
     _require_order("K(scaled) >= (B(0)/B^N(0)) K(both)", chain_lower, tol_order)
 
     # the identity T(0) K^{alpha_{-1}}(0) K~(0) = 1 for each variant shifted
     # up by one; its shifted-down kernel is the variant's own kernel
-    residuals = {}
-    for label, (_, k_variant) in variants.items():
-        t_at_zero, dual_space = duals[label]
+    residual = {}
+    for key, ((t_at_zero, dual_space), _) in duals.items():
         k_dual = kernel_at_origin(build_gram_analytic(dual_space, degree, hankel)).norm
-        residuals[label] = abs(t_at_zero * k_variant * k_dual - 1.0)
+        residual[key] = abs(t_at_zero * k[key] * k_dual - 1.0)
 
     return SandwichReport(
         k_alpha=k_alpha, k_cutoff=k_cut, k_scaled=k_rho, k_both=k_both,
         margin_cutoff=margin_cutoff, margin_scaled=margin_scaled,
         psd_margin_cutoff=psd_cut, psd_margin_scaled=psd_rho,
         chain_upper_slack=chain_upper, chain_lower_slack=chain_lower,
-        identity_residuals=residuals,
+        identity_residuals={label: residual[pair[label]] for label in labels},
     )

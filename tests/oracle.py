@@ -9,7 +9,9 @@ evidence, not tautology.  :func:`theorem_check_per_column` is the theorem
 check one vector at a time, built on the library's single-vector calls
 (``apply_tau``, ``check_hat_membership``) and on :func:`laurent_values`: a
 reference for the fused grid map and block layout of the stacked check,
-not for the maths of the single-vector calls.
+not for the maths of the single-vector calls.  :func:`sandwich_check_four_grams`
+is the sandwich check with every variant built on its own, a reference for
+the merging of equal variants, not for the maths of the Grams and kernels.
 """
 
 from __future__ import annotations
@@ -31,7 +33,17 @@ from hardydual.duality import (
 )
 from hardydual.circle import evaluate_formula
 from hardydual.errors import GridMismatch, HardyDualError
-from hardydual.spaces import build_gram_laurent, effective_data
+from hardydual.kernels import SandwichReport, _dual_parts, _require_order, kernel_at_origin
+from hardydual.spaces import (
+    analytic_hankel,
+    assemble_gram,
+    build_gram_analytic,
+    build_gram_laurent,
+    effective_data,
+    regularized,
+    shifted,
+)
+from hardydual.tolerances import TOL_ORDER
 
 
 class NotHermitian(HardyDualError):
@@ -268,3 +280,64 @@ def theorem_check_per_column(space, dual, degree, hankel=None, gram_norms=False)
         for test in tests:
             converse = max(converse, abs(l2_inner(back, test, symbol, masses)))
     return TheoremReport(fwd_hardy, fwd_mass, converse, len(complement))
+
+
+def sandwich_check_four_grams(space, cutoff, rho, n, degree, hankel=None,
+                              tol_order=TOL_ORDER):
+    """The sandwich check with its four primal Grams, their kernels, two PSD
+    eigensolves and three variant duals each built on its own, also where
+    two variants are equal."""
+    if not 0.0 < rho <= 1.0:
+        raise ValueError("rho must lie in (0, 1]; 1 gives the degenerate equalities")
+    base = shifted(space, n)
+    sp_cut = regularized(base, mass_cutoff=cutoff)
+    sp_rho = regularized(base, rho=rho)
+    sp_both = regularized(base, rho=rho, mass_cutoff=cutoff)
+
+    gamma = analytic_hankel(base, degree, hankel)
+    g_alpha = assemble_gram(base, gamma)
+    g_cut = assemble_gram(sp_cut, gamma)
+    g_rho = assemble_gram(sp_rho, gamma)
+    g_both = assemble_gram(sp_both, gamma)
+
+    k_alpha = kernel_at_origin(g_alpha).norm
+    k_cut = kernel_at_origin(g_cut).norm
+    k_rho = kernel_at_origin(g_rho).norm
+    k_both = kernel_at_origin(g_both).norm
+
+    margin_cutoff = k_cut - k_alpha
+    margin_scaled = k_alpha - k_rho
+    _require_order("K(cutoff) >= K(alpha)", margin_cutoff, tol_order)
+    _require_order("K(alpha) >= K(scaled)", margin_scaled, tol_order)
+
+    psd_cut = float(np.linalg.eigvalsh(g_alpha.entries - g_cut.entries)[0])
+    psd_rho = float(np.linalg.eigvalsh(g_rho.entries - g_alpha.entries)[0])
+    _require_order("Gram(alpha) - Gram(cutoff) PSD", psd_cut, tol_order)
+    _require_order("Gram(scaled) - Gram(alpha) PSD", psd_rho, tol_order)
+
+    variants = {"cutoff": (sp_cut, k_cut), "scaled": (sp_rho, k_rho),
+                "both": (sp_both, k_both)}
+    duals, te0 = {}, {}
+    for label, (sp, _) in variants.items():
+        duals[label], te0[label] = _dual_parts(shifted(sp, 1))
+    b0 = float(np.prod(np.abs(base.masses.points)))
+    b0_cut = float(np.prod(np.abs(sp_cut.masses.points)))
+
+    chain_upper = (te0["scaled"] / te0["cutoff"]) * k_both - k_cut
+    chain_lower = k_rho - (b0 / b0_cut) * k_both
+    _require_order("K(cutoff) <= (T_e^rho(0)/T_e(0)) K(both)", chain_upper, tol_order)
+    _require_order("K(scaled) >= (B(0)/B^N(0)) K(both)", chain_lower, tol_order)
+
+    residuals = {}
+    for label, (_, k_variant) in variants.items():
+        t_at_zero, dual_space = duals[label]
+        k_dual = kernel_at_origin(build_gram_analytic(dual_space, degree, hankel)).norm
+        residuals[label] = abs(t_at_zero * k_variant * k_dual - 1.0)
+
+    return SandwichReport(
+        k_alpha=k_alpha, k_cutoff=k_cut, k_scaled=k_rho, k_both=k_both,
+        margin_cutoff=margin_cutoff, margin_scaled=margin_scaled,
+        psd_margin_cutoff=psd_cut, psd_margin_scaled=psd_rho,
+        chain_upper_slack=chain_upper, chain_lower_slack=chain_lower,
+        identity_residuals=residuals,
+    )

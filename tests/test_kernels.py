@@ -15,9 +15,10 @@ from hardydual import (
     symbol_from_expression,
     zero_symbol,
 )
-from hardydual.corpus import CASES, mass_single_trace
+from hardydual import kernels
+from hardydual.corpus import BY_NAME, CASES, mass_single_trace
 from hardydual.kernels import _require_order
-from oracle import constrained_minimum
+from oracle import constrained_minimum, sandwich_check_four_grams
 
 
 def test_kernel_identity_gram(grid512):
@@ -116,6 +117,12 @@ def test_orthonormal_system_negative_shifts(mass_space):
     assert system.orthonormality_defect < 1e-10
 
 
+def test_orthonormal_system_rejects_a_repeated_shift():
+    space = BY_NAME["mixed_basic"].space(1024)
+    with pytest.raises(ValueError, match="shift 0 is repeated"):
+        orthonormal_system(space, [0, 0, 1], 16)
+
+
 # --- asymptotics ----------------------------------------------------------------
 
 def test_sweep_closed_form_trace(mass_space):
@@ -187,6 +194,56 @@ def test_sandwich_across_corpus(case):
     assert report.margin_cutoff >= -1e-10
     assert report.margin_scaled >= -1e-10
     assert max(report.identity_residuals.values()) < 1e-6
+
+
+def _report_fields(report):
+    fields = dict(vars(report))
+    residuals = fields.pop("identity_residuals")
+    fields.update({f"identity_residual_{label}": value for label, value in residuals.items()})
+    return {name: np.float64(value).tobytes() for name, value in fields.items()}
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_sandwich_equals_the_four_gram_reference(case):
+    # bit for bit, where the cutoff keeps every mass or rho is 1 too
+    space = case.space(1024)
+    for cutoff in range(space.masses.count + 1):
+        for rho in (0.5, 0.9, 1.0):
+            report = sandwich_check(space, cutoff, rho, 0, 24)
+            expected = sandwich_check_four_grams(space, cutoff, rho, 0, 24)
+            assert _report_fields(report) == _report_fields(expected)
+
+
+def _count_sandwich_calls(monkeypatch, space, cutoff):
+    counts = {"assemble_gram": 0, "eigvalsh": 0, "_dual_parts": 0}
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "assemble_gram", counted("assemble_gram", kernels.assemble_gram))
+    monkeypatch.setattr(kernels, "_dual_parts", counted("_dual_parts", kernels._dual_parts))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    sandwich_check(space, cutoff, 0.5, 0, 24)
+    return counts
+
+
+def test_sandwich_keeping_every_mass_builds_two_variants(monkeypatch, mass_space):
+    space = BY_NAME["mixed_rational"].space(1024)
+    counts = _count_sandwich_calls(monkeypatch, space, space.masses.count)
+    assert counts["assemble_gram"] == 2 and counts["_dual_parts"] == 2
+    assert counts["eigvalsh"] <= 1
+    # the zero symbol: Gram(scaled) - Gram(alpha) is exactly zero
+    counts = _count_sandwich_calls(monkeypatch, mass_space, 1)
+    assert counts == {"assemble_gram": 2, "eigvalsh": 0, "_dual_parts": 2}
+
+
+def test_sandwich_dropping_a_mass_builds_four_variants(monkeypatch):
+    space = BY_NAME["mixed_two_mass"].space(1024)
+    counts = _count_sandwich_calls(monkeypatch, space, 1)
+    assert counts == {"assemble_gram": 4, "eigvalsh": 2, "_dual_parts": 3}
 
 
 def test_monotonicity_of_inverse_under_psd_growth(grid512):

@@ -1,8 +1,10 @@
 """Peak memory of the Gram paths, in Gram sizes.
 
 A Gram size is the (degree + 1)^2 complex entries of one analytic Gram.
-``sandwich_check`` builds four primal Grams of one data pair from one
-Hankel Gram Gamma and then a dual Gram per variant; ``duality_identity``
+``sandwich_check`` builds the distinct primal Grams of one data pair from
+one Hankel Gram Gamma (four, or two when the cutoff keeps every mass) and
+then a dual Gram per distinct variant; ``orthonormal_system`` builds one
+Gram covering its windows and reads them from one solve; ``duality_identity``
 builds two Grams and then works on grid vectors; ``theorem_check`` builds
 the Laurent Gram, of order 2 degree + 1 + m, and its complement;
 ``asymptotic_sweep`` reads every shift from one Gram on
@@ -28,6 +30,8 @@ SANDWICH_GRAMS = 7
 IDENTITY_GRAMS = 5
 THEOREM_GRAMS = 13.5
 SWEEP_GRAMS = 5
+SYSTEM_GRAMS = 4
+SANDWICH_ALL_MASSES_GRAMS = 5.5
 N_MAX = 16
 CASES = ("mixed_two_mass", "mixed_rational", "mass_single")
 
@@ -55,6 +59,21 @@ def test_sandwich_check_peak(name):
     space = BY_NAME[name].space(GRID)
     peak = _peak_grams(lambda: hd.sandwich_check(space, 1, 0.5, 0, DEGREE))
     assert peak <= SANDWICH_GRAMS
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_sandwich_check_keeping_every_mass_peak(name):
+    space = BY_NAME[name].space(GRID)
+    cutoff = space.masses.count
+    peak = _peak_grams(lambda: hd.sandwich_check(space, cutoff, 0.5, 0, DEGREE))
+    assert peak <= SANDWICH_ALL_MASSES_GRAMS
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_orthonormal_system_peak(name):
+    space = BY_NAME[name].space(GRID)
+    peak = _peak_grams(lambda: hd.orthonormal_system(space, range(5), DEGREE))
+    assert peak <= SYSTEM_GRAMS
 
 
 @pytest.mark.parametrize("name", CASES)

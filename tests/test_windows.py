@@ -8,9 +8,13 @@ the largest Gram entry involved (at least 1): a mass near the origin makes
 negative-shift entries of order nu/|zeta|^2, where 1e-14 is below one ulp.
 The grouped asymptotic sweep is compared with one solve per window, to
 1e-14 relative, on the same data and on one symbol with sup|R| = 0.999.
+The orthonormal system's kernel vectors, all read from one solve of their
+covering Gram, are compared with one solve per window on the corpus, to
+1e-13 relative.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +36,8 @@ from hardydual import (
     symbol_from_coefficients,
     symbol_from_expression,
 )
+from hardydual.corpus import CASES
+from hardydual.kernels import _covering_kernels
 from hardydual.spaces import analytic_hankel, assemble_gram, hankel_block
 
 GRID = CircleGrid(1024)
@@ -162,3 +168,23 @@ def test_grouped_sweep_near_unit_symbol():
     assert abs(symbol.sup_modulus - 0.999) < 1e-6
     space = SpaceData(symbol, MassSet(np.array([0.9j, -0.5]), np.array([1.0, 2.0])))
     _assert_sweep_matches_windows(space, 3 * (DEGREE + 1))
+
+
+# (grid, degree, shifts); the last four have more windows than the window size
+COVERING = [(4096, 48, range(5)), (16384, 256, range(5)), (4096, 32, range(-3, 6)),
+            (4096, 48, (0, 3)), (1024, 0, range(5)), (1024, 0, range(9)),
+            (1024, 2, range(5)), (1024, 2, range(9))]
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_covering_kernels_equal_window_solves(case):
+    for grid, degree, shifts in COVERING:
+        space = case.space(grid)
+        starts = np.asarray(shifts) - shifts[0]
+        gram = build_gram_analytic(shifted(space, shifts[0]), degree + starts[-1])
+        kernels = _covering_kernels(gram.entries, starts, degree + 1)
+        e_0 = np.eye(degree + 1, 1, dtype=complex)[:, 0]
+        for n, kernel in zip(starts, kernels):
+            window = gram.entries[n:n + degree + 1, n:n + degree + 1]
+            expected = np.linalg.solve(window, e_0)
+            assert np.abs(kernel - expected).max() <= 1e-13 * np.abs(expected).max()
