@@ -83,15 +83,14 @@ def kernel_at_origin(gram: GramMatrix) -> KernelVector:
 class OrthonormalSystem:
     """Coefficient vectors of e_n = z^n K^{alpha_n} and their pairwise Gram.
 
-    The vectors live on the monomials z^{min n}..z^{max n + M}; with negative
-    shifts these are Laurent monomials (``basis_kind`` "laurent"), measured by
+    The vectors live on the monomials z^{min n}..z^{max n + M}; with a
+    negative shift (shifts[0] < 0) these are Laurent monomials, measured by
     the same metric, whose mass part conj(zeta)^a zeta^b nu extends to a < 0.
     """
 
     shifts: np.ndarray
     vectors: np.ndarray  # column n holds e_{shifts[n]}
     gram: np.ndarray
-    basis_kind: str
 
     @property
     def orthonormality_defect(self) -> float:
@@ -151,8 +150,7 @@ def orthonormal_system(space: SpaceData, shifts: Sequence[int], degree: int,
     for i, n in enumerate(shifts - n_min):
         columns[n: n + degree + 1, i] = kernels[i] / np.sqrt(norm_sq[i])
     system_gram = columns.conj().T @ gram.entries @ columns
-    return OrthonormalSystem(shifts, columns, system_gram,
-                             "laurent" if n_min < 0 else "analytic")
+    return OrthonormalSystem(shifts, columns, system_gram)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +291,22 @@ def _dual_parts(space: SpaceData):
 
 def _psd_margin(upper: GramMatrix, lower: GramMatrix, out: GramMatrix) -> float:
     """Smallest eigenvalue of upper - lower, written over ``out``'s entries
-    (one of the two, read for the last time).  Equal Grams, or a difference
-    that comes out exactly zero, give 0.0 with no eigensolve: the eigensolve
-    of a zero matrix gives +0.0 too."""
+    (one of the two, read for the last time).
+
+    The difference D is Hermitian, so its support S (the columns with a
+    nonzero entry) is also the rows with one.  With S a proper subset, D has
+    the eigenvalues of D[S, S] and zeros, and only D[S, S] is solved.  Equal
+    Grams, or a difference that comes out exactly zero, give 0.0 with no
+    eigensolve: the eigensolve of a zero matrix gives +0.0 too."""
     if upper is lower:
         return 0.0
     diff = np.subtract(upper.entries, lower.entries, out=out.entries)
-    return float(np.linalg.eigvalsh(diff)[0]) if diff.any() else 0.0
+    support = np.flatnonzero(diff.any(axis=0))
+    if support.size == diff.shape[0]:
+        return float(np.linalg.eigvalsh(diff)[0])
+    if not support.size:
+        return 0.0
+    return min(float(np.linalg.eigvalsh(diff[np.ix_(support, support)])[0]), 0.0)
 
 
 def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,

@@ -18,7 +18,9 @@ the same Hankel Gram Gamma as I - rho^2 Gamma + (mass Gram of the masses):
 Gamma is a plain array from :func:`analytic_hankel`, held by the caller that
 recombines it, while a GramMatrix holds only its entries.
 
-Gamma is assembled by its displacement recurrence.  A Gram is certified
+Gamma is assembled by its displacement recurrence, except over a window of
+exact zeros (the zero symbol's), where the recurrence could give only zeros
+and Gamma is filled with its bytes (:func:`_zero_gram`).  A Gram is certified
 positive definite by a Gershgorin floor on its smallest eigenvalue, which
 the contraction R makes 1 - rho^2 (Gamma's largest absolute row sum) less a
 rounding slack (:func:`_eig_floor`); only a Gram whose floor falls short of
@@ -119,7 +121,8 @@ def _lagged_gram(c: np.ndarray, truncation: int, order: int) -> np.ndarray:
     to ``circle.SUM_CHUNK`` terms); the rest follows down the
     diagonals by the displacement recurrence
     G[m+1, l+1] = G[m, l] - conj(c[m]) c[l] + conj(c[J+m]) c[J+l],
-    each row mirrored into its column as it is made.
+    each row mirrored into its column as it is made.  A ``c`` of zeros gives
+    :func:`_zero_gram`, which :func:`hankel_block` returns without this call.
     """
     J = truncation
     gram = np.empty((order, order), dtype=c.dtype)
@@ -140,13 +143,31 @@ def _lagged_gram(c: np.ndarray, truncation: int, order: int) -> np.ndarray:
     return gram
 
 
+def _zero_gram(order: int) -> np.ndarray:
+    """The bytes :func:`_lagged_gram` gives for an all-zero window.
+
+    Whatever the signs of the zeros it reads, its first row sums products
+    into +0 and each later row is +0 - (+-0) + (+-0) = +0, so every entry on
+    and above the diagonal is +0+0j and every mirrored entry below it is
+    +0-0j.  The array is allocated as the recurrence allocates it.
+    """
+    gram = np.empty((order, order), dtype=complex)
+    gram.fill(0)
+    mirrored = complex(0.0, -0.0)
+    for m in range(1, order):
+        gram[m, :m] = mirrored
+    return gram
+
+
 def hankel_block(symbol: SymbolData, exponents, truncation: int) -> np.ndarray:
     """Hankel Gram Gamma of the unscaled symbol on the consecutive exponents
     e0..e0+order-1.
 
     With a_k = r_{-(e0+k)}, Gamma[m, l] = sum_{j=1..J} conj(a_{j+m}) a_{j+l},
     assembled in O(J order + order^2) by :func:`_lagged_gram`; rho enters as
-    rho^2 when the metric is assembled.
+    rho^2 when the metric is assembled.  When a_1..a_{J+order-1} are all
+    zero, Gamma is :func:`_zero_gram`, the same bytes with neither the first
+    row's correlation nor the recurrence run.
     """
     exponents = np.asarray(exponents, dtype=int)
     n = symbol.grid.size
@@ -164,6 +185,8 @@ def hankel_block(symbol: SymbolData, exponents, truncation: int) -> np.ndarray:
         )
     # a[k - 1] = a_k for k = 1..size/2 - first, i.e. r_{-first-1} down to r_{-size/2}
     a = symbol.coeffs[-(first + 1 + np.arange(n // 2 - first)) % n]
+    if not a[:truncation + order - 1].any():
+        return _zero_gram(order)
     return _lagged_gram(a, truncation, order)
 
 
@@ -209,19 +232,6 @@ class GramMatrix:
 
     def solve(self, rhs) -> np.ndarray:
         return np.linalg.solve(self.entries, np.asarray(rhs, dtype=complex))
-
-    def window(self, start: int, size: int) -> "GramMatrix":
-        """Principal window on basis indices start..start+size-1.
-
-        For a Gram of alpha_n this is the Gram of alpha_{n+start} on
-        z^0..z^{size-1} with this Gram's truncation J.  It needs no PD check
-        of its own: by Cauchy interlacing its smallest eigenvalue is at
-        least this Gram's, which passed TOL_PSD.
-        """
-        if size < 1 or start < 0 or start + size > self.order:
-            raise ValueError(f"window {start}..{start + size - 1} outside 0..{self.order - 1}")
-        rows = slice(start, start + size)
-        return GramMatrix(self.entries[rows, rows])
 
 
 def _finalize_gram(entries, weights=(), floor=-np.inf) -> np.ndarray:

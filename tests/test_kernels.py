@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardydual import (
     MassSet,
@@ -11,13 +15,16 @@ from hardydual import (
     kernel_at_origin,
     kernel_at_point,
     orthonormal_system,
+    regularized,
     sandwich_check,
     symbol_from_expression,
     zero_symbol,
 )
 from hardydual import kernels
-from hardydual.corpus import BY_NAME, CASES, mass_single_trace
+from hardydual.corpus import BY_NAME, CASES, MIXED_NAMES, mass_single_trace
 from hardydual.kernels import _require_order
+from hardydual.spaces import GramMatrix, analytic_hankel, assemble_gram
+from hardydual.tolerances import TOL_ORDER
 from oracle import constrained_minimum, sandwich_check_four_grams
 
 
@@ -97,7 +104,7 @@ def test_kernel_at_point_rejects_boundary(mass_space):
 def test_orthonormal_system_free_space(grid512):
     space = SpaceData(zero_symbol(grid512), MassSet.empty())
     system = orthonormal_system(space, range(0, 5), 12)
-    assert system.basis_kind == "analytic"
+    assert system.shifts[0] >= 0
     assert system.orthonormality_defect < 1e-14
 
 
@@ -113,7 +120,7 @@ def test_orthonormal_system_rank_one_hankel(hankel_space):
 
 def test_orthonormal_system_negative_shifts(mass_space):
     system = orthonormal_system(mass_space, range(-3, 5), 24)
-    assert system.basis_kind == "laurent"
+    assert system.shifts[0] < 0
     assert system.orthonormality_defect < 1e-10
 
 
@@ -212,6 +219,68 @@ def test_sandwich_equals_the_four_gram_reference(case):
             report = sandwich_check(space, cutoff, rho, 0, 24)
             expected = sandwich_check_four_grams(space, cutoff, rho, 0, 24)
             assert _report_fields(report) == _report_fields(expected)
+
+
+@pytest.mark.parametrize("name", [name for name in MIXED_NAMES
+                                  if len(BY_NAME[name].masses) > 1])
+def test_sandwich_equals_the_four_gram_reference_where_differences_have_zero_rows(
+        monkeypatch, name):
+    # at 4096/128 the dropped mass's Gram falls below the roundoff of the
+    # entries it is added to, so Gram(alpha) - Gram(cutoff) has exact zero
+    # rows and its margin is read from the nonzero block alone
+    space = BY_NAME[name].space(4096)
+    degree = 128
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(matrix):
+        orders.append(matrix.shape[0])
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    report = sandwich_check(space, 1, 0.5, 0, degree)
+    monkeypatch.undo()
+    expected = sandwich_check_four_grams(space, 1, 0.5, 0, degree)
+    assert _report_fields(report) == _report_fields(expected)
+    assert min(orders) < degree + 1
+
+
+@given(st.integers(1, 40), st.integers(0, 40), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_psd_margin_of_a_difference_with_zero_rows(size, zeros, semidefinite, seed):
+    # a Hermitian block scattered over random rows and columns of a larger
+    # zero matrix: its margin is the smallest eigenvalue of the whole
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    block = block @ block.conj().T if semidefinite else block + block.conj().T
+    order = size + zeros
+    support = np.sort(rng.choice(order, size, replace=False))
+    full = np.zeros((order, order), dtype=complex)
+    full[np.ix_(support, support)] = block
+    expected = float(np.linalg.eigvalsh(full)[0])
+    lower = GramMatrix(np.zeros_like(full))
+    margin = kernels._psd_margin(GramMatrix(full.copy()), lower, out=lower)
+    bound = order * np.finfo(float).eps * np.abs(full).max()
+    assert abs(margin - expected) <= bound
+    if semidefinite and zeros:
+        assert margin <= 0.0
+
+
+def test_a_heavier_kept_mass_fails_the_cutoff_order():
+    # a broken Gram(cutoff), the kept mass's weight doubled, is not below
+    # Gram(alpha) in PSD order, and the margin of their difference says so
+    space = BY_NAME["mixed_two_mass"].space(4096)
+    degree = 128
+    kept = regularized(space, mass_cutoff=1).masses
+    broken = replace(space, masses=MassSet(kept.points, 2.0 * kept.weights))
+    gamma = analytic_hankel(space, degree)
+    g_alpha, g_broken = assemble_gram(space, gamma), assemble_gram(broken, gamma)
+    expected = float(np.linalg.eigvalsh(g_alpha.entries - g_broken.entries)[0])
+    margin = kernels._psd_margin(g_alpha, g_broken, out=g_broken)
+    assert margin < -TOL_ORDER
+    assert abs(margin - expected) <= (degree + 1) * np.finfo(float).eps * abs(expected)
+    with pytest.raises(OrderViolation, match=r"Gram\(alpha\) - Gram\(cutoff\) PSD"):
+        _require_order("Gram(alpha) - Gram(cutoff) PSD", margin, TOL_ORDER)
 
 
 def _count_sandwich_calls(monkeypatch, space, cutoff):

@@ -16,20 +16,26 @@ from hardydual import (
     MassSet,
     NotPositiveDefinite,
     SpaceData,
+    SymbolData,
+    asymptotic_sweep,
     build_gram_analytic,
     build_gram_laurent,
     build_outer,
+    dual_of,
+    duality_identity,
     effective_data,
     embed_h2,
     kernel_at_origin,
+    orthonormal_system,
     regularized,
+    sandwich_check,
     symbol_from_coefficients,
     symbol_from_expression,
     zero_symbol,
 )
 from hardydual import cli, spaces
 from hardydual.circle import riesz_project_values
-from hardydual.corpus import CASES
+from hardydual.corpus import BY_NAME, CASES
 from hardydual.tolerances import TOL_PSD
 from oracle import dense_psd_check, gram_entry_quadrature, symbol_values
 from hardydual.spaces import GramMatrix, _finalize_gram, hankel_block
@@ -212,6 +218,72 @@ def test_hankel_requires_consecutive_exponents(grid512):
         hankel_block(symbol, np.array([0, 2, 3]), 32)
 
 
+@contextlib.contextmanager
+def _counted_recurrences():
+    """Patch ``spaces._lagged_gram`` to count its calls into the yielded list."""
+    calls = []
+    recurrence = spaces._lagged_gram
+
+    def counted(*args):
+        calls.append(args[2])
+        return recurrence(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "_lagged_gram", counted)
+        yield calls
+
+
+def _signed_zero_symbol(grid, seed):
+    """A symbol whose coefficients are zeros of random signs."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(grid.size, dtype=complex)
+    coeffs.real = np.where(rng.random(grid.size) < 0.5, -0.0, 0.0)
+    coeffs.imag = np.where(rng.random(grid.size) < 0.5, -0.0, 0.0)
+    return SymbolData(grid, np.zeros(grid.size, dtype=complex), coeffs)
+
+
+@pytest.mark.parametrize("first, order, truncation", [
+    (0, 1, 1), (0, 17, 40), (-3, 9, 200), (5, 33, 1), (-8, 64, 448), (0, 300, 212)])
+def test_zero_window_gives_the_recurrence_bytes_without_running_it(first, order, truncation):
+    # +0+0j on and above the diagonal, +0-0j below it, whatever the zeros' signs
+    grid = CircleGrid(1024)
+    exponents = np.arange(first, first + order)
+    for symbol in (zero_symbol(grid), _signed_zero_symbol(grid, order)):
+        window = symbol.coeffs[-(first + 1 + np.arange(truncation + order - 1)) % grid.size]
+        expected = spaces._lagged_gram(window, truncation, order)
+        with _counted_recurrences() as calls:
+            gamma = hankel_block(symbol, exponents, truncation)
+        assert calls == []
+        assert gamma.flags.c_contiguous and gamma.dtype == expected.dtype
+        assert gamma.tobytes() == expected.tobytes()
+
+
+def test_analytic_symbol_skips_the_recurrence_only_where_its_window_is_zero(grid512):
+    # R = 0.5 t: at shift 0 the window r_{-1}, r_{-2}, ... is zero; at shift
+    # -2 it starts r_1, r_0, r_{-1}, ..., so Gamma[0, 0] = |r_1|^2
+    space = SpaceData(symbol_from_coefficients(grid512, {1: 0.5}), MassSet.empty())
+    with _counted_recurrences() as calls:
+        gamma = spaces.analytic_hankel(space, 12)
+    assert calls == [] and not gamma.any()
+    with _counted_recurrences() as calls:
+        gamma = spaces.analytic_hankel(spaces.shifted(space, -2), 12)
+    assert calls == [13]
+    assert gamma[0, 0] == 0.25 and np.count_nonzero(gamma) == 1
+
+
+@pytest.mark.parametrize("name, recurrences", [("mass_single", 0), ("mixed_rational", 8)])
+def test_shift_sweep_op_runs_a_recurrence_per_nonzero_window(name, recurrences):
+    # the op of the benchmark's shift_sweep workload, at 1024/16
+    space = BY_NAME[name].space(1024)
+    degree = 16
+    with _counted_recurrences() as calls:
+        asymptotic_sweep(space, 16, degree)
+        sandwich_check(space, 1, 0.5, 0, degree)
+        duality_identity(space, dual_of(space), degree)
+        orthonormal_system(space, range(5), degree)
+    assert len(calls) == recurrences
+
+
 # --- PD check by Cholesky ---------------------------------------------------------
 
 def test_pd_threshold_unchanged():
@@ -345,7 +417,8 @@ def test_windows_run_no_eigensolve(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "eigvalsh", no_eigensolve)
         master = build_gram_analytic(space, degree + n_max)
-        windows = [master.window(n, degree + 1) for n in range(n_max + 1)]
+        windows = [GramMatrix(master.entries[n:n + degree + 1, n:n + degree + 1])
+                   for n in range(n_max + 1)]
         for window in windows:
             kernel_at_origin(window)
     floor = master.min_eig_estimate
