@@ -42,7 +42,7 @@ for cutoff in (0, 1, 2):
     print(f"  N = {cutoff}: K = {k:.12f}   gap {k - k_alpha:.3e}")
 
 print("\nPSD ordering, checked by a dense eigensolve:")
-base = build_gram_analytic(space, 40).entries
+base = build_gram_analytic(space, 40)
 for rho in (0.5, 0.9):
-    scaled = build_gram_analytic(regularized(space, rho=rho), 40).entries
+    scaled = build_gram_analytic(regularized(space, rho=rho), 40)
     print(f"  min eig of Gram(rho={rho}) - Gram(alpha): {np.linalg.eigvalsh(scaled - base)[0]:+.2e}")

@@ -70,7 +70,6 @@ from .kernels import (
     sandwich_check,
 )
 from .spaces import (
-    GramMatrix,
     SpaceData,
     build_gram_analytic,
     build_gram_laurent,

@@ -564,6 +564,7 @@ def write_report(report: RunReport, out_dir: Path):
 def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunReport | None]:
     """Execute the configured studies and persist the report."""
     tables, gates, scalars, timings = {}, [], {}, {}
+    study = None
     try:
         space = build_space(config)
         # the duality, theorem and tau studies share one DualData (and its
@@ -586,7 +587,8 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunR
         # from derived data, such as a shifted weight nu |zeta|^2 that underflows
         if isinstance(exc, FloatingPointError):
             exc = f"{exc}: the data's scale is beyond double range"
-        print(f"data failure: {str(exc) or 'out of memory'}", file=sys.stderr)
+        where = f" ({study} study)" if study else ""
+        print(f"data failure: {str(exc) or 'out of memory'}{where}", file=sys.stderr)
         return EXIT_DATA, None
 
     report = RunReport(config, tables, gates, scalars, timings)

@@ -1,14 +1,14 @@
 """Reproducing kernels, the normalized orthonormal system, and kernel bounds.
 
-For the Gram matrix G of the metric on z^0..z^M, the reproducing kernel at
-the origin solves G k = e_0, so k(0) = (G^{-1})_{00} = ||k||^2 and the
-normalized value is K(0) = sqrt((G^{-1})_{00}).  Every routine that needs
-several Grams of one data pair assembles one Gram and reads the others from
-it: shifts are principal windows, and regularizations recombine the one
-Hankel Gram Gamma it was assembled from (see :func:`sandwich_check`, which
-builds each distinct variant once).  The orthonormal system reads every
-window's kernel vector from one solve with its covering Gram
-(:func:`_covering_kernels`).
+For the Gram matrix G of the metric on z^0..z^M, a plain Hermitian array,
+the reproducing kernel at the origin solves G k = e_0, so k(0) = (G^{-1})_{00}
+= ||k||^2 and the normalized value is K(0) = sqrt((G^{-1})_{00}).  Every
+routine that needs several Grams of one data pair assembles one Gram and
+reads the others from it: shifts are principal windows, and regularizations
+recombine the one Hankel Gram Gamma it was assembled from (see
+:func:`sandwich_check`, which builds each distinct variant once).  The
+orthonormal system reads every window's kernel vector from one solve with
+its covering Gram (:func:`_covering_kernels`).
 
 The asymptotic sweep takes its windows max(1, (degree + 1) // 4) at a time:
 the sub-Gram covering a group is factored once by a reversed Cholesky
@@ -26,7 +26,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotPositiveDefinite, OrderViolation, RejectBoundary
 from .spaces import (
-    GramMatrix,
     SpaceData,
     _pd_failure,
     analytic_hankel,
@@ -57,20 +56,23 @@ class KernelVector:
         return self.coefficients / self.norm
 
 
-def kernel_at_point(gram: GramMatrix, point: complex) -> KernelVector:
-    """Solve G k = (conj(point)^m)_m, the evaluation functional at ``point``."""
+def kernel_at_point(gram: np.ndarray, point: complex) -> KernelVector:
+    """Solve G k = (conj(point)^m)_m, the evaluation functional at ``point``.
+
+    One LU solve with G: numpy has no triangular solve, so a Cholesky
+    factor would only add a factorization."""
     point = complex(point)
     if abs(point) >= 1.0:
         raise RejectBoundary(f"evaluation point {point} not inside the open disk")
-    rhs = np.conj(point) ** np.arange(gram.order)
-    coeffs = gram.solve(rhs)
+    rhs = np.conj(point) ** np.arange(gram.shape[0])
+    coeffs = np.linalg.solve(gram, rhs)
     norm_sq = np.vdot(coeffs, rhs)
     if norm_sq.real <= 0:
         raise OrderViolation("kernel norm came out nonpositive; Gram unusable")
     return KernelVector(coeffs, float(np.sqrt(norm_sq.real)))
 
 
-def kernel_at_origin(gram: GramMatrix) -> KernelVector:
+def kernel_at_origin(gram: np.ndarray) -> KernelVector:
     """Kernel for evaluation at 0; K(0) = sqrt of the (0,0) entry of G^{-1}."""
     return kernel_at_point(gram, 0.0)
 
@@ -142,14 +144,14 @@ def orthonormal_system(space: SpaceData, shifts: Sequence[int], degree: int,
     n_min, n_max = int(shifts[0]), int(shifts[-1])
 
     gram = build_gram_analytic(shifted(space, n_min), degree + n_max - n_min, hankel)
-    kernels = _covering_kernels(gram.entries, shifts - n_min, degree + 1)
+    kernels = _covering_kernels(gram, shifts - n_min, degree + 1)
     norm_sq = kernels[:, 0].real
     if np.any(norm_sq <= 0):
         raise OrderViolation("kernel norm came out nonpositive; Gram unusable")
-    columns = np.zeros((gram.order, shifts.size), dtype=complex)
+    columns = np.zeros((gram.shape[0], shifts.size), dtype=complex)
     for i, n in enumerate(shifts - n_min):
         columns[n: n + degree + 1, i] = kernels[i] / np.sqrt(norm_sq[i])
-    system_gram = columns.conj().T @ gram.entries @ columns
+    system_gram = columns.conj().T @ gram @ columns
     return OrthonormalSystem(shifts, columns, system_gram)
 
 
@@ -233,14 +235,14 @@ def asymptotic_sweep(space: SpaceData, n_max: int, degree: int,
     parts = []
     try:
         if full:
-            parts.append(_window_kernels(gram.entries, group * np.arange(full), group, size))
+            parts.append(_window_kernels(gram, group * np.arange(full), group, size))
         if rest:
-            parts.append(_window_kernels(gram.entries, [group * full], rest, size))
+            parts.append(_window_kernels(gram, [group * full], rest, size))
     except np.linalg.LinAlgError:
         # the Gram passed its PD check, so a group's reversed Cholesky failed
         # in roundoff: report it as the Gram's own check would
-        raise NotPositiveDefinite(_pd_failure(gram.entries, gram.min_eig_estimate,
-                                              space.masses.weights)) from None
+        min_eig = float(np.linalg.eigvalsh(gram)[0])
+        raise NotPositiveDefinite(_pd_failure(gram, min_eig, space.masses.weights)) from None
     values = np.concatenate([part.ravel() for part in parts])
     return AsymptoticTrace(np.arange(n_max + 1), values)
 
@@ -289,9 +291,9 @@ def _dual_parts(space: SpaceData):
     return (dual.T_at_zero, dual.dual_space()), dual.outer.value_at_zero
 
 
-def _psd_margin(upper: GramMatrix, lower: GramMatrix, out: GramMatrix) -> float:
-    """Smallest eigenvalue of upper - lower, written over ``out``'s entries
-    (one of the two, read for the last time).
+def _psd_margin(upper: np.ndarray, lower: np.ndarray, out: np.ndarray) -> float:
+    """Smallest eigenvalue of upper - lower, written over ``out`` (one of the
+    two, read for the last time).
 
     The difference D is Hermitian, so its support S (the columns with a
     nonzero entry) is also the rows with one.  With S a proper subset, D has
@@ -300,7 +302,7 @@ def _psd_margin(upper: GramMatrix, lower: GramMatrix, out: GramMatrix) -> float:
     eigensolve: the eigensolve of a zero matrix gives +0.0 too."""
     if upper is lower:
         return 0.0
-    diff = np.subtract(upper.entries, lower.entries, out=out.entries)
+    diff = np.subtract(upper, lower, out=out)
     support = np.flatnonzero(diff.any(axis=0))
     if support.size == diff.shape[0]:
         return float(np.linalg.eigvalsh(diff)[0])

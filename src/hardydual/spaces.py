@@ -16,7 +16,7 @@ keeps shift and rho lazy for that reason; a mass cutoff is a shorter MassSet
 (:func:`regularized`).  Symbol scaling by rho and mass truncation recombine
 the same Hankel Gram Gamma as I - rho^2 Gamma + (mass Gram of the masses):
 Gamma is a plain array from :func:`analytic_hankel`, held by the caller that
-recombines it, while a GramMatrix holds only its entries.
+recombines it, and every Gram is a plain Hermitian array of its entries.
 
 Gamma is assembled by its displacement recurrence, except over a window of
 exact zeros (the zero symbol's), where the recurrence could give only zeros
@@ -32,7 +32,6 @@ through numpy.linalg, so one LAPACK serves the whole process.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -210,30 +209,6 @@ def _mass_gram(masses: MassSet, exponents: np.ndarray) -> np.ndarray:
     return v.conj().T @ (masses.weights[:, None] * v)
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Hermitian positive matrix of the metric on z^0..z^{order-1}.
-
-    :meth:`solve` is one LU solve with the entries: numpy has no triangular
-    solve, so a Cholesky factor would only add a factorization.  The
-    smallest eigenvalue is computed on first use.  The Laurent Gram of
-    :func:`build_gram_laurent` is a plain array, not a GramMatrix.
-    """
-
-    entries: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-    @cached_property
-    def min_eig_estimate(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-    def solve(self, rhs) -> np.ndarray:
-        return np.linalg.solve(self.entries, np.asarray(rhs, dtype=complex))
-
-
 def _finalize_gram(entries, weights=(), floor=-np.inf) -> np.ndarray:
     """Symmetrize ``entries`` in place, check min eig >= TOL_PSD, and return
     them.
@@ -326,7 +301,7 @@ def _pd_failure(entries, min_eig: float, weights) -> str:
             "|R| too close to 1 for this truncation (try rho < 1 or a larger grid)")
 
 
-def assemble_gram(space: SpaceData, gamma: np.ndarray) -> GramMatrix:
+def assemble_gram(space: SpaceData, gamma: np.ndarray) -> np.ndarray:
     """I - rho^2 Gamma + (mass Gram of the masses) on z^n..z^{n+order-1}.
 
     ``gamma`` is :func:`analytic_hankel` of ``space``, n = ``space.shift``;
@@ -344,12 +319,12 @@ def assemble_gram(space: SpaceData, gamma: np.ndarray) -> GramMatrix:
     entries[np.diag_indices_from(entries)] += 1.0
     # adding 0.0 without masses keeps the signs of zeros of I - rho^2 Gamma
     entries += _mass_gram(masses, exponents) if masses.count else 0.0
-    return GramMatrix(_finalize_gram(entries, masses.weights, floor))
+    return _finalize_gram(entries, masses.weights, floor)
 
 
 def build_gram_analytic(space: SpaceData, degree: int,
-                        hankel: Optional[int] = None) -> GramMatrix:
-    """Gram of the metric on z^0..z^degree.
+                        hankel: Optional[int] = None) -> np.ndarray:
+    """Gram entries of the metric on z^0..z^degree.
 
     For shift n the entries are the unshifted metric on z^{n+m}, z^{n+l}:
     delta_{ml} - rho^2 sum_{j<=J} conj(r_{-j-n-m}) r_{-j-n-l}

@@ -310,8 +310,8 @@ def sandwich_check_four_grams(space, cutoff, rho, n, degree, hankel=None,
     _require_order("K(cutoff) >= K(alpha)", margin_cutoff, tol_order)
     _require_order("K(alpha) >= K(scaled)", margin_scaled, tol_order)
 
-    psd_cut = float(np.linalg.eigvalsh(g_alpha.entries - g_cut.entries)[0])
-    psd_rho = float(np.linalg.eigvalsh(g_rho.entries - g_alpha.entries)[0])
+    psd_cut = float(np.linalg.eigvalsh(g_alpha - g_cut)[0])
+    psd_rho = float(np.linalg.eigvalsh(g_rho - g_alpha)[0])
     _require_order("Gram(alpha) - Gram(cutoff) PSD", psd_cut, tol_order)
     _require_order("Gram(scaled) - Gram(alpha) PSD", psd_rho, tol_order)
 

@@ -107,9 +107,9 @@ def test_criterion_4_sandwich_ordering(corpus_spaces):
         cutoff = min(1, space.masses.count)
         report = sandwich_check(space, cutoff, 0.5, 0, 40)
         worst_margin = min(worst_margin, report.margin_cutoff, report.margin_scaled)
-        base = build_gram_analytic(space, 40).entries
-        cut = build_gram_analytic(regularized(space, mass_cutoff=cutoff), 40).entries
-        rho = build_gram_analytic(regularized(space, rho=0.5), 40).entries
+        base = build_gram_analytic(space, 40)
+        cut = build_gram_analytic(regularized(space, mass_cutoff=cutoff), 40)
+        rho = build_gram_analytic(regularized(space, rho=0.5), 40)
         worst_psd = min(worst_psd, dense_psd_check(base - cut),
                         dense_psd_check(rho - base))
     _gate("criterion 4: sandwich inequalities and Gram PSD orderings (>= -1e-10)",
@@ -186,7 +186,7 @@ def test_criterion_8_oracle_equivalence(corpus_spaces):
             oracle_entry = gram_entry_quadrature(values, refined, masses.points,
                                                  masses.weights, row, col, 96)
             worst_entry = max(worst_entry,
-                              abs(gram.entries[row, col] - oracle_entry))
+                              abs(gram[row, col] - oracle_entry))
         r = dual_of(space)
         for k, point in enumerate(r.masses.points):
             fd = fd_derivative(lambda z: complex(blaschke_value(r.masses.points, z)),

@@ -135,11 +135,13 @@ def test_overflowing_symbol_exits_2_without_warnings(tmp_path, formula, message)
     assert proc.stderr.splitlines() == [f"config error: {message}"]
 
 
-@pytest.mark.parametrize("target", ["symbol_from_expression", "asymptotic_sweep"],
+@pytest.mark.parametrize("target, where", [("symbol_from_expression", ""),
+                                           ("asymptotic_sweep", " (asymptotics study)")],
                          ids=["build-space", "study"])
-def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, target):
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, target, where):
     # a refused allocation while building the space or in a study is a
-    # data failure of one line, not a traceback; no report is written
+    # data failure of one line, not a traceback, that names the study it
+    # was raised in; no report is written
     def refuse(*args, **kwargs):
         raise MemoryError
 
@@ -148,7 +150,7 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, target):
     _write_config(cfg, symbol={"kind": "expression", "formula": "0.3*conj(t)"},
                   studies=["asymptotics", "duality"])
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err == "data failure: out of memory\n"
+    assert capsys.readouterr().err == f"data failure: out of memory{where}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -429,7 +431,17 @@ def test_degenerate_masses_exit_3_from_the_first_dual_study(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.strip()
     assert err == ("data failure: Blaschke derivative vanishes at a mass point "
-                   "(coinciding points?)")
+                   "(coinciding points?) (theorem study)")
+
+
+def test_overflow_names_the_sandwich_study(tmp_path, capsys):
+    # a weight of 1e308 overflows the first Gram the sandwich study assembles
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=256, degree=16, studies=["sandwich"],
+                  masses=[{"point": [0.5, 0.0], "weight": 1e308}])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == ("data failure: overflow encountered in add: the "
+                                       "data's scale is beyond double range (sandwich study)\n")
 
 
 @pytest.mark.parametrize("weight", [1e16, 1e300, 1e-16, 1e-300])
@@ -655,15 +667,27 @@ _fuzz_value = st.one_of(_fuzz_scalar, st.lists(_fuzz_scalar, max_size=3),
                         st.dictionaries(_fuzz_text, _fuzz_scalar, max_size=2))
 _fuzz_mutations = st.lists(st.tuples(st.sampled_from(list(_fuzz_paths(_FUZZ_BASE))),
                                      _fuzz_value), min_size=1, max_size=2)
+# command-line overrides, written --flag=value so that a negative value is not
+# read as an option; grids stop at 1024, since a config cannot yet be refused
+# for its size, and degrees stop at 64 where a grid can hold them, for speed
+_fuzz_overrides = st.lists(st.one_of(
+    st.tuples(st.just("--grid"),
+              st.sampled_from([2 ** k for k in range(11)] + [0, -256, 3, 100, 1000])),
+    st.tuples(st.just("--degree"), st.sampled_from([-1, 0, 1, 8, 16, 48, 64, 511, 4096])),
+    st.tuples(st.just("--convention"), st.sampled_from([cli.UNITARY, cli.PRINTED])),
+    st.tuples(st.just("--tol-gate"),
+              st.sampled_from([math.nan, math.inf, -math.inf, -1e-6, 0.0, 1e-300, 1e-6, 1.0]))),
+    max_size=3)
 
 
-@given(_fuzz_mutations)
-@example([(("output", "dir"), 5)])
-@example([(("output", "dir"), None)])
-@example([(("symbol",), {"kind": "expression"})])
+@given(_fuzz_mutations, _fuzz_overrides)
+@example([(("output", "dir"), 5)], [])
+@example([(("output", "dir"), None)], [])
+@example([(("symbol",), {"kind": "expression"})], [])
+@example([(("seed",), 1)], [("--grid", 1024), ("--degree", 64), ("--tol-gate", -math.inf)])
 @settings(deadline=None, max_examples=400,
           suppress_health_check=[HealthCheck.too_slow])
-def test_mutated_readme_config_exits_cleanly(mutations):
+def test_mutated_readme_config_exits_cleanly(mutations, overrides):
     # a documented exit code, no exception, one stderr line for exits 2 and
     # 3 and none for 0 and 4; warnings count as stderr output
     config = copy.deepcopy(_FUZZ_BASE)
@@ -684,7 +708,7 @@ def test_mutated_readme_config_exits_cleanly(mutations):
         os.chdir(workdir)
         try:
             Path("c.json").write_text(json.dumps(config))
-            code = main(["run", "c.json"])
+            code = main(["run", "c.json", *(f"{flag}={value}" for flag, value in overrides)])
         finally:
             os.chdir(cwd)
     assert code in (0, 2, 3, 4)

@@ -1,6 +1,11 @@
 """The paper's invariants on random data, against closed forms, and under
 rotation of the corpus data.
 
+Random data pairs are drawn as the benchmark's ``random_pairs`` workload
+draws them, on a 1024 grid, and each must pass the library's own gates: the dual of the dual
+is the pair, the duality identity holds, tau is a unitary involution, and
+the regularization sandwich keeps its order.
+
 For the zero symbol with masses nu_k at zeta_k, the metric on z^0..z^M is
 I + V^H diag(nu) V with V_kp = zeta_k^p, and the Woodbury identity gives the
 normalized kernel value of the shift alpha_n in closed form:
@@ -14,23 +19,35 @@ at |zeta| = 0.78, so the finite sum is the reference that leaves only
 roundoff.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardydual import (
+    PRINTED,
+    UNITARY,
     CircleGrid,
     MassSet,
+    OrderViolation,
     SpaceData,
+    TauVector,
+    apply_tau,
     asymptotic_sweep,
     build_gram_analytic,
     dual_of,
     duality_identity,
+    effective_data,
     kernel_at_origin,
+    l2_norm,
+    sandwich_check,
+    symbol_from_coefficients,
     symbol_from_samples,
     zero_symbol,
 )
+from hardydual.cli import _DEFAULT_GATES, _random_vector
 from hardydual.corpus import CASES, mass_single_trace
 
 GRID = CircleGrid(4096)
@@ -114,3 +131,81 @@ def test_rotation_leaves_the_invariants_unchanged(case):
         assert np.abs(sweep_rot - sweep).max() <= ROTATION_TOL, k
         assert abs(t0_rot - t0) <= ROTATION_TOL * t0, k
         assert abs(product_rot - product) <= ROTATION_TOL, k
+
+
+# --- random data pairs -------------------------------------------------------------
+
+PAIR_GRID = CircleGrid(1024)
+# at degree 24 the basis is too short for a sup|R| = 0.8 term at |p| = 4: the
+# identity residual of R = 0.4 (t^4 + t^-4) with masses 1 at 0.25 and 0.5 is
+# 3.9e-6, 2.4e-7, 9.6e-10 and 3.7e-12 at degrees 24, 32, 48 and 64
+PAIR_DEGREE = 48
+TAU_VECTORS = 3
+
+
+@st.composite
+def random_pairs(draw):
+    """1-3 symbol coefficients at |p| <= 4, scaled to sup|R| = 0.8, and 0-3
+    masses with 0.1 <= |zeta| <= 0.7, at least 0.1 apart, weights in
+    [0.5, 3]."""
+    powers = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True))
+    coeffs = np.array([draw(st.floats(0.1, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+                       for _ in powers])
+    scale = 0.8 / symbol_from_coefficients(PAIR_GRID, dict(zip(powers, coeffs))).sup_modulus
+    symbol = symbol_from_coefficients(PAIR_GRID, dict(zip(powers, coeffs * scale)))
+    count = draw(st.integers(0, 3))
+    points = []
+    while len(points) < count:
+        z = draw(st.floats(0.1, 0.7)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+        if all(abs(z - q) >= 0.1 for q in points):
+            points.append(z)
+    weights = draw(st.lists(st.floats(0.5, 3.0), min_size=count, max_size=count))
+    return SpaceData(symbol, MassSet(np.array(points, dtype=complex), np.array(weights)))
+
+
+@given(random_pairs())
+@settings(deadline=None, max_examples=100)
+def test_random_pair_dual_of_the_dual_is_the_pair(space):
+    # the tolerances of test_duality.test_dual_is_involution_on_data
+    sym, masses = effective_data(space)
+    for convention in (UNITARY, PRINTED):
+        back = dual_of(dual_of(space, convention).dual_space(), convention)
+        assert np.abs(back.dual_symbol.values - sym.values).max() < 1e-13, convention
+        assert np.array_equal(back.dual_masses.points, masses.points), convention
+        assert np.all(np.abs(back.dual_masses.weights - masses.weights)
+                      <= 1e-14 * masses.weights), convention
+
+
+@given(random_pairs(), st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None, max_examples=100)
+def test_random_pair_passes_the_identity_and_tau_gates(space, seed):
+    dual = dual_of(space)
+    identity = duality_identity(space, dual, PAIR_DEGREE)
+    assert identity.residual < _DEFAULT_GATES["identity"]
+    rng = random.Random(seed)
+    band = min(PAIR_DEGREE, PAIR_GRID.size // 8)
+    for _ in range(TAU_VECTORS):
+        vec = _random_vector(rng, dual.symbol, dual.masses, band)
+        norm = l2_norm(vec, dual.symbol, dual.masses)
+        image = apply_tau(vec, dual)
+        norm_image = l2_norm(image, dual.dual_symbol, dual.dual_masses)
+        assert abs(norm_image ** 2 - norm ** 2) / norm ** 2 < _DEFAULT_GATES["tau"]
+        back = apply_tau(image, dual.back)
+        diff = TauVector(back.f1 - vec.f1, back.f2 - vec.f2,
+                         back.mass_values - vec.mass_values)
+        assert l2_norm(diff, dual.symbol, dual.masses) / norm < _DEFAULT_GATES["tau"]
+
+
+@given(random_pairs(), st.integers(0, 3), st.sampled_from([0.5, 0.9, 1.0]))
+@settings(deadline=None, max_examples=60)
+def test_random_pair_sandwich_keeps_its_order(space, cutoff, rho):
+    # sandwich_check raises OrderViolation on any margin below -TOL_ORDER.  Its
+    # last check, the lower chain, is not a theorem for every pair: with
+    # R = 0.8 conj(t), one mass at 0.5, cutoff 0 and rho near 1 its slack is
+    # -3.3e-2 at every truncation, while K itself matches the closed form
+    # (see ROADMAP).  Every other ordering is checked before it.
+    try:
+        sandwich_check(space, cutoff, rho, 0, PAIR_DEGREE)
+    except OrderViolation as exc:
+        if not str(exc).startswith("K(scaled) >= (B(0)/B^N(0)) K(both) violated"):
+            raise

@@ -23,7 +23,7 @@ from hardydual import (
 from hardydual import kernels
 from hardydual.corpus import BY_NAME, CASES, MIXED_NAMES, mass_single_trace
 from hardydual.kernels import _require_order
-from hardydual.spaces import GramMatrix, analytic_hankel, assemble_gram
+from hardydual.spaces import analytic_hankel, assemble_gram
 from hardydual.tolerances import TOL_ORDER
 from oracle import constrained_minimum, sandwich_check_four_grams
 
@@ -55,7 +55,7 @@ def test_reproducing_residual(case):
     kernel = kernel_at_origin(gram)
     rhs = np.zeros(21, dtype=complex)
     rhs[0] = 1.0
-    residual = np.abs(gram.entries @ kernel.coefficients - rhs).max()
+    residual = np.abs(gram @ kernel.coefficients - rhs).max()
     assert residual < 1e-10
 
 
@@ -65,7 +65,7 @@ def test_extremal_characterization(case):
     space = case.space(1024)
     gram = build_gram_analytic(space, 20)
     kernel = kernel_at_origin(gram)
-    minimum = constrained_minimum(gram.entries)
+    minimum = constrained_minimum(gram)
     assert abs(1.0 / kernel.norm ** 2 - minimum) < 1e-10
 
 
@@ -89,7 +89,7 @@ def test_kernel_at_point_reproduces_monomial(mass_space):
     # <z, k_{1/2}> = value of z at 1/2
     z_coeffs = np.zeros(41, dtype=complex)
     z_coeffs[1] = 1.0
-    inner = np.vdot(kernel.coefficients, gram.entries @ z_coeffs)
+    inner = np.vdot(kernel.coefficients, gram @ z_coeffs)
     assert abs(inner - 0.5) < 1e-10
 
 
@@ -258,8 +258,8 @@ def test_psd_margin_of_a_difference_with_zero_rows(size, zeros, semidefinite, se
     full = np.zeros((order, order), dtype=complex)
     full[np.ix_(support, support)] = block
     expected = float(np.linalg.eigvalsh(full)[0])
-    lower = GramMatrix(np.zeros_like(full))
-    margin = kernels._psd_margin(GramMatrix(full.copy()), lower, out=lower)
+    lower = np.zeros_like(full)
+    margin = kernels._psd_margin(full.copy(), lower, out=lower)
     bound = order * np.finfo(float).eps * np.abs(full).max()
     assert abs(margin - expected) <= bound
     if semidefinite and zeros:
@@ -275,7 +275,7 @@ def test_a_heavier_kept_mass_fails_the_cutoff_order():
     broken = replace(space, masses=MassSet(kept.points, 2.0 * kept.weights))
     gamma = analytic_hankel(space, degree)
     g_alpha, g_broken = assemble_gram(space, gamma), assemble_gram(broken, gamma)
-    expected = float(np.linalg.eigvalsh(g_alpha.entries - g_broken.entries)[0])
+    expected = float(np.linalg.eigvalsh(g_alpha - g_broken)[0])
     margin = kernels._psd_margin(g_alpha, g_broken, out=g_broken)
     assert margin < -TOL_ORDER
     assert abs(margin - expected) <= (degree + 1) * np.finfo(float).eps * abs(expected)
@@ -321,7 +321,7 @@ def test_monotonicity_of_inverse_under_psd_growth(grid512):
     rng = np.random.default_rng(5)
     space = SpaceData(symbol_from_expression(grid512, "0.4*conj(t)"),
                       MassSet(np.array([0.3]), np.array([1.0])))
-    gram = build_gram_analytic(space, 10).entries
+    gram = build_gram_analytic(space, 10)
     for _ in range(10):
         direction = rng.standard_normal((11, 3)) + 1j * rng.standard_normal((11, 3))
         bump = direction @ direction.conj().T

@@ -38,7 +38,7 @@ from hardydual.circle import riesz_project_values
 from hardydual.corpus import BY_NAME, CASES
 from hardydual.tolerances import TOL_PSD
 from oracle import dense_psd_check, gram_entry_quadrature, symbol_values
-from hardydual.spaces import GramMatrix, _finalize_gram, hankel_block
+from hardydual.spaces import _finalize_gram, hankel_block
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -98,15 +98,15 @@ def test_mass_cutoff(grid512):
 def test_gram_identity_for_trivial_data(grid512):
     space = SpaceData(zero_symbol(grid512), MassSet.empty())
     gram = build_gram_analytic(space, 3)
-    assert np.abs(gram.entries - np.eye(4)).max() == 0
-    assert gram.min_eig_estimate == pytest.approx(1.0)
+    assert np.abs(gram - np.eye(4)).max() == 0
+    assert np.linalg.eigvalsh(gram)[0] == pytest.approx(1.0)
 
 
 def test_gram_rank_one_hankel(grid512):
     space = SpaceData(symbol_from_expression(grid512, "0.6*conj(t)"), MassSet.empty())
     gram = build_gram_analytic(space, 3, hankel=8)
     expected = np.diag([0.64, 1.0, 1.0, 1.0])
-    assert np.abs(gram.entries - expected).max() < 1e-14
+    assert np.abs(gram - expected).max() < 1e-14
 
 
 def test_gram_single_mass_closed_form(grid512):
@@ -115,17 +115,17 @@ def test_gram_single_mass_closed_form(grid512):
     gram = build_gram_analytic(space, 2)
     m, l = np.meshgrid([0, 1, 2], [0, 1, 2], indexing="ij")
     expected = np.eye(3) + 3.0 * 2.0 ** (-(m + l)).astype(float)
-    assert np.abs(gram.entries - expected).max() < 1e-14
+    assert np.abs(gram - expected).max() < 1e-14
 
 
 def test_gram_hermitian_and_factorized(grid4096):
     space = CASES[-1].space(4096)  # rational symbol, two masses
     gram = build_gram_analytic(space, 24)
-    assert np.abs(gram.entries - gram.entries.conj().T).max() == 0
+    assert np.abs(gram - gram.conj().T).max() == 0
     rhs = np.zeros(25, dtype=complex)
     rhs[0] = 1.0
-    solution = gram.solve(rhs)
-    assert np.abs(gram.entries @ solution - rhs).max() < 1e-12
+    solution = np.linalg.solve(gram, rhs)
+    assert np.abs(gram @ solution - rhs).max() < 1e-12
 
 
 def test_gram_rejects_unimodular_symbol(grid512):
@@ -289,8 +289,8 @@ def test_shift_sweep_op_runs_a_recurrence_per_nonzero_window(name, recurrences):
 def test_pd_threshold_unchanged():
     with pytest.raises(NotPositiveDefinite, match="5.000e-13"):
         _finalize_gram(np.diag([1.0, 5e-13]).astype(complex))
-    gram = GramMatrix(_finalize_gram(np.diag([1.0, 2e-12]).astype(complex)))
-    assert gram.min_eig_estimate == pytest.approx(2e-12)
+    gram = _finalize_gram(np.diag([1.0, 2e-12]).astype(complex))
+    assert np.linalg.eigvalsh(gram)[0] == pytest.approx(2e-12)
 
 
 CERTIFICATE_GRID = 256
@@ -376,21 +376,22 @@ def test_certified_grams_skip_the_cholesky(tmp_path, monkeypatch):
 
 
 def _scale_line(roundoff: str, weight: float) -> str:
-    """``_pd_failure``'s line for a Gram whose scale hides TOL_PSD; the
-    eigenvalue's digits are roundoff and match any number."""
+    """``_pd_failure``'s line for a Gram whose scale hides TOL_PSD, raised in
+    the asymptotics study; the eigenvalue's digits are roundoff and match any
+    number."""
     return (r"data failure: Gram minimum eigenvalue -?[0-9]\.[0-9]{3}e[+-][0-9]+ "
             + re.escape(f"is within the roundoff {roundoff} of the Gram's scale "
                         f"{weight:.3e}, so tolerance 1e-12 cannot be resolved in "
                         f"double precision; the largest mass weight, {weight:.3e}, "
                         "sets that scale (a dual weight 1/(nu |(1/T)'|^2) grows as "
-                        "nu shrinks)"))
+                        "nu shrinks) (asymptotics study)"))
 
 
 @pytest.mark.parametrize("weight, line", [
     (1e305, _scale_line("6.4e+290", 1e305)),
     (1e307, _scale_line("6.4e+292", 1e307)),
     (1e308, re.escape("data failure: overflow encountered in add: "
-                      "the data's scale is beyond double range")),
+                      "the data's scale is beyond double range (asymptotics study)")),
 ], ids=["1e305", "1e307", "1e308"])
 def test_huge_weight_messages_do_not_depend_on_the_floor(tmp_path, capsys, weight, line):
     # the floor overflows silently; the Gram's own overflow or PD check speaks
@@ -417,13 +418,12 @@ def test_windows_run_no_eigensolve(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "eigvalsh", no_eigensolve)
         master = build_gram_analytic(space, degree + n_max)
-        windows = [GramMatrix(master.entries[n:n + degree + 1, n:n + degree + 1])
-                   for n in range(n_max + 1)]
+        windows = [master[n:n + degree + 1, n:n + degree + 1] for n in range(n_max + 1)]
         for window in windows:
             kernel_at_origin(window)
-    floor = master.min_eig_estimate
+    floor = np.linalg.eigvalsh(master)[0]
     for window in windows:
-        assert window.min_eig_estimate >= floor - 1e-14
+        assert np.linalg.eigvalsh(window)[0] >= floor - 1e-14
 
 
 # --- Laurent Gram and embedding ------------------------------------------------
@@ -467,7 +467,7 @@ def test_embedded_gram_congruence(case):
     embed = embed_h2(space, degree, half_band)
     analytic = build_gram_analytic(space, degree, hankel=j)
     congruence = embed.conj().T @ laurent @ embed
-    assert np.abs(congruence - analytic.entries).max() < 1e-13
+    assert np.abs(congruence - analytic).max() < 1e-13
 
 
 def test_embedded_vector_norms_match(grid512):
@@ -480,7 +480,7 @@ def test_embedded_vector_norms_match(grid512):
     for p in range(5):
         col = embed[:, p]
         laurent_norm = np.vdot(col, laurent @ col).real
-        assert abs(laurent_norm - analytic.entries[p, p].real) < 1e-13
+        assert abs(laurent_norm - analytic[p, p].real) < 1e-13
 
 
 # --- PSD ordering of regularizations -------------------------------------------
@@ -489,10 +489,10 @@ def test_embedded_vector_norms_match(grid512):
 def test_gram_psd_ordering(case):
     space = case.space(1024)
     degree = 16
-    g_alpha = build_gram_analytic(space, degree).entries
+    g_alpha = build_gram_analytic(space, degree)
     g_cut = build_gram_analytic(
-        regularized(space, mass_cutoff=min(1, space.masses.count)), degree).entries
-    g_rho = build_gram_analytic(regularized(space, rho=0.7), degree).entries
+        regularized(space, mass_cutoff=min(1, space.masses.count)), degree)
+    g_rho = build_gram_analytic(regularized(space, rho=0.7), degree)
     assert dense_psd_check(g_alpha - g_cut) >= -1e-12
     assert dense_psd_check(g_rho - g_alpha) >= -1e-12
 
@@ -509,7 +509,7 @@ def test_gram_entries_match_quadrature_oracle(case):
     for row, col in [(0, 0), (1, 1), (3, 1), (0, 5), (8, 8)]:
         expected = gram_entry_quadrature(values, refined, masses.points,
                                          masses.weights, row, col, 64)
-        assert abs(gram.entries[row, col] - expected) < 1e-8, case.name
+        assert abs(gram[row, col] - expected) < 1e-8, case.name
 
 
 # --- membership diagnostics ------------------------------------------------------

@@ -38,7 +38,7 @@ from hardydual import (
 )
 from hardydual.corpus import CASES
 from hardydual.kernels import _covering_kernels
-from hardydual.spaces import GramMatrix, analytic_hankel, assemble_gram, hankel_block
+from hardydual.spaces import analytic_hankel, assemble_gram, hankel_block
 
 GRID = CircleGrid(1024)
 DEGREE = 16
@@ -96,11 +96,11 @@ def test_shift_windows_equal_direct_builds(space):
     gram = build_gram_analytic(shifted(space, -1), DEGREE + 5, HANKEL)
     for n in range(-1, 5):
         rows = slice(n + 1, n + DEGREE + 2)
-        window = gram.entries[rows, rows]
+        window = gram[rows, rows]
         direct = build_gram_analytic(shifted(space, n), DEGREE, HANKEL)
-        _assert_close(window, direct.entries, gram.entries)
+        _assert_close(window, direct, gram)
         data_side = _data_side_gram(shifted(space, n), DEGREE, HANKEL)
-        _assert_close(window, data_side, gram.entries)
+        _assert_close(window, data_side, gram)
 
 
 @given(data_pairs(), regularizations, st.integers(0, 3))
@@ -110,10 +110,10 @@ def test_regularizations_recombine_one_hankel_gram(space, regularization, n):
     gram = build_gram_analytic(base, DEGREE, HANKEL)
     gamma = analytic_hankel(base, DEGREE, HANKEL)
     for variant in _variants(base, *regularization):
-        combined = assemble_gram(variant, gamma).entries
-        direct = build_gram_analytic(variant, DEGREE, HANKEL).entries
-        _assert_close(combined, direct, gram.entries)
-        _assert_close(combined, _data_side_gram(variant, DEGREE, HANKEL), gram.entries)
+        combined = assemble_gram(variant, gamma)
+        direct = build_gram_analytic(variant, DEGREE, HANKEL)
+        _assert_close(combined, direct, gram)
+        _assert_close(combined, _data_side_gram(variant, DEGREE, HANKEL), gram)
 
 
 @given(data_pairs())
@@ -135,7 +135,7 @@ def test_negative_shift_system_matches_laurent_route(space):
         columns[2 * half_band + 1:, i] = points ** n * np.polynomial.polynomial.polyval(
             points, coeffs)
     expected = columns.conj().T @ laurent @ columns
-    _assert_close(system.gram, expected, grams[0].entries)  # shift -2: the largest entries
+    _assert_close(system.gram, expected, grams[0])  # shift -2: the largest entries
 
 
 @given(data_pairs(), regularizations)
@@ -153,7 +153,7 @@ def _assert_sweep_matches_windows(space, n_max):
     trace = asymptotic_sweep(space, n_max, DEGREE, HANKEL)
     gram = build_gram_analytic(space, DEGREE + n_max, HANKEL)
     size = DEGREE + 1
-    expected = np.array([kernel_at_origin(GramMatrix(gram.entries[n:n + size, n:n + size])).norm
+    expected = np.array([kernel_at_origin(gram[n:n + size, n:n + size]).norm
                          for n in range(n_max + 1)])
     assert np.all(np.abs(trace.values - expected) <= TOL * expected)
 
@@ -184,9 +184,9 @@ def test_covering_kernels_equal_window_solves(case):
         space = case.space(grid)
         starts = np.asarray(shifts) - shifts[0]
         gram = build_gram_analytic(shifted(space, shifts[0]), degree + starts[-1])
-        kernels = _covering_kernels(gram.entries, starts, degree + 1)
+        kernels = _covering_kernels(gram, starts, degree + 1)
         e_0 = np.eye(degree + 1, 1, dtype=complex)[:, 0]
         for n, kernel in zip(starts, kernels):
-            window = gram.entries[n:n + degree + 1, n:n + degree + 1]
+            window = gram[n:n + degree + 1, n:n + degree + 1]
             expected = np.linalg.solve(window, e_0)
             assert np.abs(kernel - expected).max() <= 1e-13 * np.abs(expected).max()
