@@ -61,7 +61,6 @@ class ExperimentConfig:
     seed: int
     grid: int
     degree: int
-    hankel: int | None
     symbol_spec: dict
     mass_spec: list
     n_max: int
@@ -135,9 +134,9 @@ def _as_complex(pair, what):
     return complex(pair[0], pair[1])
 
 
-_TOP_KEYS = {"label", "seed", "grid", "degree", "hankel", "symbol", "masses",
-             "n_max", "rho_list", "N_list", "convention",
-             "tolerances", "gates", "studies", "convergence", "output"}
+_TOP_KEYS = {"label", "seed", "grid", "degree", "symbol", "masses", "n_max",
+             "rho_list", "N_list", "convention", "tolerances", "gates",
+             "studies", "convergence", "output"}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -199,10 +198,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"degree + n_max must stay below {grid // 2} for the asymptotics study")
     _expect("theorem" not in studies or grid // 2 > CONVERSE_POWERS,
             f"the theorem study needs grid/2 > {CONVERSE_POWERS}, got grid {grid}")
-    hankel = raw.get("hankel")
-    if hankel is not None:
-        _expect(_is_int(hankel) and 1 <= hankel <= grid // 2 - top,
-                f"hankel truncation must lie in 1..{grid // 2 - top}")
 
     rho_list = raw.get("rho_list", [0.5])
     _expect(isinstance(rho_list, list) and rho_list
@@ -257,7 +252,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _expect(_is_path(out_dir), "output dir must be a nonempty printable string")
 
     return ExperimentConfig(
-        label=label, seed=seed, grid=grid, degree=degree, hankel=hankel,
+        label=label, seed=seed, grid=grid, degree=degree,
         symbol_spec=symbol_spec, mass_spec=mass_spec, n_max=n_max,
         rho_list=[float(r) for r in rho_list], cutoff_list=cutoff_list,
         convention=convention, tol_order=float(tol_order), gates=gates,
@@ -325,7 +320,7 @@ def build_space(config: ExperimentConfig, grid_size: int | None = None) -> Space
 
 
 def _study_asymptotics(config, space, shared_dual):
-    trace = asymptotic_sweep(space, config.n_max, config.degree, config.hankel)
+    trace = asymptotic_sweep(space, config.n_max, config.degree)
     rows = [{"n": int(n), "kernel_value": float(v), "abs_deviation": float(d)}
             for n, v, d in zip(trace.shifts, trace.values, trace.deviations)]
     gates = [_below("asymptotics.final_deviation", trace.deviations[-1],
@@ -337,7 +332,7 @@ def _study_asymptotics(config, space, shared_dual):
 
 def _study_duality(config, space, shared_dual):
     dual = shared_dual()
-    report = duality_identity(space, dual, config.degree, config.hankel)
+    report = duality_identity(space, dual, config.degree)
     gates = [_below("duality.identity_residual", report.residual, config.gates["identity"])]
     return {"tables": {"duality": [dataclasses.asdict(report)]}, "gates": gates,
             "scalars": {"convention": dual.provenance}}
@@ -354,7 +349,6 @@ def _study_sandwich(config, space, shared_dual):
         for rho in config.rho_list:
             try:
                 rep = sandwich_check(space, cutoff, rho, 0, config.degree,
-                                     config.hankel,
                                      tol_order=config.tol_order)
             except OrderViolation as exc:
                 gates.append(Gate(f"sandwich.order[N={cutoff},rho={rho}]",
@@ -387,7 +381,7 @@ def _study_sandwich(config, space, shared_dual):
 
 
 def _study_theorem(config, space, shared_dual):
-    rep = theorem_check(space, shared_dual(), config.degree, config.hankel)
+    rep = theorem_check(space, shared_dual(), config.degree)
     worst = max(rep.forward_hardy_residual, rep.forward_mass_residual)
     gates = [_below("theorem.membership_residual", worst, config.gates["theorem"]),
              _below("theorem.converse_orthogonality", rep.converse_orthogonality,
@@ -466,7 +460,7 @@ def _study_convergence(config, base_space, shared_dual):
         residuals.append(rep.residual)
 
     # one Hankel Gram: the base and each rho/N row recombine it
-    gamma = analytic_hankel(base_space, config.degree, config.hankel)
+    gamma = analytic_hankel(base_space, config.degree)
 
     def k_regularized(**regularization):
         return kernel_at_origin(
@@ -599,8 +593,17 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunR
     return (EXIT_OK if report.all_passed else EXIT_GATE), report
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections, in its subparsers too, are
+    config errors: one line and exit 2, not a usage message and SystemExit."""
+
+    def error(self, message):
+        # an unrecognized argument is quoted as given, newlines and all
+        raise ConfigError(message.replace("\n", "\\n"))
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hardydual",
         description="Perturbed-Hardy-space experiments: kernels, asymptotics, duality.",
     )
@@ -614,16 +617,16 @@ def main(argv=None) -> int:
                             help="dual-mass pairing convention")
     run_parser.add_argument("--tol-gate", type=float, dest="tol_gate",
                             help="override the residual gates (identity/theorem/tau)")
-    args = parser.parse_args(argv)
 
     try:
-        with open(args.config, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        args = parser.parse_args(argv)
+        try:
+            with open(args.config, encoding="utf-8") as handle:
+                raw = json.load(handle)
+        # a file that is not UTF-8 or not JSON raises a ValueError, one
+        # nested past the decoder's depth a RecursionError
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigError(str(exc)) from exc
         # the overrides write into the config, so its type is checked first
         _expect(isinstance(raw, dict), "configuration must be a JSON object")
         if args.grid is not None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -445,8 +444,7 @@ def _monomials(grid, powers: np.ndarray, out: np.ndarray) -> np.ndarray:
                            mode="wrap", out=out)
 
 
-def theorem_check(space: SpaceData, dual: DualData, degree: int,
-                  hankel: Optional[int] = None) -> TheoremReport:
+def theorem_check(space: SpaceData, dual: DualData, degree: int) -> TheoremReport:
     """Residuals of the complement-mapping theorem on the given truncation.
 
     Forward: the complement of the embedded H^2 is one solve with the
@@ -482,17 +480,17 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int,
         raise ValueError(f"the theorem check needs grid/2 > {CONVERSE_POWERS}")
     # two calls, so that the Laurent Gram, the complement and the forward
     # buffers are gone before the converse stack
-    fwd_hardy, fwd_mass, dimension = _forward_residuals(space, dual, degree, hankel)
+    fwd_hardy, fwd_mass, dimension = _forward_residuals(space, dual, degree)
     converse = _converse_orthogonality(dual)
     return TheoremReport(fwd_hardy, fwd_mass, converse, dimension)
 
 
-def _forward_residuals(space: SpaceData, dual: DualData, half_band: int,
-                       hankel: Optional[int]) -> tuple[float, float, int]:
+def _forward_residuals(space: SpaceData, dual: DualData,
+                       half_band: int) -> tuple[float, float, int]:
     """Worst membership residuals, each relative to its vector's norm, of
     the tau images of the complement rows, and the complement's dimension
     (see :func:`theorem_check`)."""
-    gram_l = build_gram_laurent(space, half_band, hankel)
+    gram_l = build_gram_laurent(space, half_band)
     # complement of the embedded analytic columns, one vector per row; its
     # norms are x^H G x = n^H x, read off the solve
     symbol, masses, back = dual.symbol, dual.masses, dual.back
@@ -640,8 +638,7 @@ def _down_kernel_vector(symbol: SymbolData, masses: MassSet,
     return canonical_vector(symbol, f1, mass_values)
 
 
-def duality_identity(space: SpaceData, dual: DualData, degree: int,
-                     hankel: Optional[int] = None) -> IdentityReport:
+def duality_identity(space: SpaceData, dual: DualData, degree: int) -> IdentityReport:
     """Evaluate the identity and its vector form on the given truncation.
 
     The vector form checks that the involution carries z^{-1} K^{alpha_{-1}}
@@ -650,8 +647,8 @@ def duality_identity(space: SpaceData, dual: DualData, degree: int,
     symbol, masses = dual.symbol, dual.masses
 
     # each Gram is released once its kernel is solved
-    kernel_down = kernel_at_origin(build_gram_analytic(shifted(space, -1), degree, hankel))
-    kernel_dual = kernel_at_origin(build_gram_analytic(dual.dual_space(), degree, hankel))
+    kernel_down = kernel_at_origin(build_gram_analytic(shifted(space, -1), degree))
+    kernel_dual = kernel_at_origin(build_gram_analytic(dual.dual_space(), degree))
 
     product = dual.T_at_zero * kernel_down.norm * kernel_dual.norm
     residual = abs(product - 1.0)

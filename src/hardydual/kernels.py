@@ -130,8 +130,8 @@ def _covering_kernels(entries: np.ndarray, starts, size: int) -> np.ndarray:
     return inv[rows, at_n] - (inv[rows[:, :, None], at_out[:, None, :]] @ coupling)[..., 0]
 
 
-def orthonormal_system(space: SpaceData, shifts: Sequence[int], degree: int,
-                       hankel: Optional[int] = None) -> OrthonormalSystem:
+def orthonormal_system(space: SpaceData, shifts: Sequence[int],
+                       degree: int) -> OrthonormalSystem:
     """e_n = z^n K^{alpha_n} for each shift n, from one Gram on
     z^(min n)..z^(max n + degree) and one solve with it
     (:func:`_covering_kernels`)."""
@@ -143,7 +143,7 @@ def orthonormal_system(space: SpaceData, shifts: Sequence[int], degree: int,
         raise ValueError(f"shift {int(repeated[0])} is repeated; each e_n is one vector")
     n_min, n_max = int(shifts[0]), int(shifts[-1])
 
-    gram = build_gram_analytic(shifted(space, n_min), degree + n_max - n_min, hankel)
+    gram = build_gram_analytic(shifted(space, n_min), degree + n_max - n_min)
     kernels = _covering_kernels(gram, shifts - n_min, degree + 1)
     norm_sq = kernels[:, 0].real
     if np.any(norm_sq <= 0):
@@ -219,8 +219,7 @@ def _window_kernels(entries: np.ndarray, starts, count: int,
     return np.sqrt(norm_sq)
 
 
-def asymptotic_sweep(space: SpaceData, n_max: int, degree: int,
-                     hankel: Optional[int] = None) -> AsymptoticTrace:
+def asymptotic_sweep(space: SpaceData, n_max: int, degree: int) -> AsymptoticTrace:
     """K^{alpha_n}(0) for n = 0..n_max from one Gram on z^0..z^{degree + n_max}.
 
     Shifts go in groups of max(1, (degree + 1) // 4); each group reads its
@@ -228,7 +227,7 @@ def asymptotic_sweep(space: SpaceData, n_max: int, degree: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    gram = build_gram_analytic(space, degree + n_max, hankel)
+    gram = build_gram_analytic(space, degree + n_max)
     size = degree + 1
     group = max(1, size // 4)
     full, rest = divmod(n_max + 1, group)
@@ -312,8 +311,7 @@ def _psd_margin(upper: np.ndarray, lower: np.ndarray, out: np.ndarray) -> float:
 
 
 def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
-                   degree: int, hankel: Optional[int] = None,
-                   tol_order: float = TOL_ORDER) -> SandwichReport:
+                   degree: int, tol_order: float = TOL_ORDER) -> SandwichReport:
     """The variants (rho', N') in {1, rho} x {m, min(N, m)} of the shifted
     pair; each distinct one is assembled, solved and dualized once.  With
     N >= m the cutoff is alpha itself and "both" is "scaled"; with rho = 1
@@ -329,7 +327,7 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     # give equal bits
     pair = {label: (sp.rho, sp.masses.count) for label, sp in spaces.items()}
 
-    gamma = analytic_hankel(base, degree, hankel)
+    gamma = analytic_hankel(base, degree)
     grams = {}
     for label, sp in spaces.items():
         if pair[label] not in grams:
@@ -377,7 +375,7 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     # up by one; its shifted-down kernel is the variant's own kernel
     residual = {}
     for key, ((t_at_zero, dual_space), _) in duals.items():
-        k_dual = kernel_at_origin(build_gram_analytic(dual_space, degree, hankel)).norm
+        k_dual = kernel_at_origin(build_gram_analytic(dual_space, degree)).norm
         residual[key] = abs(t_at_zero * k[key] * k_dual - 1.0)
 
     return SandwichReport(

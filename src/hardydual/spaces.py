@@ -7,7 +7,9 @@ The metric on analytic polynomials is
 realized on the monomial basis z^0..z^M as I - (Hankel Gram) + (mass Gram).
 The same Hankel expression extends to Laurent monomials z^-M..z^M, giving
 the circle block of the two-sided space; point-mass coordinates are
-appended as a direct summand diag(nu).
+appended as a direct summand diag(nu).  The Hankel sum runs over
+j = 1..J with J = size/2 minus the Gram's top exponent, all of R's
+negative band the grid resolves; the windows of one Gram share its J.
 
 A shift alpha_n (symbol times t^n, weights times |zeta|^{2n}) only moves
 exponents: its Gram on z^0..z^M is the unshifted metric on z^n..z^{n+M}, a
@@ -189,19 +191,18 @@ def hankel_block(symbol: SymbolData, exponents, truncation: int) -> np.ndarray:
     return _lagged_gram(a, truncation, order)
 
 
-def analytic_hankel(space: SpaceData, degree: int,
-                    hankel: Optional[int] = None) -> np.ndarray:
+def analytic_hankel(space: SpaceData, degree: int) -> np.ndarray:
     """Gamma of ``space.symbol`` on z^n..z^{n+degree}, n = ``space.shift``.
 
-    J defaults to size/2 - (n + degree), so no Hankel row wraps.  It serves
-    :func:`assemble_gram` for every rho and mass cutoff of ``space``.
+    J = size/2 - (n + degree), all the band the grid resolves, so no Hankel
+    row wraps.  It serves :func:`assemble_gram` for every rho and mass
+    cutoff of ``space``.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if hankel is None:
-        hankel = space.grid.size // 2 - (space.shift + degree)
-    return hankel_block(space.symbol, np.arange(space.shift, space.shift + degree + 1),
-                        hankel)
+    top = space.shift + degree
+    return hankel_block(space.symbol, np.arange(space.shift, top + 1),
+                        space.grid.size // 2 - top)
 
 
 def _mass_gram(masses: MassSet, exponents: np.ndarray) -> np.ndarray:
@@ -322,35 +323,32 @@ def assemble_gram(space: SpaceData, gamma: np.ndarray) -> np.ndarray:
     return _finalize_gram(entries, masses.weights, floor)
 
 
-def build_gram_analytic(space: SpaceData, degree: int,
-                        hankel: Optional[int] = None) -> np.ndarray:
+def build_gram_analytic(space: SpaceData, degree: int) -> np.ndarray:
     """Gram entries of the metric on z^0..z^degree.
 
     For shift n the entries are the unshifted metric on z^{n+m}, z^{n+l}:
     delta_{ml} - rho^2 sum_{j<=J} conj(r_{-j-n-m}) r_{-j-n-l}
-    + sum_k conj(zeta_k)^{n+m} zeta_k^{n+l} nu_k.
-    J defaults as in :func:`analytic_hankel`.
+    + sum_k conj(zeta_k)^{n+m} zeta_k^{n+l} nu_k, J as in
+    :func:`analytic_hankel`.
     """
-    return assemble_gram(space, analytic_hankel(space, degree, hankel))
+    return assemble_gram(space, analytic_hankel(space, degree))
 
 
-def build_gram_laurent(space: SpaceData, half_band: int,
-                       hankel: Optional[int] = None) -> np.ndarray:
+def build_gram_laurent(space: SpaceData, half_band: int) -> np.ndarray:
     """Gram entries of the two-sided metric on z^-M..z^M plus mass coordinates.
 
     The circle block uses the same Hankel expression as the analytic Gram
     (the norm identity ||f||^2 - ||P_-(R f)||^2 holds for every Laurent
-    polynomial); the mass block is diag(nu) with zero coupling.
+    polynomial), with J = size/2 - M; the mass block is diag(nu) with zero
+    coupling.
     """
     if half_band < 0:
         raise ValueError("half_band must be >= 0")
     symbol, masses = effective_data(space)
-    if hankel is None:
-        hankel = symbol.grid.size // 2 - half_band  # no Hankel row wraps
     exponents = np.arange(-half_band, half_band + 1)
     # Gamma is made before the entries: in the other order, glibc's heap
     # placement raised the peak RSS of repeated theorem checks by 2.4 MB
-    gamma = hankel_block(symbol, exponents, hankel)
+    gamma = hankel_block(symbol, exponents, symbol.grid.size // 2 - half_band)
     dim = exponents.size + masses.count
     # the mass block diag(nu) is uncoupled: its pivots are nu - TOL_PSD exactly
     floor = min(_eig_floor(gamma, 1.0, 0.0, dim), np.min(masses.weights, initial=np.inf))

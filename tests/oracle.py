@@ -215,7 +215,7 @@ def constrained_minimum(matrix):
     return float((matrix[0, 0] - np.vdot(y, g).conjugate()).real)
 
 
-def theorem_check_per_column(space, dual, degree, hankel=None, gram_norms=False):
+def theorem_check_per_column(space, dual, degree, gram_norms=False):
     """The complement-mapping check with one vector per call.
 
     Each complement column is solved from its own column of null(E^H),
@@ -232,7 +232,7 @@ def theorem_check_per_column(space, dual, degree, hankel=None, gram_norms=False)
 
     symbol, masses = effective_data(space)
     grid = symbol.grid
-    gram_l = build_gram_laurent(space, degree, hankel)
+    gram_l = build_gram_laurent(space, degree)
     band = 2 * degree + 1
     # null(E^H), one column at a time: the unit vectors at exponents
     # -degree..-1, then per mass the vector with 1 at its coordinate and
@@ -282,8 +282,7 @@ def theorem_check_per_column(space, dual, degree, hankel=None, gram_norms=False)
     return TheoremReport(fwd_hardy, fwd_mass, converse, len(complement))
 
 
-def sandwich_check_four_grams(space, cutoff, rho, n, degree, hankel=None,
-                              tol_order=TOL_ORDER):
+def sandwich_check_four_grams(space, cutoff, rho, n, degree, tol_order=TOL_ORDER):
     """The sandwich check with its four primal Grams, their kernels, two PSD
     eigensolves and three variant duals each built on its own, also where
     two variants are equal."""
@@ -294,7 +293,7 @@ def sandwich_check_four_grams(space, cutoff, rho, n, degree, hankel=None,
     sp_rho = regularized(base, rho=rho)
     sp_both = regularized(base, rho=rho, mass_cutoff=cutoff)
 
-    gamma = analytic_hankel(base, degree, hankel)
+    gamma = analytic_hankel(base, degree)
     g_alpha = assemble_gram(base, gamma)
     g_cut = assemble_gram(sp_cut, gamma)
     g_rho = assemble_gram(sp_rho, gamma)
@@ -331,7 +330,7 @@ def sandwich_check_four_grams(space, cutoff, rho, n, degree, hankel=None,
     residuals = {}
     for label, (_, k_variant) in variants.items():
         t_at_zero, dual_space = duals[label]
-        k_dual = kernel_at_origin(build_gram_analytic(dual_space, degree, hankel)).norm
+        k_dual = kernel_at_origin(build_gram_analytic(dual_space, degree)).norm
         residuals[label] = abs(t_at_zero * k_variant * k_dual - 1.0)
 
     return SandwichReport(

@@ -82,11 +82,12 @@ def test_n_range_is_an_unknown_key(tmp_path, capsys):
     assert "unknown configuration keys: ['n_range']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", [None, '{"grid": 1024,'], ids=["missing", "malformed"])
+@pytest.mark.parametrize("text", [None, b'{"grid": 1024,', b'\xff{}', b"[" * 100_000],
+                         ids=["missing", "malformed", "not-utf8", "nested"])
 def test_unreadable_config_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "c.json"
     if text is not None:
-        cfg.write_text(text)
+        cfg.write_bytes(text)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and len(err.splitlines()) == 1, err
@@ -335,15 +336,47 @@ def test_non_numeric_or_non_finite_value_exits_2(tmp_path, capsys, overrides):
     assert "Traceback" not in err
 
 
-def test_hankel_beyond_sweep_band_exits_2(tmp_path):
-    # the sweep reads every shift from one Gram on z^0..z^(degree + n_max)
+def test_config_setting_hankel_exits_2(tmp_path, capsys):
+    # the Hankel truncation is the grid's, not a configuration key
     cfg = tmp_path / "c.json"
     _write_config(cfg, studies=["asymptotics"], grid=512, degree=24, n_max=8,
-                  hankel=256 - 24)
-    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    _write_config(cfg, studies=["asymptotics"], grid=512, degree=24, n_max=8,
                   hankel=256 - 32)
-    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: unknown configuration keys: ['hankel']\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "c.json", "--grid", "x"], "argument --grid: invalid int value: 'x'"),
+    (["run", "c.json", "--degree=1.5"], "argument --degree: invalid int value: '1.5'"),
+    (["run", "c.json", "--tol-gate", ""], "argument --tol-gate: invalid float value: ''"),
+    (["run", "c.json", "--convention", "bad"], "argument --convention: invalid choice: 'bad'"),
+    (["run"], "the following arguments are required: config"),
+    ([], "the following arguments are required: command"),
+    (["walk"], "argument command: invalid choice: 'walk'"),
+    (["run", "c.json", "a\nb"], "unrecognized arguments: a\\nb"),
+], ids=["grid", "degree", "tol-gate", "convention", "no-config", "no-command",
+        "command", "extra"])
+def test_rejected_command_line_exits_2(argv, message, tmp_path, monkeypatch, capsys):
+    # argparse's rejections, in the run subparser too, are one config error
+    # line and a return code, not a usage message and SystemExit; the list
+    # of choices after an invalid one is worded by the Python version
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path / "c.json")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hardydual")
 
 
 def test_coinciding_masses_exit_2(tmp_path, capsys):
@@ -669,14 +702,20 @@ _fuzz_mutations = st.lists(st.tuples(st.sampled_from(list(_fuzz_paths(_FUZZ_BASE
                                      _fuzz_value), min_size=1, max_size=2)
 # command-line overrides, written --flag=value so that a negative value is not
 # read as an option; grids stop at 1024, since a config cannot yet be refused
-# for its size, and degrees stop at 64 where a grid can hold them, for speed
+# for its size, and degrees stop at 64 where a grid can hold them, for speed.
+# The strings are values that argparse itself rejects.
+_fuzz_rejected = ["", "x", "1.5", "1e3"]
 _fuzz_overrides = st.lists(st.one_of(
     st.tuples(st.just("--grid"),
-              st.sampled_from([2 ** k for k in range(11)] + [0, -256, 3, 100, 1000])),
-    st.tuples(st.just("--degree"), st.sampled_from([-1, 0, 1, 8, 16, 48, 64, 511, 4096])),
-    st.tuples(st.just("--convention"), st.sampled_from([cli.UNITARY, cli.PRINTED])),
+              st.sampled_from([2 ** k for k in range(11)] + [0, -256, 3, 100, 1000]
+                              + _fuzz_rejected)),
+    st.tuples(st.just("--degree"),
+              st.sampled_from([-1, 0, 1, 8, 16, 48, 64, 511, 4096] + _fuzz_rejected)),
+    st.tuples(st.just("--convention"),
+              st.sampled_from([cli.UNITARY, cli.PRINTED, "", "bad", "UNITARY"])),
     st.tuples(st.just("--tol-gate"),
-              st.sampled_from([math.nan, math.inf, -math.inf, -1e-6, 0.0, 1e-300, 1e-6, 1.0]))),
+              st.sampled_from([math.nan, math.inf, -math.inf, -1e-6, 0.0, 1e-300, 1e-6, 1.0,
+                               "", "x", "1e-6x"]))),
     max_size=3)
 
 
@@ -685,6 +724,7 @@ _fuzz_overrides = st.lists(st.one_of(
 @example([(("output", "dir"), None)], [])
 @example([(("symbol",), {"kind": "expression"})], [])
 @example([(("seed",), 1)], [("--grid", 1024), ("--degree", 64), ("--tol-gate", -math.inf)])
+@example([(("seed",), 1)], [("--grid", "x"), ("--convention", "bad")])
 @settings(deadline=None, max_examples=400,
           suppress_health_check=[HealthCheck.too_slow])
 def test_mutated_readme_config_exits_cleanly(mutations, overrides):

@@ -232,7 +232,7 @@ def test_l2_inner_matches_laurent_gram(grid512):
     from hardydual import build_gram_laurent
     masses = MassSet(np.array([0.4]), np.array([2.0]))
     space = SpaceData(symbol_from_expression(grid512, "0.5*conj(t)"), masses)
-    gram = build_gram_laurent(space, 6, hankel=200)
+    gram = build_gram_laurent(space, 6)
     sym, m = effective_data(space)
     rng = np.random.default_rng(9)
     coeffs = rng.standard_normal(13) + 1j * rng.standard_normal(13)

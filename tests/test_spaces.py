@@ -104,7 +104,7 @@ def test_gram_identity_for_trivial_data(grid512):
 
 def test_gram_rank_one_hankel(grid512):
     space = SpaceData(symbol_from_expression(grid512, "0.6*conj(t)"), MassSet.empty())
-    gram = build_gram_analytic(space, 3, hankel=8)
+    gram = build_gram_analytic(space, 3)
     expected = np.diag([0.64, 1.0, 1.0, 1.0])
     assert np.abs(gram - expected).max() < 1e-14
 
@@ -460,12 +460,13 @@ def test_embedding_columns(grid512):
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 def test_embedded_gram_congruence(case):
-    # Gram of the embedded analytic columns == analytic Gram (same truncation)
+    # Gram of the embedded analytic columns == analytic Gram: a Laurent half
+    # band M and an analytic degree M share the truncation J = grid/2 - M
     space = case.space(1024)
-    degree, half_band, j = 10, 16, 300
-    laurent = build_gram_laurent(space, half_band, hankel=j)
+    degree = half_band = 16
+    laurent = build_gram_laurent(space, half_band)
     embed = embed_h2(space, degree, half_band)
-    analytic = build_gram_analytic(space, degree, hankel=j)
+    analytic = build_gram_analytic(space, degree)
     congruence = embed.conj().T @ laurent @ embed
     assert np.abs(congruence - analytic).max() < 1e-13
 
@@ -474,8 +475,8 @@ def test_embedded_vector_norms_match(grid512):
     # ||z^p||_{L^2(alpha)} equals the analytic-Gram norm for p <= half band
     masses = MassSet(np.array([0.4]), np.array([2.0]))
     space = SpaceData(symbol_from_expression(grid512, "0.5*conj(t)"), masses)
-    laurent = build_gram_laurent(space, 8, hankel=100)
-    analytic = build_gram_analytic(space, 8, hankel=100)
+    laurent = build_gram_laurent(space, 8)
+    analytic = build_gram_analytic(space, 8)
     embed = embed_h2(space, 8, 8)
     for p in range(5):
         col = embed[:, p]
@@ -501,8 +502,9 @@ def test_gram_psd_ordering(case):
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 def test_gram_entries_match_quadrature_oracle(case):
+    # the oracle sums the same 64 Hankel terms as the Gram
     space = case.space(512)
-    gram = build_gram_analytic(space, 8, hankel=64)
+    gram = spaces.assemble_gram(space, hankel_block(space.symbol, np.arange(9), 64))
     refined = np.exp(2j * np.pi * np.arange(2048) / 2048)
     values = symbol_values(case, refined)
     _, masses = effective_data(space)
