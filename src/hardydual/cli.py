@@ -67,7 +67,6 @@ class ExperimentConfig:
     rho_list: list
     cutoff_list: list | None
     convention: str
-    tol_order: float
     gates: dict
     studies: list
     convergence: dict | None
@@ -134,9 +133,8 @@ def _as_complex(pair, what):
     return complex(pair[0], pair[1])
 
 
-_TOP_KEYS = {"label", "seed", "grid", "degree", "symbol", "masses", "n_max",
-             "rho_list", "N_list", "convention", "tolerances", "gates",
-             "studies", "convergence", "output"}
+_TOP_KEYS = {"label", "seed", "grid", "degree", "symbol", "masses", "n_max", "rho_list",
+             "N_list", "convention", "gates", "studies", "convergence", "output"}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -213,13 +211,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _expect(convention in (UNITARY, PRINTED),
             f"convention must be '{UNITARY}' or '{PRINTED}'")
 
-    tol_raw = raw.get("tolerances", {})
-    _expect(isinstance(tol_raw, dict), "tolerances must be an object")
-    _expect(set(tol_raw) <= {"order"},
-            f"unknown tolerance keys: {sorted(set(tol_raw) - {'order'})}")
-    tol_order = tol_raw.get("order", TOL_ORDER)
-    _expect(_is_threshold(tol_order), "tolerances.order must be a positive finite number")
-
     gates = dict(_DEFAULT_GATES)
     gate_raw = raw.get("gates", {})
     _expect(isinstance(gate_raw, dict), "gates must be an object")
@@ -244,6 +235,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     "convergence grids must be powers of two >= 8")
             _expect(_is_int(d) and 0 <= d and d + n_max < g // 2,
                     "convergence degrees plus n_max must fit the grid")
+        _expect(kind != "samples" or all(g == grid for g in grids),
+                f"a samples symbol fixes the grid: every convergence grid must equal grid {grid}")
 
     output = raw.get("output", {})
     _expect(isinstance(output, dict) and set(output) <= {"dir"},
@@ -255,7 +248,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         label=label, seed=seed, grid=grid, degree=degree,
         symbol_spec=symbol_spec, mass_spec=mass_spec, n_max=n_max,
         rho_list=[float(r) for r in rho_list], cutoff_list=cutoff_list,
-        convention=convention, tol_order=float(tol_order), gates=gates,
+        convention=convention, gates=gates,
         studies=list(studies), convergence=convergence, out_dir=out_dir,
         raw=raw,
     )
@@ -345,14 +338,14 @@ def _study_sandwich(config, space, shared_dual):
     rows, gates = [], []
     worst_margin = np.inf
     worst_residual = 0.0
+    tolerance = TOL_ORDER  # each row's own is at least this; the gate takes the largest
     for cutoff in cutoffs:
         for rho in config.rho_list:
             try:
-                rep = sandwich_check(space, cutoff, rho, 0, config.degree,
-                                     tol_order=config.tol_order)
+                rep = sandwich_check(space, cutoff, rho, 0, config.degree)
             except OrderViolation as exc:
                 gates.append(Gate(f"sandwich.order[N={cutoff},rho={rho}]",
-                                  float("nan"), config.tol_order, False))
+                                  float("nan"), TOL_ORDER, False))
                 rows.append({"cutoff": cutoff, "rho": rho,
                              "error": str(exc)})
                 continue
@@ -371,10 +364,10 @@ def _study_sandwich(config, space, shared_dual):
             worst_margin = min(worst_margin, rep.margin_cutoff, rep.margin_scaled,
                                rep.psd_margin_cutoff, rep.psd_margin_scaled)
             worst_residual = max(worst_residual, *rep.identity_residuals.values())
+            tolerance = max(tolerance, rep.tolerance)
     # no successful row leaves worst_margin at inf, which must not pass
-    gates.append(Gate("sandwich.worst_margin", float(worst_margin),
-                      -config.tol_order,
-                      -config.tol_order <= worst_margin < np.inf))
+    gates.append(Gate("sandwich.worst_margin", float(worst_margin), -tolerance,
+                      -tolerance <= worst_margin < np.inf))
     gates.append(_below("sandwich.identity_residual", worst_residual,
                         config.gates["identity"]))
     return {"tables": {"sandwich": rows}, "gates": gates, "scalars": {}}
@@ -533,7 +526,7 @@ def write_report(report: RunReport, out_dir: Path):
         "label": report.config.label,
         "config": report.config.raw,
         "convention": report.config.convention,
-        "tolerances": {"order": report.config.tol_order},
+        "tolerances": {"order": TOL_ORDER},  # the sandwich tolerances' floor
         # a gate with no finite value is null, so the file stays strict JSON
         "gates": [{**dataclasses.asdict(g),
                    "value": g.value if math.isfinite(g.value) else None}

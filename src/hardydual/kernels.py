@@ -255,9 +255,9 @@ class SandwichReport:
     """Kernel values and margins for the mass-cutoff / symbol-scaling bounds.
 
     The scalar chain is  K(cutoff) >= K(alpha) >= K(scaled), checked together
-    with the positive-semidefinite orderings of the underlying Grams and the
-    duality-transported equalities tying each regularized kernel to the dual
-    kernel at the complementary shift.
+    with the positive-semidefinite orderings of the underlying Grams, the
+    upper chain and the duality-transported equalities tying each
+    regularized kernel to the dual kernel at the complementary shift.
     """
 
     k_alpha: float
@@ -269,14 +269,14 @@ class SandwichReport:
     psd_margin_cutoff: float      # min eig of Gram(alpha) - Gram(cutoff)
     psd_margin_scaled: float      # min eig of Gram(scaled) - Gram(alpha)
     chain_upper_slack: float      # (T_e^rho(0)/T_e(0)) k_both - k_cutoff
-    chain_lower_slack: float      # k_scaled - (B(0)/B^N(0)) k_both
+    tolerance: float              # every ordering's, from the Grams' roundoff
     identity_residuals: dict
 
 
 def _require_order(name: str, margin: float, tol: float):
     if margin < -tol:
         raise OrderViolation(
-            f"{name} violated by {-margin:.3e} (tolerance {tol:.0e}); "
+            f"{name} violated by {-margin:.3e} (tolerance {tol:.2g}); "
             "truncations are inconsistent"
         )
 
@@ -311,11 +311,18 @@ def _psd_margin(upper: np.ndarray, lower: np.ndarray, out: np.ndarray) -> float:
 
 
 def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
-                   degree: int, tol_order: float = TOL_ORDER) -> SandwichReport:
+                   degree: int) -> SandwichReport:
     """The variants (rho', N') in {1, rho} x {m, min(N, m)} of the shifted
     pair; each distinct one is assembled, solved and dualized once.  With
     N >= m the cutoff is alpha itself and "both" is "scaled"; with rho = 1
-    "scaled" is alpha and "both" is the cutoff."""
+    "scaled" is alpha and "both" is the cutoff.  Every ordering is judged
+    against max(TOL_ORDER, order * eps * s), s the largest diagonal entry
+    (so the largest entry) of the PD primal Grams: the roundoff of their
+    eigenvalues, as in spaces._pd_failure.  No lower chain K(scaled) >=
+    (B(0)/B^N(0)) K(both) is checked: f = b g, b the Blaschke product of the
+    dropped masses, gives it only for R = 0, since P_-(rho R b g) is not
+    P_-(rho R g).
+    """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]; 1 gives the degenerate equalities")
     base = shifted(space, n)
@@ -333,6 +340,8 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
         if pair[label] not in grams:
             grams[pair[label]] = assemble_gram(sp, gamma)
     del gamma
+    scale = max(float(gram.diagonal().real.max()) for gram in grams.values())
+    tol = max(TOL_ORDER, (degree + 1) * np.finfo(float).eps * scale)
     k = {key: kernel_at_origin(gram).norm for key, gram in grams.items()}
     g_alpha, g_cut, g_rho = (grams[pair[label]] for label in ("alpha", "cutoff", "scaled"))
     del grams
@@ -340,14 +349,14 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
 
     margin_cutoff = k_cut - k_alpha
     margin_scaled = k_alpha - k_rho
-    _require_order("K(cutoff) >= K(alpha)", margin_cutoff, tol_order)
-    _require_order("K(alpha) >= K(scaled)", margin_scaled, tol_order)
+    _require_order("K(cutoff) >= K(alpha)", margin_cutoff, tol)
+    _require_order("K(alpha) >= K(scaled)", margin_scaled, tol)
 
     # each difference overwrites the entries of the Gram other than alpha's
     psd_cut = _psd_margin(g_alpha, g_cut, out=g_cut)
     psd_rho = _psd_margin(g_rho, g_alpha, out=g_rho)
-    _require_order("Gram(alpha) - Gram(cutoff) PSD", psd_cut, tol_order)
-    _require_order("Gram(scaled) - Gram(alpha) PSD", psd_rho, tol_order)
+    _require_order("Gram(alpha) - Gram(cutoff) PSD", psd_cut, tol)
+    _require_order("Gram(scaled) - Gram(alpha) PSD", psd_rho, tol)
 
     # the dual of each variant shifted up by one, kept as (T(0), dual space),
     # and the value at 0 of its outer factor: a shift leaves |R| alone and a
@@ -363,13 +372,9 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     # dual spaces, they are reused by the dual Grams
     del g_alpha, g_cut, g_rho
     te0_cut, te0_rho = (duals[pair[label]][1] for label in ("cutoff", "scaled"))
-    b0 = float(np.prod(np.abs(base.masses.points)))
-    b0_cut = float(np.prod(np.abs(spaces["cutoff"].masses.points)))
 
     chain_upper = (te0_rho / te0_cut) * k_both - k_cut
-    chain_lower = k_rho - (b0 / b0_cut) * k_both
-    _require_order("K(cutoff) <= (T_e^rho(0)/T_e(0)) K(both)", chain_upper, tol_order)
-    _require_order("K(scaled) >= (B(0)/B^N(0)) K(both)", chain_lower, tol_order)
+    _require_order("K(cutoff) <= (T_e^rho(0)/T_e(0)) K(both)", chain_upper, tol)
 
     # the identity T(0) K^{alpha_{-1}}(0) K~(0) = 1 for each variant shifted
     # up by one; its shifted-down kernel is the variant's own kernel
@@ -382,6 +387,6 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
         k_alpha=k_alpha, k_cutoff=k_cut, k_scaled=k_rho, k_both=k_both,
         margin_cutoff=margin_cutoff, margin_scaled=margin_scaled,
         psd_margin_cutoff=psd_cut, psd_margin_scaled=psd_rho,
-        chain_upper_slack=chain_upper, chain_lower_slack=chain_lower,
+        chain_upper_slack=chain_upper, tolerance=tol,
         identity_residuals={label: residual[pair[label]] for label in labels},
     )

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hardydual import cli
+from hardydual import cli, kernels
 from hardydual.cli import STUDY_ORDER, main
 from hardydual.corpus import mass_single_trace
 
@@ -299,18 +299,22 @@ def test_wrong_sample_count_exits_2(tmp_path):
     assert main(["run", str(cfg)]) == 2
 
 
-def test_unread_tolerance_key_exits_2(tmp_path):
+def test_unread_tolerance_key_exits_2(tmp_path, capsys):
+    # no tolerance is configurable: the sandwich derives its own from its
+    # Grams, so any tolerances object, the constant's own value included,
+    # is an unknown key
     cfg = tmp_path / "c.json"
-    for key in ("psd", "unit", "touch"):
-        _write_config(cfg, tolerances={key: 10.0})
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2, key
+    for tolerances in ({"order": 1e-10}, {"order": 1e-6}, {"psd": 10.0}, {}):
+        _write_config(cfg, tolerances=tolerances, studies=["sandwich"])
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2, tolerances
+        assert capsys.readouterr().err == \
+            "config error: unknown configuration keys: ['tolerances']\n"
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("overrides", [
     {"gates": {"identity": "x"}},
     {"gates": {"identity": True}},
-    {"tolerances": {"order": "x"}},
-    {"tolerances": {"order": float("nan")}},
     {"masses": [{"point": [0.5, 0.0], "weight": True}]},
     {"masses": [{"point": [0.5, False], "weight": 1.0}]},
     {"seed": True},
@@ -322,7 +326,7 @@ def test_unread_tolerance_key_exits_2(tmp_path):
     {"masses": [{"point": [0.5, 0.0], "weight": float("inf")}]},
     {"symbol": {"kind": "coefficients", "entries": [0.1]}},
     {"studies": ["convergence"], "convergence": {"grids": 256, "degrees": 8}},
-], ids=["gate-str", "gate-bool", "order-str", "order-nan", "weight-bool",
+], ids=["gate-str", "gate-bool", "weight-bool",
         "point-bool", "seed-bool", "degree-bool", "cutoff-bool", "label-list",
         "nan-symbol", "nan-point", "inf-weight", "entries-list", "grids-int"])
 def test_non_numeric_or_non_finite_value_exits_2(tmp_path, capsys, overrides):
@@ -546,12 +550,14 @@ def test_readme_config_runs_without_scipy(tmp_path):
         assert (blocked / name).read_bytes() == (free / name).read_bytes(), name
 
 
-def test_order_violation_rows_and_strict_summary(tmp_path):
-    # at tolerances.order 1e-300 every sandwich row violates the PSD order:
-    # its row holds the error, its gate has no value, and worst_margin is a
-    # minimum over no rows; summary.json must stay strict JSON (null, no NaN)
+def test_order_violation_rows_and_strict_summary(tmp_path, monkeypatch):
+    # with every PSD margin read as -1, every sandwich row violates the PSD
+    # order: its row holds the error, its gate has no value, and
+    # worst_margin is a minimum over no rows; summary.json must stay strict
+    # JSON (null, no NaN)
+    monkeypatch.setattr(kernels, "_psd_margin", lambda upper, lower, out: -1.0)
     config = json.loads((REPO / "perfbench" / "readme_config.json").read_text())
-    config.update(tolerances={"order": 1e-300}, studies=["sandwich"])
+    config.update(studies=["sandwich"])
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
@@ -570,7 +576,67 @@ def test_order_violation_rows_and_strict_summary(tmp_path):
         assert gate["value"] is None and gate["passed"] is False
     assert gates["sandwich.worst_margin"]["value"] is None
     assert gates["sandwich.worst_margin"]["passed"] is False
+    assert gates["sandwich.worst_margin"]["threshold"] == -1e-10
     assert summary["all_passed"] is False
+
+
+def _sandwich_summary(tmp_path, **overrides):
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=4096, degree=48, studies=["sandwich"], **overrides)
+    out = tmp_path / "o"
+    code = main(["run", str(cfg), "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    return code, {gate["name"]: gate for gate in summary["gates"]}
+
+
+def test_sandwich_with_a_hankel_term_checks_no_lower_chain(tmp_path):
+    # K(scaled) >= (B(0)/B^N(0)) K(both) fails here by 2.2e-2 at rho 0.99:
+    # it is not a theorem once R is nonzero, and the study no longer checks it
+    code, gates = _sandwich_summary(
+        tmp_path, symbol={"kind": "expression", "formula": "0.8*conj(t)"},
+        masses=[{"point": [0.5, 0.0], "weight": 2.0}], N_list=[0],
+        rho_list=[0.5, 0.99])
+    assert code == 0
+    assert not any(name.startswith("sandwich.order") for name in gates)
+    assert gates["sandwich.worst_margin"]["threshold"] == -1e-10
+
+
+def test_sandwich_judges_a_heavy_weight_against_its_roundoff(tmp_path):
+    # dropping the weight-1e8 mass leaves Gram(alpha) - Gram(cutoff) PSD by
+    # construction, yet eigvalsh reads -1.2e-8 in roundoff; the tolerance is
+    # 49 eps (1 + 3 + 1e8) = 1.09e-6 on the order-49 Grams
+    code, gates = _sandwich_summary(
+        tmp_path, masses=[{"point": [0.5, 0.0], "weight": 3.0},
+                          {"point": [-0.3, 0.4], "weight": 1e8}])
+    assert code == 0
+    gate = gates["sandwich.worst_margin"]
+    assert gate["value"] < -1e-10
+    assert gate["threshold"] == pytest.approx(-1.09e-6, rel=1e-2)
+
+
+def test_samples_symbol_with_a_coarser_convergence_grid_exits_2(tmp_path, capsys):
+    # samples exist on one grid; the config is refused before any study
+    # runs, not after the asymptotics and duality studies
+    nodes = np.exp(2j * np.pi * np.arange(256) / 256)
+    samples = [[float(v.real), float(v.imag)] for v in 0.3 * np.conj(nodes)]
+    cfg = tmp_path / "c.json"
+    raw = _write_config(cfg, grid=256, degree=16, n_max=8,
+                        symbol={"kind": "samples", "values": samples},
+                        studies=["asymptotics", "duality", "convergence"],
+                        convergence={"grids": [128, 256], "degrees": [8, 16]})
+    message = "a samples symbol fixes the grid: every convergence grid must equal grid 256"
+    with pytest.raises(cli.ConfigError, match=message):
+        cli.parse_config(raw)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+    # the same samples on every level run
+    raw["convergence"] = {"grids": [256, 256], "degrees": [8, 16]}
+    cli.parse_config(raw)
+    # --grid is applied first: the override must equal every convergence grid
+    raw["grid"] = 128
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--grid", "256", "--out", str(tmp_path / "o")]) == 0
 
 
 def test_readme_config_never_imports_numpy_random(tmp_path):

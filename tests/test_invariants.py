@@ -3,8 +3,9 @@ rotation of the corpus data.
 
 Random data pairs are drawn as the benchmark's ``random_pairs`` workload
 draws them, on a 1024 grid, and each must pass the library's own gates: the dual of the dual
-is the pair, the duality identity holds, tau is a unitary involution, and
-the regularization sandwich keeps its order.
+is the pair, the duality identity holds, tau is a unitary involution, the
+complement-mapping theorem holds, and the regularization sandwich keeps its
+order; pairs with the zero symbol keep its lower chain too.
 
 For the zero symbol with masses nu_k at zeta_k, the metric on z^0..z^M is
 I + V^H diag(nu) V with V_kp = zeta_k^p, and the Woodbury identity gives the
@@ -31,7 +32,6 @@ from hardydual import (
     UNITARY,
     CircleGrid,
     MassSet,
-    OrderViolation,
     SpaceData,
     TauVector,
     apply_tau,
@@ -45,10 +45,12 @@ from hardydual import (
     sandwich_check,
     symbol_from_coefficients,
     symbol_from_samples,
+    theorem_check,
     zero_symbol,
 )
 from hardydual.cli import _DEFAULT_GATES, _random_vector
 from hardydual.corpus import CASES, mass_single_trace
+from hardydual.tolerances import TOL_ORDER
 
 GRID = CircleGrid(4096)
 DEGREE = 48
@@ -144,15 +146,18 @@ TAU_VECTORS = 3
 
 
 @st.composite
-def random_pairs(draw):
-    """1-3 symbol coefficients at |p| <= 4, scaled to sup|R| = 0.8, and 0-3
-    masses with 0.1 <= |zeta| <= 0.7, at least 0.1 apart, weights in
-    [0.5, 3]."""
-    powers = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True))
-    coeffs = np.array([draw(st.floats(0.1, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
-                       for _ in powers])
-    scale = 0.8 / symbol_from_coefficients(PAIR_GRID, dict(zip(powers, coeffs))).sup_modulus
-    symbol = symbol_from_coefficients(PAIR_GRID, dict(zip(powers, coeffs * scale)))
+def random_pairs(draw, zero=False):
+    """1-3 symbol coefficients at |p| <= 4, scaled to sup|R| = 0.8 (the zero
+    symbol with ``zero``), and 0-3 masses with 0.1 <= |zeta| <= 0.7, at
+    least 0.1 apart, weights in [0.5, 3]."""
+    if zero:
+        symbol = zero_symbol(PAIR_GRID)
+    else:
+        powers = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True))
+        coeffs = np.array([draw(st.floats(0.1, 1.0))
+                           * np.exp(1j * draw(st.floats(0.0, 2 * np.pi))) for _ in powers])
+        scale = 0.8 / symbol_from_coefficients(PAIR_GRID, dict(zip(powers, coeffs))).sup_modulus
+        symbol = symbol_from_coefficients(PAIR_GRID, dict(zip(powers, coeffs * scale)))
     count = draw(st.integers(0, 3))
     points = []
     while len(points) < count:
@@ -199,13 +204,33 @@ def test_random_pair_passes_the_identity_and_tau_gates(space, seed):
 @given(random_pairs(), st.integers(0, 3), st.sampled_from([0.5, 0.9, 1.0]))
 @settings(deadline=None, max_examples=60)
 def test_random_pair_sandwich_keeps_its_order(space, cutoff, rho):
-    # sandwich_check raises OrderViolation on any margin below -TOL_ORDER.  Its
-    # last check, the lower chain, is not a theorem for every pair: with
-    # R = 0.8 conj(t), one mass at 0.5, cutoff 0 and rho near 1 its slack is
-    # -3.3e-2 at every truncation, while K itself matches the closed form
-    # (see ROADMAP).  Every other ordering is checked before it.
-    try:
-        sandwich_check(space, cutoff, rho, 0, PAIR_DEGREE)
-    except OrderViolation as exc:
-        if not str(exc).startswith("K(scaled) >= (B(0)/B^N(0)) K(both) violated"):
-            raise
+    # sandwich_check raises OrderViolation on any margin below its tolerance
+    sandwich_check(space, cutoff, rho, 0, PAIR_DEGREE)
+
+
+@given(random_pairs(zero=True), st.integers(0, 3), st.sampled_from([0.5, 0.9, 1.0]))
+@settings(deadline=None, max_examples=60)
+def test_zero_symbol_pair_keeps_the_lower_chain(space, cutoff, rho):
+    """K(scaled) >= (B(0)/B^N(0)) K(both), with B/B^N = b the Blaschke
+    product of the masses the cutoff drops.
+
+    For g in the "both" metric, f = b g has |f(0)| = |b(0) g(0)|, the same
+    H^2 norm (|b| = 1 on the circle) and no larger mass part (f vanishes at
+    the dropped masses and |b| < 1 at the kept ones).  Its Hankel term reads
+    P_-(rho R b g), not P_-(rho R g), so the bound follows for R = 0 only;
+    sandwich_check does not check it.  The zero symbol makes "scaled" alpha
+    and "both" the cutoff.  Where the cutoff drops a mass, the slack on
+    these draws has stayed above 7e-3, far from truncation and roundoff."""
+    report = sandwich_check(space, cutoff, rho, 0, PAIR_DEGREE)
+    dropped = space.masses.points[min(cutoff, space.masses.count):]
+    slack = report.k_scaled - float(np.prod(np.abs(dropped))) * report.k_both
+    assert slack >= -TOL_ORDER
+
+
+@given(random_pairs())
+@settings(deadline=None, max_examples=50)
+def test_random_pair_passes_the_theorem_gates(space):
+    report = theorem_check(space, dual_of(space), PAIR_DEGREE)
+    assert report.forward_hardy_residual < _DEFAULT_GATES["theorem"]
+    assert report.forward_mass_residual < _DEFAULT_GATES["theorem"]
+    assert report.converse_orthogonality < _DEFAULT_GATES["theorem"]

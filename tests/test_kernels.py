@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardydual import (
+    CircleGrid,
     MassSet,
     OrderViolation,
     RejectBoundary,
@@ -189,7 +190,7 @@ def test_sandwich_two_mass_case(grid4096):
     assert report.psd_margin_cutoff >= -1e-12
     assert report.psd_margin_scaled >= -1e-12
     assert report.chain_upper_slack >= -1e-10
-    assert report.chain_lower_slack >= -1e-10
+    assert report.tolerance == TOL_ORDER
     assert max(report.identity_residuals.values()) < 1e-8
 
 
@@ -288,6 +289,40 @@ def test_a_heavier_kept_mass_fails_the_cutoff_order():
         _require_order("Gram(alpha) - Gram(cutoff) PSD", margin, TOL_ORDER)
 
 
+def _heavy_pair():
+    # the zero symbol with masses 0.5 (weight 3) and -0.3+0.4i (weight 1e8)
+    return SpaceData(zero_symbol(CircleGrid(4096)),
+                     MassSet(np.array([0.5, -0.3 + 0.4j]), np.array([3.0, 1e8])))
+
+
+def test_sandwich_tolerance_is_the_roundoff_of_its_largest_diagonal():
+    # dropping the weight-1e8 mass leaves a PSD difference whose eigvalsh
+    # reads -1.2e-8 in roundoff, beyond TOL_ORDER but within the roundoff
+    # order * eps * s of Grams whose largest diagonal entry s is 1 + 3 + 1e8
+    space = _heavy_pair()
+    report = sandwich_check(space, 1, 0.5, 0, 48)
+    scale = build_gram_analytic(space, 48).diagonal().real.max()
+    assert report.tolerance == 49 * np.finfo(float).eps * scale
+    assert report.tolerance == pytest.approx(1.09e-6, rel=1e-2)
+    assert -report.tolerance < report.psd_margin_cutoff < -TOL_ORDER
+
+
+def test_a_heavier_kept_mass_still_fails_at_a_heavy_weight(monkeypatch):
+    # a broken Gram(cutoff) that carries the kept mass at twice its weight is
+    # not below Gram(alpha) in PSD order; the roundoff tolerance of the
+    # weight-1e8 pair must not hide it
+    def doubled(space, rho=1.0, mass_cutoff=None):
+        out = regularized(space, rho=rho, mass_cutoff=mass_cutoff)
+        if mass_cutoff is None or rho != 1.0:
+            return out
+        kept = out.masses
+        return replace(out, masses=MassSet(kept.points, 2.0 * kept.weights))
+
+    monkeypatch.setattr(kernels, "regularized", doubled)
+    with pytest.raises(OrderViolation, match=r"Gram\(alpha\) - Gram\(cutoff\) PSD"):
+        sandwich_check(_heavy_pair(), 1, 0.5, 0, 48)
+
+
 def _count_sandwich_calls(monkeypatch, space, cutoff):
     counts = {"assemble_gram": 0, "eigvalsh": 0, "_dual_parts": 0}
 
@@ -346,7 +381,6 @@ def test_sandwich_degenerate_regularization_is_equality(mass_space):
     assert report.k_cutoff == pytest.approx(report.k_alpha, abs=1e-14)
     assert report.k_scaled == pytest.approx(report.k_alpha, abs=1e-14)
     assert abs(report.chain_upper_slack) < 1e-12
-    assert abs(report.chain_lower_slack) < 1e-12
 
 
 def test_sandwich_rejects_bad_rho(mass_space):

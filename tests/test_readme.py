@@ -1,5 +1,7 @@
-"""The README's library quick start runs as documented."""
+"""The README's library quick start runs as documented, and its config is
+the one the CI steps and the benchmark run."""
 
+import json
 import os
 import re
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from hardydual.cli import parse_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -24,3 +28,14 @@ def test_readme_quick_start_runs():
     product, residual = (float(v) for v in lines[2].split())
     assert residual < 1e-12
     assert abs(product - 1.0) < 1e-12
+
+
+def test_readme_config_is_the_committed_config():
+    # CI's byte-identity steps and the benchmark run perfbench/readme_config.json
+    # as "the README config": the README's JSON block must be that file
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    committed = (REPO / "perfbench" / "readme_config.json").read_text(encoding="utf-8")
+    assert blocks[0] == committed
+    parse_config(json.loads(blocks[0]))  # raises ConfigError on a bad config
