@@ -7,13 +7,10 @@ routine that needs several Grams of one data pair assembles one Gram and
 reads the others from it: shifts are principal windows, and regularizations
 recombine the one Hankel Gram Gamma it was assembled from (see
 :func:`sandwich_check`, which builds each distinct variant once).  The
-orthonormal system reads every window's kernel vector from one solve with
-its covering Gram (:func:`_covering_kernels`).
-
-The asymptotic sweep takes its windows max(1, (degree + 1) // 4) at a time:
-the sub-Gram covering a group is factored once by a reversed Cholesky
-G = U U^H, and each window's K(0) follows from U and the last columns of
-U^{-1} (see :func:`_window_kernels`).  The groups are factored as one stack.
+asymptotic sweep and the orthonormal system read their windows' kernel
+vectors the same way (:func:`_window_runs`): runs of max(1, (degree + 1) // 4)
+windows, each run from one solve with the sub-Gram covering it
+(:func:`_covering_kernels`).
 """
 
 from __future__ import annotations
@@ -22,12 +19,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NotPositiveDefinite, OrderViolation, RejectBoundary
+from .errors import OrderViolation, RejectBoundary
 from .spaces import (
     SpaceData,
-    _pd_failure,
+    _roundoff,
     analytic_hankel,
     assemble_gram,
     build_gram_analytic,
@@ -115,7 +111,9 @@ def _covering_kernels(entries: np.ndarray, starts, size: int) -> np.ndarray:
     """
     order = entries.shape[0]
     count = order - size + 1
-    cols = np.union1d(np.arange(count), np.arange(size, order))
+    # a mask, not np.union1d, which imports numpy.ma (about 11 ms)
+    index = np.arange(order)
+    cols = index[(index < count) | (index >= size)]
     unit = np.zeros((order, cols.size), dtype=complex)
     unit[cols, np.arange(cols.size)] = 1.0
     inv = np.linalg.solve(entries, unit)
@@ -130,11 +128,35 @@ def _covering_kernels(entries: np.ndarray, starts, size: int) -> np.ndarray:
     return inv[rows, at_n] - (inv[rows[:, :, None], at_out[:, None, :]] @ coupling)[..., 0]
 
 
+def _window_runs(entries: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
+    """Kernel vectors of the order-``size`` windows of ``entries`` at the
+    sorted ``starts``, row i for starts[i].
+
+    The starts go in runs that span fewer than max(1, size // 4) of them;
+    each run reads its windows from the sub-Gram that covers it
+    (:func:`_covering_kernels`).  Unbroken, the covering solve's stack of
+    Schur systems grows as the cube of the window count.  Row i's entry 0 is
+    K(0)^2 of its window, which must come out positive.
+    """
+    span = max(1, size // 4)
+    kernels = np.empty((starts.size, size), dtype=complex)
+    i = 0
+    while i < starts.size:
+        first = starts[i]
+        stop = i + int(np.searchsorted(starts[i:], first + span))
+        end = starts[stop - 1] + size
+        kernels[i:stop] = _covering_kernels(entries[first:end, first:end],
+                                            starts[i:stop] - first, size)
+        i = stop
+    if np.any(kernels[:, 0].real <= 0):
+        raise OrderViolation("kernel norm came out nonpositive; Gram unusable")
+    return kernels
+
+
 def orthonormal_system(space: SpaceData, shifts: Sequence[int],
                        degree: int) -> OrthonormalSystem:
     """e_n = z^n K^{alpha_n} for each shift n, from one Gram on
-    z^(min n)..z^(max n + degree) and one solve with it
-    (:func:`_covering_kernels`)."""
+    z^(min n)..z^(max n + degree) (:func:`_window_runs`)."""
     shifts = np.asarray(sorted(int(n) for n in shifts), dtype=int)
     if shifts.size == 0:
         raise ValueError("need at least one shift")
@@ -144,13 +166,11 @@ def orthonormal_system(space: SpaceData, shifts: Sequence[int],
     n_min, n_max = int(shifts[0]), int(shifts[-1])
 
     gram = build_gram_analytic(shifted(space, n_min), degree + n_max - n_min)
-    kernels = _covering_kernels(gram, shifts - n_min, degree + 1)
-    norm_sq = kernels[:, 0].real
-    if np.any(norm_sq <= 0):
-        raise OrderViolation("kernel norm came out nonpositive; Gram unusable")
+    kernels = _window_runs(gram, shifts - n_min, degree + 1)
+    norm = np.sqrt(kernels[:, 0].real)
     columns = np.zeros((gram.shape[0], shifts.size), dtype=complex)
     for i, n in enumerate(shifts - n_min):
-        columns[n: n + degree + 1, i] = kernels[i] / np.sqrt(norm_sq[i])
+        columns[n: n + degree + 1, i] = kernels[i] / norm[i]
     system_gram = columns.conj().T @ gram @ columns
     return OrthonormalSystem(shifts, columns, system_gram)
 
@@ -184,66 +204,15 @@ class AsymptoticTrace:
         return bool(np.all(dev[1:] <= dev[:-1] * (1 + 1e-9) + 1e-13))
 
 
-def _window_kernels(entries: np.ndarray, starts, count: int,
-                    size: int) -> np.ndarray:
-    """K(0) of the order-``size`` windows of ``entries`` in groups of ``count``.
-
-    Row k holds the windows at starts[k]..starts[k]+count-1.  Each group's
-    sub-Gram factors once as G = U U^H with U upper triangular (a Cholesky of
-    G with rows and columns reversed); the groups go through numpy as one
-    stack.  With s = size, window n is A A^H + B B^H, where
-    A = U[n:n+s, n:n+s] and B = U[n:n+s, n+s:].  A^{-1} has first column
-    e_0 / U[n, n], so with Y = A^{-1} B and y = Y[0],
-
-        K_n(0)^2 = (1 - y (I + Y^H Y)^{-1} y^H) / |U[n, n]|^2.
-
-    Y = -(U^{-1})[n:n+s, n+s:] U[n+s:, n+s:] needs only the last count - 1
-    columns of U^{-1}, from one solve; the sign of Y drops out.  The loop
-    over n corrects window n of every group at once.
-    """
-    order = count + size - 1
-    starts = np.asarray(starts, dtype=int)
-    subs = sliding_window_view(entries, (order, order))[starts, starts]
-    u = np.linalg.cholesky(subs[:, ::-1, ::-1])[:, ::-1, ::-1]
-    norm_sq = 1.0 / np.abs(np.diagonal(u, axis1=1, axis2=2)[:, :count]) ** 2
-    inv_cols = np.linalg.solve(u, np.eye(order, count - 1, -size))
-    tail = u[:, size:, size:]
-    for n in range(count - 1):
-        y_block = inv_cols[:, n:n + size, n:] @ tail[:, n:, n:]
-        system = y_block.conj().transpose(0, 2, 1) @ y_block + np.eye(count - 1 - n)
-        y = y_block[:, 0]
-        solved = np.linalg.solve(system, y.conj()[..., None])[..., 0]
-        norm_sq[:, n] *= 1.0 - np.sum(y * solved, axis=1).real
-    if np.any(norm_sq <= 0):
-        raise OrderViolation("kernel norm came out nonpositive; Gram unusable")
-    return np.sqrt(norm_sq)
-
-
 def asymptotic_sweep(space: SpaceData, n_max: int, degree: int) -> AsymptoticTrace:
-    """K^{alpha_n}(0) for n = 0..n_max from one Gram on z^0..z^{degree + n_max}.
-
-    Shifts go in groups of max(1, (degree + 1) // 4); each group reads its
-    windows from one factorization (:func:`_window_kernels`).
-    """
+    """K^{alpha_n}(0) for n = 0..n_max from one Gram on z^0..z^{degree + n_max},
+    read from its windows in runs of max(1, (degree + 1) // 4) shifts
+    (:func:`_window_runs`)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     gram = build_gram_analytic(space, degree + n_max)
-    size = degree + 1
-    group = max(1, size // 4)
-    full, rest = divmod(n_max + 1, group)
-    parts = []
-    try:
-        if full:
-            parts.append(_window_kernels(gram, group * np.arange(full), group, size))
-        if rest:
-            parts.append(_window_kernels(gram, [group * full], rest, size))
-    except np.linalg.LinAlgError:
-        # the Gram passed its PD check, so a group's reversed Cholesky failed
-        # in roundoff: report it as the Gram's own check would
-        min_eig = float(np.linalg.eigvalsh(gram)[0])
-        raise NotPositiveDefinite(_pd_failure(gram, min_eig, space.masses.weights)) from None
-    values = np.concatenate([part.ravel() for part in parts])
-    return AsymptoticTrace(np.arange(n_max + 1), values)
+    kernels = _window_runs(gram, np.arange(n_max + 1), degree + 1)
+    return AsymptoticTrace(np.arange(n_max + 1), np.sqrt(kernels[:, 0].real))
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +285,11 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     pair; each distinct one is assembled, solved and dualized once.  With
     N >= m the cutoff is alpha itself and "both" is "scaled"; with rho = 1
     "scaled" is alpha and "both" is the cutoff.  Every ordering is judged
-    against max(TOL_ORDER, order * eps * s), s the largest diagonal entry
-    (so the largest entry) of the PD primal Grams: the roundoff of their
-    eigenvalues, as in spaces._pd_failure.  No lower chain K(scaled) >=
-    (B(0)/B^N(0)) K(both) is checked: f = b g, b the Blaschke product of the
-    dropped masses, gives it only for R = 0, since P_-(rho R b g) is not
-    P_-(rho R g).
+    against max(TOL_ORDER, r), r the largest roundoff of the primal Grams
+    (spaces._roundoff, as in their own PD checks).  No lower chain
+    K(scaled) >= (B(0)/B^N(0)) K(both) is checked: f = b g, b the Blaschke
+    product of the dropped masses, gives it only for R = 0, since
+    P_-(rho R b g) is not P_-(rho R g).
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]; 1 gives the degenerate equalities")
@@ -340,8 +308,7 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
         if pair[label] not in grams:
             grams[pair[label]] = assemble_gram(sp, gamma)
     del gamma
-    scale = max(float(gram.diagonal().real.max()) for gram in grams.values())
-    tol = max(TOL_ORDER, (degree + 1) * np.finfo(float).eps * scale)
+    tol = max(TOL_ORDER, *(_roundoff(gram) for gram in grams.values()))
     k = {key: kernel_at_origin(gram).norm for key, gram in grams.items()}
     g_alpha, g_cut, g_rho = (grams[pair[label]] for label in ("alpha", "cutoff", "scaled"))
     del grams

@@ -25,10 +25,14 @@ exact zeros (the zero symbol's), where the recurrence could give only zeros
 and Gamma is filled with its bytes (:func:`_zero_gram`).  A Gram is certified
 positive definite by a Gershgorin floor on its smallest eigenvalue, which
 the contraction R makes 1 - rho^2 (Gamma's largest absolute row sum) less a
-rounding slack (:func:`_eig_floor`); only a Gram whose floor falls short of
-TOL_PSD is checked by one Cholesky factorization of G - TOL_PSD I.  Its
-windows inherit the check by Cauchy interlacing.  Every factorization goes
-through numpy.linalg, so one LAPACK serves the whole process.
+rounding slack (:func:`_eig_floor`).  The check's threshold is
+tol = max(TOL_PSD, order * eps * (largest diagonal entry)), the Gram's own
+roundoff when that is larger (:func:`_roundoff`); only a Gram whose floor
+falls short of tol is checked by one Cholesky factorization of G - tol I.
+Its windows inherit the check: by Cauchy interlacing a window's smallest
+eigenvalue is at least its Gram's, and a window's tol is at most its Gram's.
+Every factorization goes through numpy.linalg, so one LAPACK serves the
+whole process.
 """
 
 from __future__ import annotations
@@ -210,25 +214,34 @@ def _mass_gram(masses: MassSet, exponents: np.ndarray) -> np.ndarray:
     return v.conj().T @ (masses.weights[:, None] * v)
 
 
-def _finalize_gram(entries, weights=(), floor=-np.inf) -> np.ndarray:
-    """Symmetrize ``entries`` in place, check min eig >= TOL_PSD, and return
-    them.
+def _roundoff(entries) -> float:
+    """order * eps * (largest diagonal entry): how finely the eigenvalues of
+    a positive definite Gram, whose largest entry lies on its diagonal, are
+    resolved in double precision."""
+    return entries.shape[0] * np.finfo(float).eps * float(entries.diagonal().real.max())
 
-    ``floor`` is a lower bound on the symmetrized Gram's smallest eigenvalue
-    that already counts the Cholesky's own rounding (:func:`_eig_floor`).  A
-    floor above TOL_PSD certifies the Gram; otherwise the check is a Cholesky
-    of G - TOL_PSD I.  Only a failed Cholesky runs the eigensolver, to report
-    the minimum eigenvalue; ``weights`` are the mass weights in the Gram,
-    quoted when its scale is the cause.
+
+def _finalize_gram(entries, weights=(), floor=-np.inf) -> np.ndarray:
+    """Symmetrize ``entries`` in place, check min eig >= tol, and return them.
+
+    tol = max(TOL_PSD, :func:`_roundoff`): an eigenvalue below the Gram's
+    own roundoff cannot be told from zero.  ``floor`` is a lower bound on
+    the symmetrized Gram's smallest eigenvalue that already counts the
+    Cholesky's own rounding (:func:`_eig_floor`).  A floor above tol
+    certifies the Gram; otherwise the check is a Cholesky of G - tol I.
+    Only a failed Cholesky runs the eigensolver, to report the minimum
+    eigenvalue; ``weights`` are the mass weights in the Gram, quoted when its
+    scale is the cause.
     """
     entries += entries.conj().T
     entries *= 0.5
-    if floor > TOL_PSD:
+    tol = max(TOL_PSD, _roundoff(entries))
+    if floor > tol:
         return entries
-    # G - TOL_PSD I in place: the saved diagonal goes back after the check
+    # G - tol I in place: the saved diagonal goes back after the check
     diag = np.diag_indices_from(entries)
     diagonal = entries[diag]
-    entries[diag] -= TOL_PSD
+    entries[diag] -= tol
     try:
         np.linalg.cholesky(entries)
     except np.linalg.LinAlgError:
@@ -238,7 +251,7 @@ def _finalize_gram(entries, weights=(), floor=-np.inf) -> np.ndarray:
     entries[diag] = diagonal
     if not passed:
         min_eig = float(np.linalg.eigvalsh(entries)[0])
-        if min_eig < TOL_PSD:
+        if min_eig < tol:
             raise NotPositiveDefinite(_pd_failure(entries, min_eig, weights)) from None
     return entries
 
@@ -350,7 +363,7 @@ def build_gram_laurent(space: SpaceData, half_band: int) -> np.ndarray:
     # placement raised the peak RSS of repeated theorem checks by 2.4 MB
     gamma = hankel_block(symbol, exponents, symbol.grid.size // 2 - half_band)
     dim = exponents.size + masses.count
-    # the mass block diag(nu) is uncoupled: its pivots are nu - TOL_PSD exactly
+    # the mass block diag(nu) is uncoupled: its pivots are nu - tol exactly
     floor = min(_eig_floor(gamma, 1.0, 0.0, dim), np.min(masses.weights, initial=np.inf))
     entries = np.zeros((dim, dim), dtype=complex)
     np.subtract(np.eye(exponents.size, dtype=complex), gamma,

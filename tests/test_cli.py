@@ -426,8 +426,9 @@ def test_command_line_override_of_a_non_object_exits_2(tmp_path, capsys, raw, fl
 
 
 def test_failed_window_factorization_names_the_scale(tmp_path, capsys):
-    # the master Gram passes its PD check, but a reversed Cholesky of one of
-    # the sweep's groups fails in roundoff: exit 3, naming the Gram's scale
+    # the Gram's smallest eigenvalue lies below its roundoff, order * eps *
+    # (largest diagonal entry), so its own PD check refuses it: exit 3,
+    # naming the Gram's scale
     cfg = tmp_path / "c.json"
     _write_config(cfg, grid=4096, degree=48, studies=["asymptotics"],
                   masses=[{"point": [0.5, 0.0], "weight": 1e16},
@@ -436,6 +437,20 @@ def test_failed_window_factorization_names_the_scale(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("data failure:") and len(err.splitlines()) == 1, err
     assert "double precision" in err and "largest mass weight" in err
+
+
+def test_gram_below_its_roundoff_names_the_scale(tmp_path, capsys):
+    # one mass of weight 1e16: the Gram's roundoff, order * eps * 1e16, is
+    # about 140, far above its smallest eigenvalue, so no K(0) read from it
+    # means anything; the PD check refuses it: exit 3, naming the scale
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=4096, degree=48, studies=["asymptotics"],
+                  masses=[{"point": [0.5, 0.0], "weight": 1e16}])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data failure:") and len(err.splitlines()) == 1, err
+    assert "double precision" in err and "largest mass weight" in err
+    assert err.endswith("(asymptotics study)")
 
 
 @pytest.mark.parametrize("studies, builds", [
@@ -501,15 +516,27 @@ def test_extreme_mass_weight_names_the_gram_scale(tmp_path, capsys, weight):
 def test_sub_tolerance_mass_weight_is_named(tmp_path, capsys, weight):
     # the diag(nu) block of the theorem study's Laurent Gram has the weight
     # itself as its minimum eigenvalue; the weight, not |R|, is the cause
-    cfg = tmp_path / "c.json"
-    _write_config(cfg, grid=256, degree=16,
-                  masses=[{"point": [0.5, 0.0], "weight": weight}],
-                  studies=list(STUDY_ORDER),
-                  convergence={"grids": [128, 256], "degrees": [8, 16]})
-    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("data failure:") and len(err.splitlines()) == 1
-    assert f"is the mass weight {weight:.3e}" in err and "|R|" not in err
+    def failure(studies):
+        cfg = tmp_path / "c.json"
+        _write_config(cfg, grid=256, degree=16,
+                      masses=[{"point": [0.5, 0.0], "weight": weight}],
+                      studies=studies,
+                      convergence={"grids": [128, 256], "degrees": [8, 16]})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("data failure:") and len(err.splitlines()) == 1
+        assert "|R|" not in err
+        return err
+
+    err = failure(list(STUDY_ORDER))
+    if weight == 1e-15:
+        # the dual weight, about 5.6e14, puts the dual Gram's roundoff (2.1)
+        # above its smallest eigenvalue (0.94), so the duality study stops
+        # first, naming the scale
+        assert "double precision" in err and "largest mass weight" in err
+        assert err.endswith("(duality study)")
+        err = failure(["theorem"])
+    assert f"is the mass weight {weight:.3e}" in err
 
 def test_symbol_near_one_names_r(tmp_path, capsys):
     # a true |R| -> 1 failure keeps its cause
@@ -641,16 +668,18 @@ def test_samples_symbol_with_a_coarser_convergence_grid_exits_2(tmp_path, capsys
 
 def test_readme_config_never_imports_numpy_random(tmp_path):
     # the tau study draws from the standard library's generator; numpy.random
-    # alone would add about 6 MB to the run's peak memory
+    # alone would add about 6 MB to the run's peak memory.  numpy.ma, which
+    # np.union1d imports, costs about 11 ms of start-up
     config = REPO / "perfbench" / "readme_config.json"
     script = ("import sys; from hardydual.cli import main; "
               f"code = main(['run', {str(config)!r}, '--out', {str(tmp_path / 'o')!r}]); "
-              "print('numpy.random' in sys.modules); sys.exit(code)")
+              "print('numpy.random' in sys.modules, 'numpy.ma' in sys.modules); "
+              "sys.exit(code)")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("overrides", [

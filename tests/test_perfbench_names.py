@@ -86,9 +86,11 @@ def _identifier(node):
 def test_workload_calls_bind_to_their_signatures():
     # each hd.<fn>(...) call binds with its positional count and keywords,
     # and a positional argument spelled as a parameter's name lands on that
-    # parameter: a removed parameter would otherwise shift the arguments
-    # after it silently, as sandwich_check(space, 1, 0.5, 0, degree) would
-    # bind degree to tol_order without its n
+    # parameter.  A removed parameter shifts the arguments after it: were
+    # sandwich_check's n removed, sandwich_check(space, 1, 0.5, 0, degree)
+    # would now fail to bind, one argument too many; with a parameter left
+    # after degree it would bind silently, 0 to degree, which the name
+    # check catches
     calls = [(node, chain) for node in ast.walk(_workloads())
              if isinstance(node, ast.Call) and (chain := _chain(node.func))]
     assert calls
