@@ -27,6 +27,8 @@ print(f"  K(scaled) = {report.k_scaled:.12f}")
 print(f"  margins: cutoff side {report.margin_cutoff:.3e}, scaled side {report.margin_scaled:.3e}")
 print(f"  Gram PSD margins: {report.psd_margin_cutoff:.1e}, {report.psd_margin_scaled:.1e}")
 print(f"  upper chain slack (combined N,rho data): {report.chain_upper_slack:.3e}")
+print(f"  worst margin {report.worst_margin:.3e} against tolerance {report.tolerance:.0e}: "
+      f"{'holds' if report.worst_margin >= -report.tolerance else 'VIOLATED'}")
 print("  transported identity residuals:",
       {k: f"{v:.1e}" for k, v in report.identity_residuals.items()})
 

@@ -33,7 +33,7 @@ from .circle import CircleGrid, MassSet, symbol_from_coefficients, \
     symbol_from_expression, symbol_from_samples, validate_szego
 from .duality import CONVERSE_POWERS, UNITARY, PRINTED, apply_tau, dual_of, \
     duality_identity, l2_norm, canonical_vector, theorem_check, TauVector
-from .errors import ConfigError, HardyDualError, OrderViolation, SzegoViolation
+from .errors import ConfigError, HardyDualError, SzegoViolation
 from .kernels import asymptotic_sweep, kernel_at_origin, sandwich_check
 from .spaces import SpaceData, analytic_hankel, assemble_gram, regularized
 from .tolerances import TOL_ORDER
@@ -335,40 +335,32 @@ def _study_sandwich(config, space, shared_dual):
     cutoffs = config.cutoff_list
     if cutoffs is None:
         cutoffs = [space.masses.count]
-    rows, gates = [], []
-    worst_margin = np.inf
-    worst_residual = 0.0
-    tolerance = TOL_ORDER  # each row's own is at least this; the gate takes the largest
-    for cutoff in cutoffs:
-        for rho in config.rho_list:
-            try:
-                rep = sandwich_check(space, cutoff, rho, 0, config.degree)
-            except OrderViolation as exc:
-                gates.append(Gate(f"sandwich.order[N={cutoff},rho={rho}]",
-                                  float("nan"), TOL_ORDER, False))
-                rows.append({"cutoff": cutoff, "rho": rho,
-                             "error": str(exc)})
-                continue
-            rows.append({
-                "cutoff": cutoff, "rho": rho,
-                "k_alpha": rep.k_alpha, "k_cutoff": rep.k_cutoff,
-                "k_scaled": rep.k_scaled, "k_both": rep.k_both,
-                "margin_cutoff": rep.margin_cutoff,
-                "margin_scaled": rep.margin_scaled,
-                "psd_margin_cutoff": rep.psd_margin_cutoff,
-                "psd_margin_scaled": rep.psd_margin_scaled,
-                "identity_residual_cutoff": rep.identity_residuals["cutoff"],
-                "identity_residual_scaled": rep.identity_residuals["scaled"],
-                "identity_residual_both": rep.identity_residuals["both"],
-            })
-            worst_margin = min(worst_margin, rep.margin_cutoff, rep.margin_scaled,
-                               rep.psd_margin_cutoff, rep.psd_margin_scaled)
-            worst_residual = max(worst_residual, *rep.identity_residuals.values())
-            tolerance = max(tolerance, rep.tolerance)
-    # no successful row leaves worst_margin at inf, which must not pass
-    gates.append(Gate("sandwich.worst_margin", float(worst_margin), -tolerance,
-                      -tolerance <= worst_margin < np.inf))
-    gates.append(_below("sandwich.identity_residual", worst_residual,
+    pairs = [(cutoff, rho) for cutoff in cutoffs for rho in config.rho_list]
+    reports = [sandwich_check(space, cutoff, rho, 0, config.degree) for cutoff, rho in pairs]
+    rows = [{
+        "cutoff": cutoff, "rho": rho,
+        "k_alpha": rep.k_alpha, "k_cutoff": rep.k_cutoff,
+        "k_scaled": rep.k_scaled, "k_both": rep.k_both,
+        "margin_cutoff": rep.margin_cutoff,
+        "margin_scaled": rep.margin_scaled,
+        "psd_margin_cutoff": rep.psd_margin_cutoff,
+        "psd_margin_scaled": rep.psd_margin_scaled,
+        "identity_residual_cutoff": rep.identity_residuals["cutoff"],
+        "identity_residual_scaled": rep.identity_residuals["scaled"],
+        "identity_residual_both": rep.identity_residuals["both"],
+    } for (cutoff, rho), rep in zip(pairs, reports)]
+    # a row whose orderings fail gets a gate of its own, with its own numbers
+    gates = [Gate(f"sandwich.order[N={cutoff},rho={rho}]", float(rep.worst_margin),
+                  -rep.tolerance, False)
+             for (cutoff, rho), rep in zip(pairs, reports) if rep.worst_margin < -rep.tolerance]
+    worst_margin = float(min(rep.worst_margin for rep in reports))
+    tolerance = max(rep.tolerance for rep in reports)
+    # a tolerance from a Gram's roundoff is a numpy float: bool() keeps the
+    # verdict a type json can write
+    gates.append(Gate("sandwich.worst_margin", worst_margin, -tolerance,
+                      bool(worst_margin >= -tolerance)))
+    gates.append(_below("sandwich.identity_residual",
+                        max(max(rep.identity_residuals.values()) for rep in reports),
                         config.gates["identity"]))
     return {"tables": {"sandwich": rows}, "gates": gates, "scalars": {}}
 
@@ -505,16 +497,13 @@ def _fmt_cell(value):
 
 
 def write_csv(path: Path, rows):
-    fields = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
+    """``rows``, a nonempty list of dicts with the same keys, as CSV."""
+    fields = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(fields)
         for row in rows:
-            writer.writerow([_fmt_cell(row.get(k, "")) for k in fields])
+            writer.writerow([_fmt_cell(row[k]) for k in fields])
 
 
 def write_report(report: RunReport, out_dir: Path):

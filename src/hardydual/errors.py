@@ -18,7 +18,7 @@ class NotPositiveDefinite(HardyDualError):
 
 
 class OrderViolation(HardyDualError):
-    """A kernel-value inequality failed beyond the ordering tolerance."""
+    """A kernel norm came out nonpositive: its Gram is unusable."""
 
 
 class GridMismatch(HardyDualError):

@@ -252,7 +252,7 @@ def _finalize_gram(entries, weights=(), floor=-np.inf) -> np.ndarray:
     if not passed:
         min_eig = float(np.linalg.eigvalsh(entries)[0])
         if min_eig < tol:
-            raise NotPositiveDefinite(_pd_failure(entries, min_eig, weights)) from None
+            raise NotPositiveDefinite(_pd_failure(entries, min_eig, tol, weights)) from None
     return entries
 
 
@@ -285,30 +285,28 @@ def _mass_rows(masses: MassSet, exponents: np.ndarray) -> float:
         return float(masses.weights @ (powers.max(axis=1) * powers.sum(axis=1)))
 
 
-def _pd_failure(entries, min_eig: float, weights) -> str:
-    """One-line cause of a failed PD check.
+def _pd_failure(entries, min_eig: float, tol: float, weights) -> str:
+    """One-line cause of a failed PD check, whose tolerance was ``tol``.
 
-    The eigenvalues of a Gram are resolved only to about order * eps times
-    its largest entry.  When that roundoff exceeds TOL_PSD and the minimum
-    eigenvalue lies within it, the check cannot be decided in double
-    precision: the Gram's scale is the cause, and only mass weights make it
-    large.  When the minimum eigenvalue is, within that roundoff, a mass
-    weight below TOL_PSD (the diag(nu) block of a Laurent Gram), the weight
-    is the cause.  Otherwise the metric is nearly degenerate, i.e. |R| is
-    too close to 1 for the truncation.
+    When ``tol`` is the Gram's roundoff (:func:`_roundoff`), above TOL_PSD,
+    and the minimum eigenvalue lies within it, the check cannot be decided
+    in double precision: the Gram's scale is the cause, and only mass
+    weights make it large.  When the minimum eigenvalue is, within ``tol``,
+    a mass weight below TOL_PSD (the diag(nu) block of a Laurent Gram), the
+    weight is the cause.  Otherwise the metric is nearly degenerate, i.e.
+    |R| is too close to 1 for the truncation.
     """
-    scale = float(np.abs(entries).max())
-    roundoff = entries.shape[0] * np.finfo(float).eps * scale
-    if roundoff >= TOL_PSD and abs(min_eig) <= roundoff:
+    if tol > TOL_PSD and abs(min_eig) <= tol:
+        scale = float(entries.diagonal().real.max())
         cause = (f"Gram minimum eigenvalue {min_eig:.3e} is within the roundoff "
-                 f"{roundoff:.1e} of the Gram's scale {scale:.3e}, so tolerance "
+                 f"{tol:.1e} of the Gram's scale {scale:.3e}, so tolerance "
                  f"{TOL_PSD:.0e} cannot be resolved in double precision")
         if len(weights):
             cause += (f"; the largest mass weight, {np.max(weights):.3e}, sets that scale "
                       "(a dual weight 1/(nu |(1/T)'|^2) grows as nu shrinks)")
         return cause
     smallest = np.min(weights, initial=np.inf)
-    if smallest < TOL_PSD and abs(min_eig - smallest) <= roundoff:
+    if smallest < TOL_PSD and abs(min_eig - smallest) <= tol:
         return (f"Gram minimum eigenvalue {min_eig:.3e} is the mass weight "
                 f"{smallest:.3e}, below tolerance {TOL_PSD:.0e}")
     return (f"Gram minimum eigenvalue {min_eig:.3e} below tolerance {TOL_PSD:.0e}; "

@@ -579,9 +579,8 @@ def test_readme_config_runs_without_scipy(tmp_path):
 
 def test_order_violation_rows_and_strict_summary(tmp_path, monkeypatch):
     # with every PSD margin read as -1, every sandwich row violates the PSD
-    # order: its row holds the error, its gate has no value, and
-    # worst_margin is a minimum over no rows; summary.json must stay strict
-    # JSON (null, no NaN)
+    # order: its row keeps its numbers, its gate records the row's own
+    # margin and tolerance, and summary.json stays strict JSON
     monkeypatch.setattr(kernels, "_psd_margin", lambda upper, lower, out: -1.0)
     config = json.loads((REPO / "perfbench" / "readme_config.json").read_text())
     config.update(studies=["sandwich"])
@@ -590,8 +589,10 @@ def test_order_violation_rows_and_strict_summary(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert main(["run", str(cfg), "--out", str(out)]) == 4
     rows = _read_csv(out / "sandwich.csv")
-    assert len(rows) == len(config["rho_list"])
-    assert all("PSD violated" in row["error"] for row in rows)
+    assert [float(row["rho"]) for row in rows] == config["rho_list"]
+    for row in rows:
+        assert "error" not in row and all(math.isfinite(float(v)) for v in row.values())
+        assert float(row["psd_margin_cutoff"]) == float(row["psd_margin_scaled"]) == -1.0
 
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
@@ -599,12 +600,55 @@ def test_order_violation_rows_and_strict_summary(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
     gates = {gate["name"]: gate for gate in summary["gates"]}
     for rho in config["rho_list"]:
-        gate = gates[f"sandwich.order[N=1,rho={rho}]"]
-        assert gate["value"] is None and gate["passed"] is False
-    assert gates["sandwich.worst_margin"]["value"] is None
+        assert gates[f"sandwich.order[N=1,rho={rho}]"] == {
+            "name": f"sandwich.order[N=1,rho={rho}]", "value": -1.0,
+            "threshold": -1e-10, "passed": False}
+    assert gates["sandwich.worst_margin"]["value"] == -1.0
     assert gates["sandwich.worst_margin"]["passed"] is False
     assert gates["sandwich.worst_margin"]["threshold"] == -1e-10
     assert summary["all_passed"] is False
+
+
+def test_a_negative_upper_chain_alone_fails_the_order_gates(tmp_path, monkeypatch):
+    # T_e^rho(0) read at half its value breaks only the upper chain
+    # K(cutoff) <= (T_e^rho(0)/T_e(0)) K(both); the heavy weight makes the
+    # tolerance its Grams' roundoff, 1.09e-6
+    dual_parts = kernels._dual_parts
+
+    def halved(space):
+        parts, te0 = dual_parts(space)
+        return parts, te0 * (0.5 if space.rho != 1.0 else 1.0)
+
+    monkeypatch.setattr(kernels, "_dual_parts", halved)
+    masses = [{"point": [0.5, 0.0], "weight": 3.0}, {"point": [-0.3, 0.4], "weight": 1e8}]
+    code, gates = _sandwich_summary(tmp_path, masses=masses)
+    assert code == 4
+    config = cli.parse_config(json.loads((tmp_path / "c.json").read_text()))
+    report = kernels.sandwich_check(cli.build_space(config), 1, 0.5, 0, 48)
+    assert report.tolerance == pytest.approx(1.09e-6, rel=1e-2)
+    assert min(report.margin_cutoff, report.margin_scaled, report.psd_margin_cutoff,
+               report.psd_margin_scaled) >= -report.tolerance
+    assert report.chain_upper_slack < -report.tolerance
+    assert gates["sandwich.order[N=1,rho=0.5]"] == {
+        "name": "sandwich.order[N=1,rho=0.5]", "value": report.chain_upper_slack,
+        "threshold": -report.tolerance, "passed": False}
+    assert gates["sandwich.worst_margin"] == {
+        "name": "sandwich.worst_margin", "value": report.chain_upper_slack,
+        "threshold": -report.tolerance, "passed": False}
+
+
+def test_a_nonpositive_kernel_norm_in_the_sandwich_exits_3(tmp_path, capsys, monkeypatch):
+    # the orderings are reported, but a Gram whose kernel norm comes out
+    # nonpositive is unusable, and that still raises: here every kernel is
+    # solved from -G
+    monkeypatch.setattr(kernels, "kernel_at_origin",
+                        lambda gram: kernels.kernel_at_point(-gram, 0.0))
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, studies=["sandwich"])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == ("data failure: kernel norm came out nonpositive; "
+                                       "Gram unusable (sandwich study)\n")
+    assert not (tmp_path / "o").exists()
 
 
 def _sandwich_summary(tmp_path, **overrides):

@@ -1,5 +1,5 @@
 """The paper's invariants on random data, against closed forms, and under
-rotation of the corpus data.
+rotation of the corpus data and of random data.
 
 Random data pairs are drawn as the benchmark's ``random_pairs`` workload
 draws them, on a 1024 grid, and each must pass the library's own gates: the dual of the dual
@@ -126,16 +126,19 @@ def _rotation_invariants(space):
             dual.T_at_zero, identity.product)
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
-def test_rotation_leaves_the_invariants_unchanged(case):
-    space = case.space(GRID.size)
+def _assert_rotation_invariant(space, turns):
     k0, sweep, t0, product = _rotation_invariants(space)
-    for k in (1, 37, 1024):
+    for k in turns:
         k0_rot, sweep_rot, t0_rot, product_rot = _rotation_invariants(_rotated(space, k))
         assert abs(k0_rot - k0) <= ROTATION_TOL, k
         assert np.abs(sweep_rot - sweep).max() <= ROTATION_TOL, k
         assert abs(t0_rot - t0) <= ROTATION_TOL * t0, k
         assert abs(product_rot - product) <= ROTATION_TOL, k
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_rotation_leaves_the_invariants_unchanged(case):
+    _assert_rotation_invariant(case.space(GRID.size), (1, 37, 1024))
 
 
 # --- random data pairs -------------------------------------------------------------
@@ -169,6 +172,12 @@ def random_pairs(draw, zero=False):
             points.append(z)
     weights = draw(st.lists(st.floats(0.5, 3.0), min_size=count, max_size=count))
     return SpaceData(symbol, MassSet(np.array(points, dtype=complex), np.array(weights)))
+
+
+@given(random_pairs(), st.integers(1, PAIR_GRID.size - 1))
+@settings(deadline=None, max_examples=30)
+def test_random_pair_rotation_leaves_the_invariants_unchanged(space, k):
+    _assert_rotation_invariant(space, (k,))
 
 
 @given(random_pairs())
@@ -219,8 +228,9 @@ def test_shifted_random_pair_passes_the_identity_gate(space):
 @given(random_pairs(), st.integers(0, 3), st.sampled_from([0.5, 0.9, 1.0]))
 @settings(deadline=None, max_examples=60)
 def test_random_pair_sandwich_keeps_its_order(space, cutoff, rho):
-    # sandwich_check raises OrderViolation on any margin below its tolerance
-    sandwich_check(space, cutoff, rho, 0, PAIR_DEGREE)
+    # the five ordering margins, the upper chain's among them
+    report = sandwich_check(space, cutoff, rho, 0, PAIR_DEGREE)
+    assert report.worst_margin >= -report.tolerance, report
 
 
 @given(random_pairs(zero=True), st.integers(0, 3), st.sampled_from([0.5, 0.9, 1.0]))

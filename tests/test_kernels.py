@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hardydual import (
     CircleGrid,
     MassSet,
-    OrderViolation,
     RejectBoundary,
     SpaceData,
     asymptotic_sweep,
@@ -23,7 +22,7 @@ from hardydual import (
 )
 from hardydual import kernels
 from hardydual.corpus import BY_NAME, CASES, MIXED_NAMES, mass_single_trace
-from hardydual.kernels import _require_order
+from hardydual.kernels import SandwichReport
 from hardydual.spaces import analytic_hankel, assemble_gram
 from hardydual.tolerances import TOL_ORDER
 from oracle import constrained_minimum, sandwich_check_four_grams
@@ -272,7 +271,20 @@ def test_psd_margin_of_a_difference_with_zero_rows(size, zeros, semidefinite, se
         assert margin <= 0.0
 
 
-def test_a_heavier_kept_mass_fails_the_cutoff_order():
+def _double_the_kept_masses(monkeypatch):
+    """Make sandwich_check's Gram(cutoff) carry its kept masses at twice
+    their weight, so that it is not below Gram(alpha) in PSD order."""
+    def doubled(space, rho=1.0, mass_cutoff=None):
+        out = regularized(space, rho=rho, mass_cutoff=mass_cutoff)
+        if mass_cutoff is None or rho != 1.0:
+            return out
+        kept = out.masses
+        return replace(out, masses=MassSet(kept.points, 2.0 * kept.weights))
+
+    monkeypatch.setattr(kernels, "regularized", doubled)
+
+
+def test_a_heavier_kept_mass_fails_the_cutoff_order(monkeypatch):
     # a broken Gram(cutoff), the kept mass's weight doubled, is not below
     # Gram(alpha) in PSD order, and the margin of their difference says so
     space = BY_NAME["mixed_two_mass"].space(4096)
@@ -285,8 +297,11 @@ def test_a_heavier_kept_mass_fails_the_cutoff_order():
     margin = kernels._psd_margin(g_alpha, g_broken, out=g_broken)
     assert margin < -TOL_ORDER
     assert abs(margin - expected) <= (degree + 1) * np.finfo(float).eps * abs(expected)
-    with pytest.raises(OrderViolation, match=r"Gram\(alpha\) - Gram\(cutoff\) PSD"):
-        _require_order("Gram(alpha) - Gram(cutoff) PSD", margin, TOL_ORDER)
+    _double_the_kept_masses(monkeypatch)
+    report = sandwich_check(space, 1, 0.5, 0, degree)
+    assert report.tolerance == TOL_ORDER
+    assert report.psd_margin_cutoff == margin
+    assert report.worst_margin < -report.tolerance
 
 
 def _heavy_pair():
@@ -311,16 +326,11 @@ def test_a_heavier_kept_mass_still_fails_at_a_heavy_weight(monkeypatch):
     # a broken Gram(cutoff) that carries the kept mass at twice its weight is
     # not below Gram(alpha) in PSD order; the roundoff tolerance of the
     # weight-1e8 pair must not hide it
-    def doubled(space, rho=1.0, mass_cutoff=None):
-        out = regularized(space, rho=rho, mass_cutoff=mass_cutoff)
-        if mass_cutoff is None or rho != 1.0:
-            return out
-        kept = out.masses
-        return replace(out, masses=MassSet(kept.points, 2.0 * kept.weights))
-
-    monkeypatch.setattr(kernels, "regularized", doubled)
-    with pytest.raises(OrderViolation, match=r"Gram\(alpha\) - Gram\(cutoff\) PSD"):
-        sandwich_check(_heavy_pair(), 1, 0.5, 0, 48)
+    _double_the_kept_masses(monkeypatch)
+    report = sandwich_check(_heavy_pair(), 1, 0.5, 0, 48)
+    assert report.tolerance > TOL_ORDER
+    assert report.psd_margin_cutoff < -report.tolerance
+    assert report.worst_margin == report.psd_margin_cutoff
 
 
 def _count_sandwich_calls(monkeypatch, space, cutoff):
@@ -370,9 +380,15 @@ def test_monotonicity_of_inverse_under_psd_growth(grid512):
         assert after <= before + 1e-12
 
 
-def test_order_gate_raises():
-    with pytest.raises(OrderViolation):
-        _require_order("synthetic", -1e-3, 1e-10)
+def test_worst_margin_is_the_smallest_ordering_margin():
+    # each of the five orderings alone decides it, the upper chain too
+    names = ("margin_cutoff", "margin_scaled", "psd_margin_cutoff",
+             "psd_margin_scaled", "chain_upper_slack")
+    for name in names:
+        margins = {other: 1e-2 for other in names} | {name: -1e-3}
+        report = SandwichReport(k_alpha=1.0, k_cutoff=1.0, k_scaled=1.0, k_both=1.0,
+                                tolerance=TOL_ORDER, identity_residuals={}, **margins)
+        assert report.worst_margin == -1e-3 < -report.tolerance, name
 
 
 def test_sandwich_degenerate_regularization_is_equality(mass_space):
