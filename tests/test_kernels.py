@@ -25,6 +25,7 @@ from hardydual.corpus import BY_NAME, CASES, MIXED_NAMES, mass_single_trace
 from hardydual.kernels import SandwichReport
 from hardydual.spaces import analytic_hankel, assemble_gram
 from hardydual.tolerances import TOL_ORDER
+from contract import report_fields
 from oracle import constrained_minimum, sandwich_check_four_grams
 
 
@@ -203,13 +204,6 @@ def test_sandwich_across_corpus(case):
     assert max(report.identity_residuals.values()) < 1e-6
 
 
-def _report_fields(report):
-    fields = dict(vars(report))
-    residuals = fields.pop("identity_residuals")
-    fields.update({f"identity_residual_{label}": value for label, value in residuals.items()})
-    return {name: np.float64(value).tobytes() for name, value in fields.items()}
-
-
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 def test_sandwich_equals_the_four_gram_reference(case):
     # bit for bit, where the cutoff keeps every mass or rho is 1 too
@@ -218,7 +212,7 @@ def test_sandwich_equals_the_four_gram_reference(case):
         for rho in (0.5, 0.9, 1.0):
             report = sandwich_check(space, cutoff, rho, 0, 24)
             expected = sandwich_check_four_grams(space, cutoff, rho, 0, 24)
-            assert _report_fields(report) == _report_fields(expected)
+            assert report_fields(report) == report_fields(expected)
 
 
 @pytest.mark.parametrize("name", [name for name in MIXED_NAMES
@@ -241,7 +235,7 @@ def test_sandwich_equals_the_four_gram_reference_where_differences_have_zero_row
     report = sandwich_check(space, 1, 0.5, 0, degree)
     monkeypatch.undo()
     expected = sandwich_check_four_grams(space, 1, 0.5, 0, degree)
-    assert _report_fields(report) == _report_fields(expected)
+    assert report_fields(report) == report_fields(expected)
     assert min(orders) < degree + 1
 
 
