@@ -603,9 +603,8 @@ def test_order_violation_rows_and_strict_summary(tmp_path, monkeypatch):
         assert gates[f"sandwich.order[N=1,rho={rho}]"] == {
             "name": f"sandwich.order[N=1,rho={rho}]", "value": -1.0,
             "threshold": -1e-10, "passed": False}
-    assert gates["sandwich.worst_margin"]["value"] == -1.0
-    assert gates["sandwich.worst_margin"]["passed"] is False
-    assert gates["sandwich.worst_margin"]["threshold"] == -1e-10
+    assert gates["sandwich.worst_margin"] == {
+        "name": "sandwich.worst_margin", "value": -1.0, "threshold": -1e-10, "passed": False}
     assert summary["all_passed"] is False
 
 
