@@ -12,7 +12,10 @@ Each file records the numpy version, the BLAS core and SIMD features numpy
 chose on the CPU, the machine and the C library it was made with
 (:func:`record`).  Where the
 record matches, every value compares bit for bit: the hashes, and the
-reprs as strings.  Elsewhere every number compares within ``BOUND`` times
+reprs as strings (:func:`bitwise`).  A record whose OpenBLAS config could
+not be read, from a numpy that does not bundle OpenBLAS in ``numpy.libs``,
+does not say which core the BLAS chose, so it never compares bit for bit.
+Elsewhere every number compares within ``BOUND`` times
 max(1, |value|), every other value exactly, and ``summary.json``'s
 ``versions`` block, which the record states, not at all.  The quantities
 are kernel values near 1 and margins, slacks and residuals of such values,
@@ -79,6 +82,13 @@ def record() -> dict:
         "machine": platform.machine(),
         "libc": " ".join(platform.libc_ver()),
     }
+
+
+def bitwise(golden_record: dict) -> bool:
+    """Whether values made under ``golden_record`` compare bit for bit here:
+    the records match and name the BLAS core."""
+    here = record()
+    return golden_record == here and here["blas"]["config"] is not None
 
 
 def readme_outputs() -> dict:

@@ -17,7 +17,7 @@ import contract
 ], ids=["readme_config", "sandwich"])
 def test_outputs_match_the_golden_file(name, compute, compare):
     golden = contract.load(name)
-    bitwise = golden["record"] == contract.record()
+    bitwise = contract.bitwise(golden["record"])
     moved = compare(golden["values"], compute(), bitwise)
     assert not moved, (f"{len(moved)} values moved ({'bit for bit' if bitwise else 'bounded'}):\n"
                        + "\n".join(moved[:20]))
@@ -55,3 +55,14 @@ def test_bounded_readme_comparison_reads_contents_not_versions():
     assert contract.readme_differences(values, other, bitwise=False) == \
         [f"/summary.json/all_passed: {not summary['all_passed']!r} != "
          f"{summary['all_passed']!r}"]
+
+
+def test_an_unread_blas_config_never_compares_bit_for_bit(monkeypatch):
+    # a numpy without a bundled OpenBLAS records None on every machine, and
+    # two such machines may still pick different BLAS cores
+    monkeypatch.setattr(contract, "_openblas_config", lambda: None)
+    here = contract.record()
+    assert here["blas"]["config"] is None
+    assert not contract.bitwise(here)
+    monkeypatch.undo()
+    assert contract.bitwise(contract.record()) == (contract.record()["blas"]["config"] is not None)

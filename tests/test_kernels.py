@@ -180,6 +180,7 @@ def test_sandwich_rank_one_hankel_values(hankel_space):
     # no masses: the cutoff side degenerates to alpha itself
     assert abs(report.k_cutoff - report.k_alpha) < 1e-14
     assert report.margin_scaled > 0
+    assert report.worst_margin >= -report.tolerance
 
 
 def test_sandwich_two_mass_case(grid4096):
@@ -201,6 +202,7 @@ def test_sandwich_across_corpus(case):
     report = sandwich_check(space, cutoff, 0.6, 1, 24)
     assert report.margin_cutoff >= -1e-10
     assert report.margin_scaled >= -1e-10
+    assert report.worst_margin >= -report.tolerance
     assert max(report.identity_residuals.values()) < 1e-6
 
 
@@ -339,7 +341,8 @@ def _count_sandwich_calls(monkeypatch, space, cutoff):
     monkeypatch.setattr(kernels, "assemble_gram", counted("assemble_gram", kernels.assemble_gram))
     monkeypatch.setattr(kernels, "_dual_parts", counted("_dual_parts", kernels._dual_parts))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    sandwich_check(space, cutoff, 0.5, 0, 24)
+    report = sandwich_check(space, cutoff, 0.5, 0, 24)
+    assert report.worst_margin >= -report.tolerance
     return counts
 
 
@@ -391,6 +394,7 @@ def test_sandwich_degenerate_regularization_is_equality(mass_space):
     assert report.k_cutoff == pytest.approx(report.k_alpha, abs=1e-14)
     assert report.k_scaled == pytest.approx(report.k_alpha, abs=1e-14)
     assert abs(report.chain_upper_slack) < 1e-12
+    assert report.worst_margin >= -report.tolerance
 
 
 def test_sandwich_rejects_bad_rho(mass_space):

@@ -63,16 +63,20 @@ def _peak_grams(call, gram_bytes=GRAM_BYTES) -> float:
 @pytest.mark.parametrize("name", CASES)
 def test_sandwich_check_peak(name):
     space = BY_NAME[name].space(GRID)
-    peak = _peak_grams(lambda: hd.sandwich_check(space, 1, 0.5, 0, DEGREE))
+    reports = []
+    peak = _peak_grams(lambda: reports.append(hd.sandwich_check(space, 1, 0.5, 0, DEGREE)))
     assert peak <= SANDWICH_GRAMS
+    assert reports[0].worst_margin >= -reports[0].tolerance
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_sandwich_check_keeping_every_mass_peak(name):
     space = BY_NAME[name].space(GRID)
     cutoff = space.masses.count
-    peak = _peak_grams(lambda: hd.sandwich_check(space, cutoff, 0.5, 0, DEGREE))
+    reports = []
+    peak = _peak_grams(lambda: reports.append(hd.sandwich_check(space, cutoff, 0.5, 0, DEGREE)))
     assert peak <= SANDWICH_ALL_MASSES_GRAMS
+    assert reports[0].worst_margin >= -reports[0].tolerance
 
 
 @pytest.mark.parametrize("name", CASES)

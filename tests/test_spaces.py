@@ -278,10 +278,11 @@ def test_shift_sweep_op_runs_a_recurrence_per_nonzero_window(name, recurrences):
     degree = 16
     with _counted_recurrences() as calls:
         asymptotic_sweep(space, 16, degree)
-        sandwich_check(space, 1, 0.5, 0, degree)
+        report = sandwich_check(space, 1, 0.5, 0, degree)
         duality_identity(space, dual_of(space), degree)
         orthonormal_system(space, range(5), degree)
     assert len(calls) == recurrences
+    assert report.worst_margin >= -report.tolerance
 
 
 # --- PD check by Cholesky ---------------------------------------------------------

@@ -145,6 +145,7 @@ def test_negative_shift_system_matches_laurent_route(space):
 def test_sandwich_residuals_equal_duality_identity(space, regularization):
     rho, cutoff = regularization
     report = sandwich_check(space, cutoff, rho, 0, DEGREE)
+    assert report.worst_margin >= -report.tolerance
     for label, variant in zip(("cutoff", "scaled", "both"), _variants(space, rho, cutoff)):
         up = shifted(variant, 1)
         expected = duality_identity(up, dual_of(up), DEGREE).residual
