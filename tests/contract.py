@@ -6,7 +6,9 @@ that ``hardydual run perfbench/readme_config.json`` writes, with their
 contents (CSV cells as written, ``summary.json`` as parsed).
 ``sandwich.json`` holds every ``SandwichReport`` field, as a 17-digit repr,
 on the 7 corpus cases at 4096/48 for each cutoff 0..m, rho 0.5, 0.9 and 1,
-and shift n 0 and 1.
+and shift n 0 and 1.  ``sweep_identity.json`` holds, on the same cases at
+4096/48, the ``asymptotic_sweep`` values K^{alpha_n}(0) for n = 0..16 and
+every ``IdentityReport`` field of ``duality_identity``, as 17-digit reprs.
 
 Each file records the numpy version, the BLAS core and SIMD features numpy
 chose on the CPU, the machine and the C library it was made with
@@ -25,6 +27,9 @@ A change that moves digits on purpose regenerates the files and commits
 them, so their diff shows what moved:
 
     PYTHONPATH=src python tests/contract.py
+
+which also prints each path that moved against the files it replaces
+(:func:`differences`, bit for bit).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hardydual import sandwich_check
+from hardydual import asymptotic_sweep, dual_of, duality_identity, sandwich_check
 from hardydual.cli import main
 from hardydual.corpus import CASES
 
@@ -51,6 +56,7 @@ README_CONFIG = REPO / "perfbench" / "readme_config.json"
 GRID, DEGREE = 4096, 48
 RHOS = (0.5, 0.9, 1.0)
 SHIFTS = (0, 1)
+N_MAX = 16
 BOUND = 1e-10
 
 
@@ -112,11 +118,11 @@ def readme_outputs() -> dict:
 
 
 def report_fields(report) -> dict:
-    """Every field of a SandwichReport as a 17-digit repr, each identity
-    residual under its own name."""
+    """Every field of a report as a 17-digit repr, each of a SandwichReport's
+    identity residuals under its own name."""
     fields = {field.name: getattr(report, field.name)
               for field in dataclasses.fields(report)}
-    residuals = fields.pop("identity_residuals")
+    residuals = fields.pop("identity_residuals", {})
     fields.update({f"identity_residual_{label}": value for label, value in residuals.items()})
     return {name: format(float(value), ".17g") for name, value in fields.items()}
 
@@ -134,6 +140,17 @@ def sandwich_values() -> dict:
     return values
 
 
+def sweep_identity_values() -> dict:
+    values = {}
+    for case in CASES:
+        space = case.space(GRID)
+        trace = asymptotic_sweep(space, N_MAX, DEGREE)
+        report = duality_identity(space, dual_of(space), DEGREE)
+        values[case.name] = {"sweep": [format(float(v), ".17g") for v in trace.values],
+                             "identity": report_fields(report)}
+    return values
+
+
 def _number(value):
     if isinstance(value, bool):
         return None
@@ -146,12 +163,14 @@ def _number(value):
 def differences(expected, actual, bound=None, where="") -> list:
     """Where two JSON-like values differ: every leaf exactly with no
     ``bound``; otherwise numbers, and strings that parse as numbers, within
-    ``bound`` times max(1, |value|), and other leaves exactly."""
+    ``bound`` times max(1, |value|), and other leaves exactly.  A key in
+    only one of two dicts is named as removed or added."""
     if isinstance(expected, dict) and isinstance(actual, dict):
-        if expected.keys() != actual.keys():
-            return [f"{where}: keys {sorted(expected)} != {sorted(actual)}"]
-        return [line for key in expected
-                for line in differences(expected[key], actual[key], bound, f"{where}/{key}")]
+        gone = [f"{where}/{key}: {'removed' if key in expected else 'added'}"
+                for key in sorted(expected.keys() ^ actual.keys())]
+        return gone + [line for key in expected if key in actual
+                       for line in differences(expected[key], actual[key], bound,
+                                               f"{where}/{key}")]
     if isinstance(expected, list) and isinstance(actual, list):
         if len(expected) != len(actual):
             return [f"{where}: {len(expected)} entries != {len(actual)}"]
@@ -180,16 +199,35 @@ def readme_differences(golden: dict, files: dict, bitwise: bool) -> list:
     return differences(_contents(golden), _contents(files), BOUND)
 
 
+def value_differences(golden: dict, values: dict, bitwise: bool) -> list:
+    """Bit for bit, or within BOUND."""
+    return differences(golden, values, None if bitwise else BOUND)
+
+
 def load(name: str) -> dict:
     return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
 
 
-def _write(name: str, values: dict):
+FILES = {"readme_config.json": readme_outputs,
+         "sandwich.json": sandwich_values,
+         "sweep_identity.json": sweep_identity_values}
+
+
+def regenerate(name: str) -> list:
+    """Write ``name`` from this tree, and return each path in its values
+    that moved against the file it replaces, compared bit for bit."""
+    values = FILES[name]()
+    path = GOLDEN / name
+    moved = differences(load(name)["values"], values) if path.exists() else []
     text = json.dumps({"record": record(), "values": values}, indent=1, sort_keys=True)
-    (GOLDEN / name).write_text(text + "\n", encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8")
+    return moved
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    _write("readme_config.json", readme_outputs())
-    _write("sandwich.json", sandwich_values())
+    for name in FILES:
+        moved = regenerate(name)
+        print(f"{name}: {len(moved)} paths moved")
+        for line in moved:
+            print(f"  {line}")

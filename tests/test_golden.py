@@ -9,16 +9,15 @@ import pytest
 import contract
 
 
-@pytest.mark.parametrize("name, compute, compare", [
-    ("readme_config.json", contract.readme_outputs, contract.readme_differences),
-    ("sandwich.json", contract.sandwich_values,
-     lambda golden, values, bitwise: contract.differences(
-         golden, values, None if bitwise else contract.BOUND)),
-], ids=["readme_config", "sandwich"])
-def test_outputs_match_the_golden_file(name, compute, compare):
+@pytest.mark.parametrize("name, compare", [
+    ("readme_config.json", contract.readme_differences),
+    ("sandwich.json", contract.value_differences),
+    ("sweep_identity.json", contract.value_differences),
+], ids=["readme_config", "sandwich", "sweep_identity"])
+def test_outputs_match_the_golden_file(name, compare):
     golden = contract.load(name)
     bitwise = contract.bitwise(golden["record"])
-    moved = compare(golden["values"], compute(), bitwise)
+    moved = compare(golden["values"], contract.FILES[name](), bitwise)
     assert not moved, (f"{len(moved)} values moved ({'bit for bit' if bitwise else 'bounded'}):\n"
                        + "\n".join(moved[:20]))
 
