@@ -54,7 +54,6 @@ from .errors import (
     GridMismatch,
     HardyDualError,
     NotPositiveDefinite,
-    OrderViolation,
     RejectBoundary,
     SzegoViolation,
 )

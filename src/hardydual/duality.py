@@ -48,6 +48,7 @@ from .errors import DegenerateDerivative, GridMismatch
 from .kernels import KernelVector, kernel_at_origin
 from .spaces import (
     SpaceData,
+    _roundoff,
     build_gram_analytic,
     build_gram_laurent,
     effective_data,
@@ -618,7 +619,7 @@ def _converse_tests(symbol: SymbolData, masses: MassSet, blaschke: BlaschkeData,
 
 @dataclass(frozen=True, eq=False)
 class IdentityReport:
-    """The scalar duality identity T(0) K^{alpha_{-1}}(0) K^{alpha~}(0) = 1."""
+    """The identity T(0) K^{alpha_{-1}}(0) K^{alpha~}(0) = 1; ``tolerance`` is its Grams'."""
 
     product: float
     residual: float
@@ -626,6 +627,7 @@ class IdentityReport:
     kernel_shifted: float
     kernel_dual: float
     vector_residual: float
+    tolerance: float
 
 
 def _down_kernel_vector(symbol: SymbolData, masses: MassSet,
@@ -638,6 +640,10 @@ def _down_kernel_vector(symbol: SymbolData, masses: MassSet,
     return canonical_vector(symbol, f1, mass_values)
 
 
+def _kernel_and_tolerance(gram: np.ndarray) -> tuple[KernelVector, float]:
+    return kernel_at_origin(gram), _roundoff(gram)
+
+
 def duality_identity(space: SpaceData, dual: DualData, degree: int) -> IdentityReport:
     """Evaluate the identity and its vector form on the given truncation.
 
@@ -646,9 +652,9 @@ def duality_identity(space: SpaceData, dual: DualData, degree: int) -> IdentityR
     """
     symbol, masses = dual.symbol, dual.masses
 
-    # each Gram is released once its kernel is solved
-    kernel_down = kernel_at_origin(build_gram_analytic(shifted(space, -1), degree))
-    kernel_dual = kernel_at_origin(build_gram_analytic(dual.dual_space(), degree))
+    # each Gram is released once its kernel and tolerance are read
+    kernel_down, tol_down = _kernel_and_tolerance(build_gram_analytic(shifted(space, -1), degree))
+    kernel_dual, tol_dual = _kernel_and_tolerance(build_gram_analytic(dual.dual_space(), degree))
 
     product = dual.T_at_zero * kernel_down.norm * kernel_dual.norm
     residual = abs(product - 1.0)
@@ -664,5 +670,5 @@ def duality_identity(space: SpaceData, dual: DualData, degree: int) -> IdentityR
                                  out=image.mass_values))
     vector_residual = l2_norm(diff, dual.dual_symbol, dual.dual_masses)
 
-    return IdentityReport(product, residual, dual.T_at_zero,
-                          kernel_down.norm, kernel_dual.norm, vector_residual)
+    return IdentityReport(product, residual, dual.T_at_zero, kernel_down.norm,
+                          kernel_dual.norm, vector_residual, max(tol_down, tol_dual))

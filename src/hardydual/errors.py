@@ -10,15 +10,12 @@ class SzegoViolation(HardyDualError):
 
 
 class NotPositiveDefinite(HardyDualError):
-    """A Gram matrix has no usable Cholesky factorization.
+    """A Gram matrix is unusable: it has no Cholesky factorization, or a
+    kernel norm solved from it came out nonpositive.
 
     Usually means the symbol modulus is too close to 1 for the chosen
     truncation; scale the symbol (rho < 1) or refine the grid.
     """
-
-
-class OrderViolation(HardyDualError):
-    """A kernel norm came out nonpositive: its Gram is unusable."""
 
 
 class GridMismatch(HardyDualError):

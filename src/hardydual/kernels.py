@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OrderViolation, RejectBoundary
+from .errors import NotPositiveDefinite, RejectBoundary
 from .spaces import (
     SpaceData,
     _roundoff,
@@ -64,13 +64,21 @@ def kernel_at_point(gram: np.ndarray, point: complex) -> KernelVector:
     coeffs = np.linalg.solve(gram, rhs)
     norm_sq = np.vdot(coeffs, rhs)
     if norm_sq.real <= 0:
-        raise OrderViolation("kernel norm came out nonpositive; Gram unusable")
+        raise NotPositiveDefinite("kernel norm came out nonpositive; Gram unusable")
     return KernelVector(coeffs, float(np.sqrt(norm_sq.real)))
 
 
 def kernel_at_origin(gram: np.ndarray) -> KernelVector:
     """Kernel for evaluation at 0; K(0) = sqrt of the (0,0) entry of G^{-1}."""
     return kernel_at_point(gram, 0.0)
+
+
+def largest_rise(values) -> float:
+    """The largest rise from any value to a later one, 0.0 when there is
+    none.  A sequence counts as nonincreasing when this is at most the
+    tolerance of the Grams its values come from (spaces._roundoff)."""
+    values = np.asarray(values, dtype=float)
+    return float(np.max(values - np.minimum.accumulate(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +157,7 @@ def _window_runs(entries: np.ndarray, starts: np.ndarray, size: int) -> np.ndarr
                                             starts[i:stop] - first, size)
         i = stop
     if np.any(kernels[:, 0].real <= 0):
-        raise OrderViolation("kernel norm came out nonpositive; Gram unusable")
+        raise NotPositiveDefinite("kernel norm came out nonpositive; Gram unusable")
     return kernels
 
 
@@ -181,10 +189,11 @@ def orthonormal_system(space: SpaceData, shifts: Sequence[int],
 
 @dataclass(frozen=True, eq=False)
 class AsymptoticTrace:
-    """Values K^{alpha_n}(0) for n = 0..n_max."""
+    """Values K^{alpha_n}(0) for n = 0..n_max and their Gram's tolerance."""
 
     shifts: np.ndarray
     values: np.ndarray
+    tolerance: float
 
     @property
     def deviations(self) -> np.ndarray:
@@ -199,9 +208,8 @@ class AsymptoticTrace:
         return None
 
     def tail_monotone(self) -> bool:
-        """|K - 1| nonincreasing from shift 4 on, with a roundoff floor of 1e-13."""
-        dev = self.deviations[self.shifts >= 4]
-        return bool(np.all(dev[1:] <= dev[:-1] * (1 + 1e-9) + 1e-13))
+        """|K - 1| nonincreasing from shift 4 on, within ``tolerance``."""
+        return bool(largest_rise(self.deviations[self.shifts >= 4]) <= self.tolerance)
 
 
 def asymptotic_sweep(space: SpaceData, n_max: int, degree: int) -> AsymptoticTrace:
@@ -212,7 +220,7 @@ def asymptotic_sweep(space: SpaceData, n_max: int, degree: int) -> AsymptoticTra
         raise ValueError("n_max must be >= 1")
     gram = build_gram_analytic(space, degree + n_max)
     kernels = _window_runs(gram, np.arange(n_max + 1), degree + 1)
-    return AsymptoticTrace(np.arange(n_max + 1), np.sqrt(kernels[:, 0].real))
+    return AsymptoticTrace(np.arange(n_max + 1), np.sqrt(kernels[:, 0].real), _roundoff(gram))
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +293,9 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     pair; each distinct one is assembled, solved and dualized once.  With
     N >= m the cutoff is alpha itself and "both" is "scaled"; with rho = 1
     "scaled" is alpha and "both" is the cutoff.  No ordering raises: the
-    caller judges ``worst_margin`` against -``tolerance``, max(TOL_ORDER, r),
-    r the largest roundoff of the primal Grams (spaces._roundoff, as in
-    their own PD checks); only an unusable Gram raises.  No lower chain
+    caller judges ``worst_margin`` against -``tolerance``, the largest
+    tolerance of the primal Grams with the floor TOL_ORDER (spaces._roundoff,
+    as in their own PD checks); only an unusable Gram raises.  No lower chain
     K(scaled) >= (B(0)/B^N(0)) K(both) is reported: f = b g, b the Blaschke
     product of the dropped masses, gives it only for R = 0, since
     P_-(rho R b g) is not P_-(rho R g).
@@ -309,7 +317,7 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
         if pair[label] not in grams:
             grams[pair[label]] = assemble_gram(sp, gamma)
     del gamma
-    tol = max(TOL_ORDER, *(_roundoff(gram) for gram in grams.values()))
+    tol = max(_roundoff(gram, TOL_ORDER) for gram in grams.values())
     k = {key: kernel_at_origin(gram).norm for key, gram in grams.items()}
     g_alpha, g_cut, g_rho = (grams[pair[label]] for label in ("alpha", "cutoff", "scaled"))
     del grams

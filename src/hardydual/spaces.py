@@ -25,10 +25,10 @@ exact zeros (the zero symbol's), where the recurrence could give only zeros
 and Gamma is filled with its bytes (:func:`_zero_gram`).  A Gram is certified
 positive definite by a Gershgorin floor on its smallest eigenvalue, which
 the contraction R makes 1 - rho^2 (Gamma's largest absolute row sum) less a
-rounding slack (:func:`_eig_floor`).  The check's threshold is
-tol = max(TOL_PSD, order * eps * (largest diagonal entry)), the Gram's own
-roundoff when that is larger (:func:`_roundoff`); only a Gram whose floor
-falls short of tol is checked by one Cholesky factorization of G - tol I.
+rounding slack (:func:`_eig_floor`).  The check's threshold is the Gram's
+tolerance tol = max(TOL_PSD, order * eps * (largest diagonal entry))
+(:func:`_roundoff`, the one rule for every ordering a run judges); only a
+Gram whose floor falls short of tol is checked by one Cholesky of G - tol I.
 Its windows inherit the check: by Cauchy interlacing a window's smallest
 eigenvalue is at least its Gram's, and a window's tol is at most its Gram's.
 Every factorization goes through numpy.linalg, so one LAPACK serves the
@@ -214,20 +214,21 @@ def _mass_gram(masses: MassSet, exponents: np.ndarray) -> np.ndarray:
     return v.conj().T @ (masses.weights[:, None] * v)
 
 
-def _roundoff(entries) -> float:
-    """order * eps * (largest diagonal entry): how finely the eigenvalues of
-    a positive definite Gram, whose largest entry lies on its diagonal, are
-    resolved in double precision."""
-    return entries.shape[0] * np.finfo(float).eps * float(entries.diagonal().real.max())
+def _roundoff(entries, floor: float = TOL_PSD) -> float:
+    """A Gram's tolerance, max(floor, order * eps * (largest diagonal entry)):
+    the second term is how finely the eigenvalues of a PD Gram, whose largest
+    entry lies on its diagonal, are resolved in double precision."""
+    scale = float(entries.diagonal().real.max())
+    return max(floor, entries.shape[0] * np.finfo(float).eps * scale)
 
 
 def _finalize_gram(entries, weights=(), floor=-np.inf) -> np.ndarray:
     """Symmetrize ``entries`` in place, check min eig >= tol, and return them.
 
-    tol = max(TOL_PSD, :func:`_roundoff`): an eigenvalue below the Gram's
-    own roundoff cannot be told from zero.  ``floor`` is a lower bound on
-    the symmetrized Gram's smallest eigenvalue that already counts the
-    Cholesky's own rounding (:func:`_eig_floor`).  A floor above tol
+    tol = :func:`_roundoff`: an eigenvalue below the Gram's own roundoff
+    cannot be told from zero.  ``floor`` is a lower bound on the symmetrized
+    Gram's smallest eigenvalue that already counts the Cholesky's own
+    rounding (:func:`_eig_floor`).  A floor above tol
     certifies the Gram; otherwise the check is a Cholesky of G - tol I.
     Only a failed Cholesky runs the eigensolver, to report the minimum
     eigenvalue; ``weights`` are the mass weights in the Gram, quoted when its
@@ -235,7 +236,7 @@ def _finalize_gram(entries, weights=(), floor=-np.inf) -> np.ndarray:
     """
     entries += entries.conj().T
     entries *= 0.5
-    tol = max(TOL_PSD, _roundoff(entries))
+    tol = _roundoff(entries)
     if floor > tol:
         return entries
     # G - tol I in place: the saved diagonal goes back after the check
@@ -288,8 +289,8 @@ def _mass_rows(masses: MassSet, exponents: np.ndarray) -> float:
 def _pd_failure(entries, min_eig: float, tol: float, weights) -> str:
     """One-line cause of a failed PD check, whose tolerance was ``tol``.
 
-    When ``tol`` is the Gram's roundoff (:func:`_roundoff`), above TOL_PSD,
-    and the minimum eigenvalue lies within it, the check cannot be decided
+    When ``tol`` (:func:`_roundoff`) is above TOL_PSD, the Gram's own
+    roundoff, and the minimum eigenvalue lies within it, the check cannot be decided
     in double precision: the Gram's scale is the cause, and only mass
     weights make it large.  When the minimum eigenvalue is, within ``tol``,
     a mass weight below TOL_PSD (the diag(nu) block of a Laurent Gram), the
