@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hardydual import cli, kernels
+from hardydual import NotPositiveDefinite, cli, kernels
 from hardydual.cli import STUDY_ORDER, main
 from hardydual.corpus import mass_single_trace
 
@@ -216,14 +217,19 @@ def test_convergence_study(tmp_path):
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     refinement = _read_csv(out / "convergence_refinement.csv")
     residuals = [float(r["identity_residual"]) for r in refinement]
-    assert residuals[-1] <= 2 * max(residuals[0], 1e-12)
+    summary = json.loads((out / "summary.json").read_text())
+    gate = summary["gates"][0]
+    # the record is the rule: the residuals' largest rise against the
+    # largest tolerance of the levels' Grams, TOL_PSD at these scales
+    assert gate == {"name": "convergence.residual_monotone",
+                    "value": kernels.largest_rise(residuals), "threshold": 1e-12,
+                    "passed": True}
     rho_rows = _read_csv(out / "convergence_rho.csv")
     rho_values = [float(r["k_scaled"]) for r in rho_rows]
     assert rho_values == sorted(rho_values)  # K increases toward K(alpha) as rho -> 1
     cut_rows = _read_csv(out / "convergence_cutoff.csv")
     cut_values = [float(r["k_cutoff"]) for r in cut_rows]
     assert cut_values == sorted(cut_values, reverse=True)  # decreases toward K(alpha)
-    summary = json.loads((out / "summary.json").read_text())
     assert summary["scalars"]["convergence"]["rho_sweep_monotone"] is True
     assert summary["scalars"]["convergence"]["cutoff_sweep_monotone"] is True
 
@@ -642,6 +648,9 @@ def test_a_nonpositive_kernel_norm_in_the_sandwich_exits_3(tmp_path, capsys, mon
     # solved from -G
     monkeypatch.setattr(kernels, "kernel_at_origin",
                         lambda gram: kernels.kernel_at_point(-gram, 0.0))
+    with pytest.raises(NotPositiveDefinite, match="^kernel norm came out nonpositive; "
+                                                  "Gram unusable$"):
+        kernels.kernel_at_origin(np.eye(3))
     cfg = tmp_path / "c.json"
     _write_config(cfg, studies=["sandwich"])
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -652,7 +661,7 @@ def test_a_nonpositive_kernel_norm_in_the_sandwich_exits_3(tmp_path, capsys, mon
 
 def _sandwich_summary(tmp_path, **overrides):
     cfg = tmp_path / "c.json"
-    _write_config(cfg, grid=4096, degree=48, studies=["sandwich"], **overrides)
+    _write_config(cfg, **{"grid": 4096, "degree": 48, "studies": ["sandwich"], **overrides})
     out = tmp_path / "o"
     code = main(["run", str(cfg), "--out", str(out)])
     summary = json.loads((out / "summary.json").read_text())
@@ -674,14 +683,49 @@ def test_sandwich_with_a_hankel_term_checks_no_lower_chain(tmp_path):
 def test_sandwich_judges_a_heavy_weight_against_its_roundoff(tmp_path):
     # dropping the weight-1e8 mass leaves Gram(alpha) - Gram(cutoff) PSD by
     # construction, yet eigvalsh reads -1.2e-8 in roundoff; the tolerance is
-    # 49 eps (1 + 3 + 1e8) = 1.09e-6 on the order-49 Grams
+    # 49 eps (1 + 3 + 1e8) = 1.09e-6 on the order-49 Grams.  The identity
+    # residual sits at 4.9e-10 on every convergence level, rising by 5.3e-15
+    # in roundoff, which the levels' Grams, of tolerance 4.35e-6, cannot tell
+    # from a plateau
     code, gates = _sandwich_summary(
         tmp_path, masses=[{"point": [0.5, 0.0], "weight": 3.0},
-                          {"point": [-0.3, 0.4], "weight": 1e8}])
+                          {"point": [-0.3, 0.4], "weight": 1e8}],
+        studies=["sandwich", "convergence"],
+        convergence={"grids": [1024, 2048, 4096], "degrees": [24, 36, 48]})
     assert code == 0
     gate = gates["sandwich.worst_margin"]
     assert gate["value"] < -1e-10
     assert gate["threshold"] == pytest.approx(-1.09e-6, rel=1e-2)
+    gate = gates["convergence.residual_monotone"]
+    assert 0 < gate["value"] < 1e-13
+    assert gate["threshold"] == pytest.approx(4.35e-6, rel=1e-2)
+    assert gate["passed"] is (gate["value"] <= gate["threshold"])
+
+
+def test_a_residual_growing_per_level_fails_the_convergence_gate(tmp_path, monkeypatch):
+    # the README config with an identity residual that grows 10x per
+    # refinement level: 1e-9, 1e-8, 1e-7 added at grids 1024, 2048, 4096
+    level = {1024: 0, 2048: 1, 4096: 2}
+    identity = cli.duality_identity
+
+    def grown(space, dual, degree):
+        rep = identity(space, dual, degree)
+        return dataclasses.replace(
+            rep, residual=rep.residual + 1e-9 * 10 ** level[space.grid.size])
+
+    monkeypatch.setattr(cli, "duality_identity", grown)
+    out = tmp_path / "o"
+    assert main(["run", str(REPO / "perfbench" / "readme_config.json"),
+                 "--out", str(out)]) == 4
+    residuals = [float(r["identity_residual"])
+                 for r in _read_csv(out / "convergence_refinement.csv")]
+    summary = json.loads((out / "summary.json").read_text())
+    assert [g["name"] for g in summary["gates"] if not g["passed"]] == \
+        ["convergence.residual_monotone"]
+    assert summary["gates"][-1] == {
+        "name": "convergence.residual_monotone", "value": residuals[2] - residuals[0],
+        "threshold": 1e-12, "passed": False}
+    assert summary["gates"][-1]["value"] == pytest.approx(9.9e-8, rel=1e-6)
 
 
 def test_samples_symbol_with_a_coarser_convergence_grid_exits_2(tmp_path, capsys):

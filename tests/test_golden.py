@@ -65,3 +65,13 @@ def test_an_unread_blas_config_never_compares_bit_for_bit(monkeypatch):
     assert not contract.bitwise(here)
     monkeypatch.undo()
     assert contract.bitwise(contract.record()) == (contract.record()["blas"]["config"] is not None)
+
+
+def test_regeneration_returns_the_paths_that_moved(tmp_path, monkeypatch):
+    monkeypatch.setattr(contract, "GOLDEN", tmp_path)
+    monkeypatch.setattr(contract, "FILES", {"x.json": lambda: {"a": "1", "b": {"c": "2"}}})
+    assert contract.regenerate("x.json") == []  # a new file moves nothing
+    assert contract.regenerate("x.json") == []
+    contract.FILES["x.json"] = lambda: {"a": "1.5", "b": {"d": "2"}}
+    assert contract.regenerate("x.json") == ["/a: '1' != '1.5'", "/b/c: removed", "/b/d: added"]
+    assert contract.load("x.json")["values"] == {"a": "1.5", "b": {"d": "2"}}

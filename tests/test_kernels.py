@@ -12,17 +12,20 @@ from hardydual import (
     SpaceData,
     asymptotic_sweep,
     build_gram_analytic,
+    dual_of,
+    duality_identity,
     kernel_at_origin,
     kernel_at_point,
     orthonormal_system,
     regularized,
     sandwich_check,
+    shifted,
     symbol_from_expression,
     zero_symbol,
 )
 from hardydual import kernels
 from hardydual.corpus import BY_NAME, CASES, MIXED_NAMES, mass_single_trace
-from hardydual.kernels import SandwichReport
+from hardydual.kernels import AsymptoticTrace, SandwichReport, largest_rise
 from hardydual.spaces import analytic_hankel, assemble_gram
 from hardydual.tolerances import TOL_ORDER
 from contract import report_fields
@@ -161,6 +164,22 @@ def test_sweep_monotone_for_pure_mass_data(grid512):
     trace = asymptotic_sweep(space, 10, 24)
     assert np.all(np.diff(trace.values) > -1e-14)
     assert np.all(trace.values > 0)
+
+
+def test_largest_rise_counts_a_slow_rise_in_full():
+    # every step rises by 0.6e-12, within a tolerance of 1e-12; from shift 4
+    # to 9 the deviation rises by 3e-12, and that is what is judged
+    tol = 1e-12
+    shifts = np.arange(10)
+    deviations = 1e-6 + 0.6 * tol * shifts
+    assert np.all(np.diff(deviations) < tol)
+    assert largest_rise(deviations[4:]) == pytest.approx(3 * tol, rel=1e-3)
+    assert not AsymptoticTrace(shifts, 1.0 - deviations, tol).tail_monotone()
+    assert AsymptoticTrace(shifts, 1.0 - deviations, 10 * tol).tail_monotone()
+    # the rise may start anywhere before its top, and a fall is no rise
+    assert largest_rise([1.0, 0.5, 0.9, 0.2, 0.6]) == pytest.approx(0.4)
+    assert largest_rise(deviations[::-1]) == 0.0
+    assert largest_rise([3.0]) == 0.0
 
 
 def test_sweep_converged_at(mass_space):
@@ -316,6 +335,20 @@ def test_sandwich_tolerance_is_the_roundoff_of_its_largest_diagonal():
     assert report.tolerance == 49 * np.finfo(float).eps * scale
     assert report.tolerance == pytest.approx(1.09e-6, rel=1e-2)
     assert -report.tolerance < report.psd_margin_cutoff < -TOL_ORDER
+
+
+def test_sweep_and_identity_carry_the_tolerance_of_their_grams():
+    # the weight-1e8 pair, whose Grams' roundoff lies far above TOL_PSD
+    space = _heavy_pair()
+    eps = np.finfo(float).eps
+    trace = asymptotic_sweep(space, 8, 40)
+    assert trace.tolerance == 49 * eps * build_gram_analytic(space, 48).diagonal().real.max()
+    assert trace.tolerance == pytest.approx(1.09e-6, rel=1e-2)
+    dual = dual_of(space)
+    grams = (build_gram_analytic(shifted(space, -1), 48),
+             build_gram_analytic(dual.dual_space(), 48))
+    report = duality_identity(space, dual, 48)
+    assert report.tolerance == max(49 * eps * gram.diagonal().real.max() for gram in grams)
 
 
 def test_a_heavier_kept_mass_still_fails_at_a_heavy_weight(monkeypatch):
