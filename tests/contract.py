@@ -166,11 +166,11 @@ def differences(expected, actual, bound=None, where="") -> list:
     ``bound`` times max(1, |value|), and other leaves exactly.  A key in
     only one of two dicts is named as removed or added."""
     if isinstance(expected, dict) and isinstance(actual, dict):
-        gone = [f"{where}/{key}: {'removed' if key in expected else 'added'}"
-                for key in sorted(expected.keys() ^ actual.keys())]
-        return gone + [line for key in expected if key in actual
-                       for line in differences(expected[key], actual[key], bound,
-                                               f"{where}/{key}")]
+        unmatched = [f"{where}/{key}: {'removed' if key in expected else 'added'}"
+                     for key in sorted(expected.keys() ^ actual.keys())]
+        return unmatched + [line for key in expected if key in actual
+                            for line in differences(expected[key], actual[key], bound,
+                                                    f"{where}/{key}")]
     if isinstance(expected, list) and isinstance(actual, list):
         if len(expected) != len(actual):
             return [f"{where}: {len(expected)} entries != {len(actual)}"]
