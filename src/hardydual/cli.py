@@ -13,9 +13,8 @@ study, e.g. a symbol touching |R| = 1, a non-positive Gram or a vanishing
 B'(zeta_k)), 4 tolerance-gate failure (the report is still written).
 
 Every ordering the run judges holds within the tolerance of the Grams its
-values come from (``spaces._roundoff``).  The convergence gate records the
-identity residual's largest rise over the refinement levels and the largest
-tolerance of their Grams, and passes when the rise is at most that tolerance.
+values come from, which the library reports.  The convergence gate records the
+identity residual's largest rise over the levels against their Grams' largest.
 """
 
 from __future__ import annotations
@@ -39,8 +38,9 @@ from .circle import CircleGrid, MassSet, symbol_from_coefficients, \
 from .duality import CONVERSE_POWERS, UNITARY, PRINTED, apply_tau, dual_of, \
     duality_identity, l2_norm, canonical_vector, theorem_check, TauVector
 from .errors import ConfigError, HardyDualError, SzegoViolation
-from .kernels import asymptotic_sweep, kernel_at_origin, largest_rise, sandwich_check
-from .spaces import SpaceData, _roundoff, analytic_hankel, assemble_gram, regularized
+from .kernels import asymptotic_sweep, kernel_at_origin, largest_rise, order_tolerance, \
+    sandwich_check
+from .spaces import SpaceData, analytic_hankel, assemble_gram, regularized
 from .tolerances import TOL_ORDER
 
 SCHEMA_VERSION = 1
@@ -421,10 +421,8 @@ def _study_tau(config, space, shared_dual):
 
 def _study_convergence(config, base_space, shared_dual):
     """Refinement table for the identity residual and the kernel deviation."""
-    grids = config.convergence["grids"]
-    degrees = config.convergence["degrees"]
     rows, reports = [], []
-    for grid_size, degree in zip(grids, degrees):
+    for grid_size, degree in zip(config.convergence["grids"], config.convergence["degrees"]):
         space = build_space(config, grid_size=grid_size)
         rep = duality_identity(space, dual_of(space, convention=config.convention), degree)
         trace = asymptotic_sweep(space, config.n_max, degree)
@@ -439,7 +437,7 @@ def _study_convergence(config, base_space, shared_dual):
 
     def k_regularized(**regularization):
         gram = assemble_gram(regularized(base_space, **regularization), gamma)
-        k_tolerances.append(_roundoff(gram, TOL_ORDER))
+        k_tolerances.append(order_tolerance(gram))
         return kernel_at_origin(gram).norm
 
     k_base = k_regularized()
@@ -452,7 +450,6 @@ def _study_convergence(config, base_space, shared_dual):
     # K(rho) rises to K(alpha) as rho grows, and K(N) falls to it as N grows
     rho_values = [r["k_scaled"] for r in rho_rows] + [k_base]
     cut_values = [r["k_cutoff"] for r in cutoff_rows] + [k_base]
-
     # the record is the rule: the largest rise against the largest tolerance
     rise = largest_rise([rep.residual for rep in reports])
     tolerance = max(rep.tolerance for rep in reports)

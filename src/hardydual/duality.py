@@ -640,10 +640,6 @@ def _down_kernel_vector(symbol: SymbolData, masses: MassSet,
     return canonical_vector(symbol, f1, mass_values)
 
 
-def _kernel_and_tolerance(gram: np.ndarray) -> tuple[KernelVector, float]:
-    return kernel_at_origin(gram), _roundoff(gram)
-
-
 def duality_identity(space: SpaceData, dual: DualData, degree: int) -> IdentityReport:
     """Evaluate the identity and its vector form on the given truncation.
 
@@ -653,8 +649,12 @@ def duality_identity(space: SpaceData, dual: DualData, degree: int) -> IdentityR
     symbol, masses = dual.symbol, dual.masses
 
     # each Gram is released once its kernel and tolerance are read
-    kernel_down, tol_down = _kernel_and_tolerance(build_gram_analytic(shifted(space, -1), degree))
-    kernel_dual, tol_dual = _kernel_and_tolerance(build_gram_analytic(dual.dual_space(), degree))
+    gram = build_gram_analytic(shifted(space, -1), degree)
+    kernel_down, tol_down = kernel_at_origin(gram), _roundoff(gram)
+    del gram
+    gram = build_gram_analytic(dual.dual_space(), degree)
+    kernel_dual, tol_dual = kernel_at_origin(gram), _roundoff(gram)
+    del gram
 
     product = dual.T_at_zero * kernel_down.norm * kernel_dual.norm
     residual = abs(product - 1.0)

@@ -74,11 +74,15 @@ def kernel_at_origin(gram: np.ndarray) -> KernelVector:
 
 
 def largest_rise(values) -> float:
-    """The largest rise from any value to a later one, 0.0 when there is
-    none.  A sequence counts as nonincreasing when this is at most the
-    tolerance of the Grams its values come from (spaces._roundoff)."""
+    """The largest rise from any value to a later one, 0.0 when there is none;
+    a sequence is nonincreasing when it is at most its Grams' tolerance."""
     values = np.asarray(values, dtype=float)
-    return float(np.max(values - np.minimum.accumulate(values)))
+    return float(np.max(values - np.minimum.accumulate(values), initial=0.0))
+
+
+def order_tolerance(gram: np.ndarray) -> float:
+    """The roundoff of ``gram`` with the floor TOL_ORDER (:func:`sandwich_check`)."""
+    return _roundoff(gram, TOL_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,7 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
         if pair[label] not in grams:
             grams[pair[label]] = assemble_gram(sp, gamma)
     del gamma
-    tol = max(_roundoff(gram, TOL_ORDER) for gram in grams.values())
+    tol = max(order_tolerance(gram) for gram in grams.values())
     k = {key: kernel_at_origin(gram).norm for key, gram in grams.items()}
     g_alpha, g_cut, g_rho = (grams[pair[label]] for label in ("alpha", "cutoff", "scaled"))
     del grams

@@ -178,6 +178,19 @@ def test_asymptotics_csv_matches_closed_form(tmp_path):
         assert abs(float(row["kernel_value"]) - expected) < 1e-10
 
 
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_asymptotics_with_no_shift_from_four_on_exits_0(tmp_path, n_max):
+    # below n_max 4 the monotone tail is empty: it has no rise and holds
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, studies=["asymptotics"], n_max=n_max,
+                  masses=[{"point": [0.5, 0.0], "weight": 1e-4}])
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["scalars"]["asymptotics"]["tail_monotone"] is True
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = tmp_path / "c.json"
     _write_config(cfg, studies=["asymptotics", "duality", "sandwich", "tau"],
@@ -726,6 +739,37 @@ def test_a_residual_growing_per_level_fails_the_convergence_gate(tmp_path, monke
         "name": "convergence.residual_monotone", "value": residuals[2] - residuals[0],
         "threshold": 1e-12, "passed": False}
     assert summary["gates"][-1]["value"] == pytest.approx(9.9e-8, rel=1e-6)
+
+
+
+@pytest.mark.parametrize("step, code", [(1e-7, 0), (1e-5, 4)])
+def test_a_heavy_weight_convergence_gate_is_blind_below_its_tolerance(
+        tmp_path, monkeypatch, step, code):
+    # the weight-1e8 pair's Grams resolve the identity residual only to
+    # order * eps * (largest diagonal) = 2.2e-6 at degree 24: a residual
+    # that grows by 1e-7 from grid 256 to 512 is within roundoff and passes,
+    # one that grows by 1e-5 fails
+    identity = cli.duality_identity
+
+    def grown(space, dual, degree):
+        rep = identity(space, dual, degree)
+        return dataclasses.replace(rep, residual=rep.residual + step * (space.grid.size // 512))
+
+    monkeypatch.setattr(cli, "duality_identity", grown)
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, degree=24, studies=["convergence"],
+                  masses=[{"point": [0.5, 0.0], "weight": 3.0},
+                          {"point": [-0.3, 0.4], "weight": 1e8}],
+                  convergence={"grids": [256, 512], "degrees": [12, 24]})
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == code
+    residuals = [float(r["identity_residual"])
+                 for r in _read_csv(out / "convergence_refinement.csv")]
+    gate = json.loads((out / "summary.json").read_text())["gates"][0]
+    assert gate["name"] == "convergence.residual_monotone"
+    assert gate["value"] == residuals[1] - residuals[0] > step / 2
+    assert gate["threshold"] == pytest.approx(2.22e-6, rel=1e-2)
+    assert gate["passed"] is (code == 0)
 
 
 def test_samples_symbol_with_a_coarser_convergence_grid_exits_2(tmp_path, capsys):

@@ -180,6 +180,7 @@ def test_largest_rise_counts_a_slow_rise_in_full():
     assert largest_rise([1.0, 0.5, 0.9, 0.2, 0.6]) == pytest.approx(0.4)
     assert largest_rise(deviations[::-1]) == 0.0
     assert largest_rise([3.0]) == 0.0
+    assert largest_rise([]) == 0.0
 
 
 def test_sweep_converged_at(mass_space):
