@@ -49,7 +49,6 @@ from .duality import (
 )
 from .errors import (
     ConfigError,
-    DegenerateDerivative,
     DuplicatePoint,
     GridMismatch,
     HardyDualError,

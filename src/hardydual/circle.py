@@ -308,8 +308,9 @@ def validate_szego(symbol: SymbolData) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MassSet:
-    """Point masses: distinct zeros zeta_k in the open disk, pairwise at
-    least TOL_BLASCHKE apart, with weights nu_k > 0."""
+    """Point masses: zeros zeta_k in the open disk, each pair at a
+    pseudo-hyperbolic separation |zeta_j - zeta_k| / |1 - conj(zeta_j) zeta_k|
+    of at least TOL_BLASCHKE, with weights nu_k > 0."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -328,10 +329,13 @@ class MassSet:
         if np.any(np.abs(points) >= 1):
             raise ValueError("all mass points must lie strictly inside the unit disk")
         if len(points) > 1:
-            diff = np.abs(points[:, None] - points[None, :])
-            np.fill_diagonal(diff, np.inf)
-            if diff.min() < TOL_BLASCHKE:
-                raise DuplicatePoint(f"mass points closer than {TOL_BLASCHKE:g}")
+            separation = np.abs(_pairwise_factors(points))
+            np.fill_diagonal(separation, np.inf)
+            if separation.min() < TOL_BLASCHKE:
+                k, j = sorted(np.unravel_index(np.argmin(separation), separation.shape))
+                raise DuplicatePoint(f"mass points {points[k]:.9g} and {points[j]:.9g} are at "
+                                     f"pseudo-hyperbolic separation {separation.min():.2e}, "
+                                     f"below {TOL_BLASCHKE:g}")
 
     @classmethod
     def empty(cls) -> "MassSet":
@@ -411,19 +415,22 @@ def _factor_values(point: complex, z: np.ndarray) -> np.ndarray:
     return (point - z) / (1.0 - np.conj(point) * z) * (abs(point) / point)
 
 
-def _factor_derivative_at_zero(point: complex) -> complex:
-    # derivative of the normalized factor at its own zero
-    if point == 0:
-        return 1.0 + 0j
-    return -(abs(point) / point) / (1.0 - abs(point) ** 2)
+def _pairwise_factors(points: np.ndarray) -> np.ndarray:
+    """b_j(zeta_k) at [k, j] (:func:`_factor_values`), zero on the diagonal; the
+    modulus of an entry is the pseudo-hyperbolic separation of its two points."""
+    factors = np.empty((points.size, points.size), dtype=complex)
+    for j, point in enumerate(points.tolist()):
+        factors[:, j] = _factor_values(point, points)
+    return factors
 
 
 @dataclass(frozen=True, eq=False)
 class BlaschkeData:
     """Blaschke product over a mass set, with T(0) for T = T_e / B.
 
-    ``derivative_at_zeros[k]`` is B'(zeta_k), computed by the product rule
-    (factor derivative times the remaining factors), exact up to rounding.
+    ``derivative_at_zeros[k]`` is B'(zeta_k) = b_k'(zeta_k) times the row
+    product of the other factors b_j(zeta_k) (:func:`_pairwise_factors`), each
+    of modulus below 1, so no partial product underflows unless the row's does.
     ``T_at_zero`` is +inf when a mass sits at the origin (B(0) = 0).
     """
 
@@ -443,15 +450,14 @@ def build_blaschke(masses: MassSet, outer: OuterData) -> BlaschkeData:
     for point in points:
         b_values *= _factor_values(complex(point), nodes)
 
-    deriv = np.zeros(len(points), dtype=complex)
-    for k, point in enumerate(points):
-        rest = 1.0 + 0j
-        for j, other in enumerate(points):
-            if j != k:
-                rest *= _factor_values(complex(other), np.asarray(point, dtype=complex))
-        deriv[k] = _factor_derivative_at_zero(complex(point)) * rest
+    others = _pairwise_factors(points)
+    np.fill_diagonal(others, 1.0)
+    # b_k'(zeta_k): -(|zeta_k|/zeta_k) / (1 - |zeta_k|^2), and 1 for the limit factor z
+    slopes = np.array([-(abs(p) / p) / (1.0 - abs(p) ** 2) if p else 1.0
+                       for p in points.tolist()], dtype=complex)
+    deriv = slopes * np.prod(others, axis=1)
 
-    value_at_zero = float(np.prod(np.abs(points))) if len(points) else 1.0
+    value_at_zero = float(np.prod(np.abs(points)))
     if masses.has_origin:
         warnings.warn("mass at the origin: B(0) = 0, T(0) undefined", stacklevel=2)
         t_at_zero = float("inf")

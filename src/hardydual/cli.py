@@ -7,10 +7,11 @@ deterministic: identical configuration (including the seed) produces
 byte-identical CSV and JSON outputs.  Wall-clock timings go to ``run.log``,
 which is outside the determinism contract.
 
-Exit codes: 0 all gates pass, 2 configuration error (mass points closer
-than TOL_BLASCHKE included), 3 data failure (any library error raised by a
-study, e.g. a symbol touching |R| = 1, a non-positive Gram or a vanishing
-B'(zeta_k)), 4 tolerance-gate failure (the report is still written).
+Exit codes: 0 all gates pass, 2 configuration error (mass points at a
+pseudo-hyperbolic separation below TOL_BLASCHKE included), 3 data failure
+(any library error raised by a study, e.g. a symbol touching |R| = 1 or a
+Gram that is not positive definite or beyond double precision in scale), 4
+tolerance-gate failure (the report is still written).
 
 Every ordering the run judges holds within the tolerance of the Grams its
 values come from, which the library reports.  The convergence gate records the

@@ -44,7 +44,7 @@ from .circle import (
     riesz_project_values,
     symbol_from_samples,
 )
-from .errors import DegenerateDerivative, GridMismatch
+from .errors import GridMismatch
 from .kernels import KernelVector, kernel_at_origin
 from .spaces import (
     SpaceData,
@@ -54,7 +54,6 @@ from .spaces import (
     effective_data,
     shifted,
 )
-from .tolerances import TOL_DERIV
 
 UNITARY = "unitary"
 PRINTED = "printed"
@@ -124,13 +123,8 @@ def build_dual(space: SpaceData, convention: str = UNITARY) -> DualData:
     dual_symbol = symbol_from_samples(grid, grid.conjugate_reindex(vals_t))
 
     if masses.count:
-        deriv = blaschke.derivative_at_zeros
-        if np.any(np.abs(deriv) < TOL_DERIV):
-            raise DegenerateDerivative(
-                "Blaschke derivative vanishes at a mass point (coinciding points?)"
-            )
         outer_at_masses = outer.value_at(masses.points)
-        inv_t_deriv = deriv / outer_at_masses
+        inv_t_deriv = blaschke.derivative_at_zeros / outer_at_masses
         if convention == UNITARY:
             dual_weights = 1.0 / (masses.weights * np.abs(inv_t_deriv) ** 2)
         else:

@@ -23,11 +23,8 @@ class GridMismatch(HardyDualError):
 
 
 class DuplicatePoint(HardyDualError):
-    """Two mass points lie closer than TOL_BLASCHKE; B' would nearly vanish."""
-
-
-class DegenerateDerivative(HardyDualError):
-    """Blaschke derivative at a zero is numerically zero; dual mass undefined."""
+    """Two mass points lie at a pseudo-hyperbolic separation rho below
+    TOL_BLASCHKE; for two masses |B'(zeta_k)| = rho / (1 - |zeta_k|^2) >= rho."""
 
 
 class RejectBoundary(HardyDualError):

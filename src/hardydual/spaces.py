@@ -304,7 +304,8 @@ def _pd_failure(entries, min_eig: float, tol: float, weights) -> str:
                  f"{TOL_PSD:.0e} cannot be resolved in double precision")
         if len(weights):
             cause += (f"; the largest mass weight, {np.max(weights):.3e}, sets that scale "
-                      "(a dual weight 1/(nu |(1/T)'|^2) grows as nu shrinks)")
+                      "(a dual weight 1/(nu |(1/T)'(zeta_k)|^2) grows as "
+                      "nu |(1/T)'(zeta_k)|^2 shrinks)")
         return cause
     smallest = np.min(weights, initial=np.inf)
     if smallest < TOL_PSD and abs(min_eig - smallest) <= tol:

@@ -3,7 +3,9 @@ check reports on the corpus, against the files committed in ``tests/golden/``.
 
 ``readme_config.json`` holds the SHA-256 of each CSV and of ``summary.json``
 that ``hardydual run perfbench/readme_config.json`` writes, with their
-contents (CSV cells as written, ``summary.json`` as parsed).
+contents (CSV cells as written, ``summary.json`` as parsed).  The CSV rows
+are compared keyed by their header (:func:`readme_differences`), so a column
+added or removed is named in each row and every other cell is still compared.
 ``sandwich.json`` holds every ``SandwichReport`` field, as a 17-digit repr,
 on the 7 corpus cases at 4096/48 for each cutoff 0..m, rho 0.5, 0.9 and 1,
 and shift n 0 and 1.  ``sweep_identity.json`` holds, on the same cases at
@@ -184,6 +186,14 @@ def differences(expected, actual, bound=None, where="") -> list:
     return [] if same else [f"{where}: {expected!r} != {actual!r}"]
 
 
+def _keyed(files: dict) -> dict:
+    """Each CSV's rows after the header as dicts keyed by the header."""
+    return {name: dict(entry, content=[dict(zip(entry["content"][0], row))
+                                       for row in entry["content"][1:]])
+            if name.endswith(".csv") else entry
+            for name, entry in files.items()}
+
+
 def _contents(files: dict) -> dict:
     """Each file's contents, ``summary.json``'s without its versions block."""
     return {name: {key: value for key, value in entry["content"].items() if key != "versions"}
@@ -193,7 +203,8 @@ def _contents(files: dict) -> dict:
 
 def readme_differences(golden: dict, files: dict, bitwise: bool) -> list:
     """Bit for bit, the hashes and the contents; otherwise the contents
-    within BOUND."""
+    within BOUND.  CSV rows compare keyed by their header (:func:`_keyed`)."""
+    golden, files = _keyed(golden), _keyed(files)
     if bitwise:
         return differences(golden, files)
     return differences(_contents(golden), _contents(files), BOUND)
@@ -211,6 +222,9 @@ def load(name: str) -> dict:
 FILES = {"readme_config.json": readme_outputs,
          "sandwich.json": sandwich_values,
          "sweep_identity.json": sweep_identity_values}
+COMPARE = {"readme_config.json": readme_differences,
+           "sandwich.json": value_differences,
+           "sweep_identity.json": value_differences}
 
 
 def regenerate(name: str) -> list:
@@ -218,7 +232,7 @@ def regenerate(name: str) -> list:
     that moved against the file it replaces, compared bit for bit."""
     values = FILES[name]()
     path = GOLDEN / name
-    moved = differences(load(name)["values"], values) if path.exists() else []
+    moved = COMPARE[name](load(name)["values"], values, bitwise=True) if path.exists() else []
     text = json.dumps({"record": record(), "values": values}, indent=1, sort_keys=True)
     path.write_text(text + "\n", encoding="utf-8")
     return moved

@@ -159,6 +159,36 @@ def blaschke_value(points, z):
     return value
 
 
+def golden_angle_points(count):
+    """``count`` mass points at radii 0.2 to 0.9, evenly stepped, each turned
+    by the golden angle from the last: a separated Blaschke family."""
+    k = np.arange(count)
+    radii = 0.2 + 0.7 * k / max(count - 1, 1)
+    return radii * np.exp(1j * np.pi * (3 - np.sqrt(5)) * k)
+
+
+def blaschke_derivative_at_zeros(points):
+    """B'(zeta_k) by the product rule, one factor at a time in Python complex
+    arithmetic: the derivative -(|zeta_k|/zeta_k) / (1 - |zeta_k|^2) of the
+    k-th factor at its zero (1 for the origin's factor z) times every other
+    factor at zeta_k, multiplied in index order.  O(m^2) scalar operations.
+    """
+    points = [complex(p) for p in np.atleast_1d(points)]
+    deriv = []
+    for k, point in enumerate(points):
+        rest = 1.0 + 0j
+        for j, other in enumerate(points):
+            if j == k:
+                continue
+            if other == 0:
+                rest *= point
+            else:
+                rest *= (other - point) / (1.0 - other.conjugate() * point) * (abs(other) / other)
+        slope = -(abs(point) / point) / (1.0 - abs(point) ** 2) if point else 1.0
+        deriv.append(slope * rest)
+    return np.array(deriv, dtype=complex)
+
+
 def dense_psd_check(matrix, tol_herm=1e-12):
     """Smallest eigenvalue of a Hermitian matrix (full dense eigensolve)."""
     matrix = np.asarray(matrix, dtype=complex)

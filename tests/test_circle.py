@@ -23,7 +23,14 @@ from hardydual import (
 )
 from hardydual.circle import _POWER_BLOCK, evaluate_formula
 from hardydual.corpus import CASES
-from oracle import blaschke_value, fd_derivative, riesz_project, symbol_values
+from oracle import (
+    blaschke_derivative_at_zeros,
+    blaschke_value,
+    fd_derivative,
+    golden_angle_points,
+    riesz_project,
+    symbol_values,
+)
 
 
 def test_grid_nodes_unit_modulus_increasing_angle():
@@ -408,7 +415,37 @@ def test_blaschke_origin_point_uses_limit_factor(grid512):
 
 
 def test_mass_set_rejects_near_duplicates():
-    # points closer than TOL_BLASCHKE never reach a Blaschke product: the
-    # mass set refuses them
+    # pairs at a pseudo-hyperbolic separation below TOL_BLASCHKE never reach
+    # a Blaschke product: the mass set refuses them
     with pytest.raises(DuplicatePoint):
         MassSet(np.array([0.5, 0.5 + 1e-10]), np.array([1.0, 1.0]))
+    # 1e-7 apart at 0.5: separation 1e-7 / (1 - 0.5 (0.5 + 1e-7)) = 1.33e-7
+    with pytest.raises(DuplicatePoint, match=r"at pseudo-hyperbolic separation 1\.33e-07, "
+                                             r"below 1e-06"):
+        MassSet(np.array([0.5, 0.5 + 1e-7]), np.array([1.0, 1.0]))
+    # the origin's factor is z, so its separation from a point is that point's modulus
+    with pytest.raises(DuplicatePoint, match=r"separation 5\.00e-07"):
+        MassSet(np.array([0.0, 5e-7j]), np.array([1.0, 1.0]))
+    # near the circle a Euclidean distance of 5e-9 is a separation of 2.5e-6
+    near_circle = np.array([0.999, 0.999 + 5e-9])
+    assert abs(near_circle[1] - near_circle[0]) < 1e-8
+    assert MassSet(near_circle, np.array([1.0, 1.0])).count == 2
+
+
+@pytest.mark.parametrize("points", [golden_angle_points(2), golden_angle_points(8),
+                                    golden_angle_points(64), golden_angle_points(256),
+                                    np.concatenate(([0.0], golden_angle_points(8)))],
+                         ids=["2", "8", "64", "256", "8-and-origin"])
+def test_blaschke_derivative_matches_the_product_rule_loop(grid512, points):
+    # the row products against one factor at a time in Python complex
+    # arithmetic.  Each path rounds every factor of the m-term product (the
+    # vectorised one with fused multiply-adds), so they agree to a relative
+    # 4 m eps, not bit for bit; measured at most 0.4 m eps on these sets
+    outer = build_outer(zero_symbol(grid512))
+    masses = MassSet(points, np.ones(len(points)))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mass at the origin", UserWarning)
+        deriv = build_blaschke(masses, outer).derivative_at_zeros
+    reference = blaschke_derivative_at_zeros(points)
+    assert np.all(np.abs(deriv - reference) <= 4 * len(points) * np.finfo(float).eps
+                  * np.abs(reference))

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hardydual import NotPositiveDefinite, cli, kernels
 from hardydual.cli import STUDY_ORDER, main
 from hardydual.corpus import mass_single_trace
+from oracle import golden_angle_points
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -403,7 +404,7 @@ def test_help_exits_0(argv, capsys):
 
 
 def test_coinciding_masses_exit_2(tmp_path, capsys):
-    # points closer than TOL_BLASCHKE are refused when the masses are read
+    # points at a separation below TOL_BLASCHKE are refused when the masses are read
     cfg = tmp_path / "c.json"
     _write_config(cfg, masses=[{"point": [0.5, 0.0], "weight": 1.0},
                                {"point": [0.5 + 1e-10, 0.0], "weight": 1.0}])
@@ -492,17 +493,47 @@ def test_studies_share_one_dual(tmp_path, monkeypatch, studies, builds):
     assert len(calls) == builds
 
 
-def test_degenerate_masses_exit_3_from_the_first_dual_study(tmp_path, capsys):
-    # points 1e-7 apart pass the config check, but B' nearly vanishes there,
-    # so building the shared dual data fails
+def test_degenerate_masses_exit_2_in_every_study(tmp_path, capsys):
+    # points 1e-7 apart are at pseudo-hyperbolic separation 1.33e-7, below
+    # TOL_BLASCHKE: the masses are refused when they are read, whether or not
+    # a study builds dual data
     cfg = tmp_path / "c.json"
-    _write_config(cfg, studies=["theorem", "tau"],
-                  masses=[{"point": [0.5, 0.0], "weight": 1.0},
-                          {"point": [0.5 + 1e-7, 0.0], "weight": 1.0}])
-    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    err = capsys.readouterr().err.strip()
-    assert err == ("data failure: Blaschke derivative vanishes at a mass point "
-                   "(coinciding points?) (theorem study)")
+    for studies in (["theorem", "tau"], ["asymptotics"]):
+        _write_config(cfg, studies=studies,
+                      masses=[{"point": [0.5, 0.0], "weight": 1.0},
+                              {"point": [0.5 + 1e-7, 0.0], "weight": 1.0}])
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid masses: mass points 0.5+0j and 0.5000001+0j are at "
+            "pseudo-hyperbolic separation 1.33e-07, below 1e-06\n")
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("count, studies, code", [
+    (24, ["duality", "tau"], 0),
+    (32, ["duality"], 3),
+    (64, ["duality"], 3),
+], ids=["24", "32", "64"])
+def test_blaschke_family_runs_or_names_the_gram_scale(tmp_path, capsys, count, studies, code):
+    # a separated golden-angle family at 4096/48: |B'(zeta_k)| falls to 4.4e-7
+    # at 24 masses and 1e-18 at 64, and the dual weights 1/(nu |(1/T)'|^2)
+    # grow with it until the dual Gram's scale leaves double precision
+    cfg = tmp_path / "c.json"
+    points = golden_angle_points(count)
+    _write_config(cfg, grid=4096, degree=48, studies=studies,
+                  symbol={"kind": "expression", "formula": "0.3*conj(t)"},
+                  masses=[{"point": [z.real, z.imag], "weight": 1.0} for z in points])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "coinciding" not in err
+    if code == 0:
+        assert err == ""
+        return
+    assert err.startswith("data failure: Gram minimum eigenvalue ")
+    assert "of the Gram's scale " in err
+    assert err.endswith("sets that scale (a dual weight 1/(nu |(1/T)'(zeta_k)|^2) grows as "
+                        "nu |(1/T)'(zeta_k)|^2 shrinks) (duality study)\n")
+    assert len(err.splitlines()) == 1
 
 
 def test_overflow_names_the_sandwich_study(tmp_path, capsys):

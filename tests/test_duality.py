@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from hardydual import (
     CircleGrid,
-    DegenerateDerivative,
+    DuplicatePoint,
     GridMismatch,
     MassSet,
     SpaceData,
@@ -165,11 +165,11 @@ def test_back_is_the_dual_of_the_dual_space(case, convention):
         assert report.mass_mismatch == 0.0
 
 
-def test_dual_rejects_degenerate_derivative(grid512):
-    masses = MassSet(np.array([0.5, 0.5 + 1e-7]), np.array([1.0, 1.0]))
-    space = SpaceData(zero_symbol(grid512), masses)
-    with pytest.raises(DegenerateDerivative):
-        build_dual(space)
+def test_dual_rejects_degenerate_derivative():
+    # points 1e-7 apart, where |B'| would be 1.8e-7, never reach build_dual:
+    # their separation 1.33e-7 is below TOL_BLASCHKE, so the mass set refuses them
+    with pytest.raises(DuplicatePoint, match="separation 1.33e-07"):
+        MassSet(np.array([0.5, 0.5 + 1e-7]), np.array([1.0, 1.0]))
 
 
 def test_dual_rejects_unknown_convention(mass_space):

@@ -9,15 +9,12 @@ import pytest
 import contract
 
 
-@pytest.mark.parametrize("name, compare", [
-    ("readme_config.json", contract.readme_differences),
-    ("sandwich.json", contract.value_differences),
-    ("sweep_identity.json", contract.value_differences),
-], ids=["readme_config", "sandwich", "sweep_identity"])
-def test_outputs_match_the_golden_file(name, compare):
+@pytest.mark.parametrize("name", list(contract.FILES),
+                         ids=["readme_config", "sandwich", "sweep_identity"])
+def test_outputs_match_the_golden_file(name):
     golden = contract.load(name)
     bitwise = contract.bitwise(golden["record"])
-    moved = compare(golden["values"], contract.FILES[name](), bitwise)
+    moved = contract.COMPARE[name](golden["values"], contract.FILES[name](), bitwise)
     assert not moved, (f"{len(moved)} values moved ({'bit for bit' if bitwise else 'bounded'}):\n"
                        + "\n".join(moved[:20]))
 
@@ -56,6 +53,20 @@ def test_bounded_readme_comparison_reads_contents_not_versions():
          f"{summary['all_passed']!r}"]
 
 
+def test_a_dropped_csv_column_is_named_once_per_row():
+    # rows keyed by the header: the column is named in each row, and no other
+    # cell is reported as moved, bit for bit or within the bound
+    values = contract.load("readme_config.json")["values"]
+    rows = values["sandwich.csv"]["content"]
+    drop = rows[0].index("chain_upper_slack")
+    other = dict(values)
+    other["sandwich.csv"] = dict(values["sandwich.csv"],
+                                 content=[row[:drop] + row[drop + 1:] for row in rows])
+    for bitwise, where in ((True, "/sandwich.csv/content"), (False, "/sandwich.csv")):
+        assert contract.readme_differences(values, other, bitwise) == \
+            [f"{where}[{i}]/chain_upper_slack: removed" for i in range(len(rows) - 1)]
+
+
 def test_an_unread_blas_config_never_compares_bit_for_bit(monkeypatch):
     # a numpy without a bundled OpenBLAS records None on every machine, and
     # two such machines may still pick different BLAS cores
@@ -70,6 +81,7 @@ def test_an_unread_blas_config_never_compares_bit_for_bit(monkeypatch):
 def test_regeneration_returns_the_paths_that_moved(tmp_path, monkeypatch):
     monkeypatch.setattr(contract, "GOLDEN", tmp_path)
     monkeypatch.setattr(contract, "FILES", {"x.json": lambda: {"a": "1", "b": {"c": "2"}}})
+    monkeypatch.setattr(contract, "COMPARE", {"x.json": contract.value_differences})
     assert contract.regenerate("x.json") == []  # a new file moves nothing
     assert contract.regenerate("x.json") == []
     contract.FILES["x.json"] = lambda: {"a": "1.5", "b": {"d": "2"}}

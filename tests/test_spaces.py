@@ -384,8 +384,8 @@ def _scale_line(roundoff: str, weight: float) -> str:
             + re.escape(f"is within the roundoff {roundoff} of the Gram's scale "
                         f"{weight:.3e}, so tolerance 1e-12 cannot be resolved in "
                         f"double precision; the largest mass weight, {weight:.3e}, "
-                        "sets that scale (a dual weight 1/(nu |(1/T)'|^2) grows as "
-                        "nu shrinks) (asymptotics study)"))
+                        "sets that scale (a dual weight 1/(nu |(1/T)'(zeta_k)|^2) grows "
+                        "as nu |(1/T)'(zeta_k)|^2 shrinks) (asymptotics study)"))
 
 
 @pytest.mark.parametrize("weight, line", [
