@@ -5,7 +5,8 @@ check reports on the corpus, against the files committed in ``tests/golden/``.
 that ``hardydual run perfbench/readme_config.json`` writes, with their
 contents (CSV cells as written, ``summary.json`` as parsed).  The CSV rows
 are compared keyed by their header (:func:`readme_differences`), so a column
-added or removed is named in each row and every other cell is still compared.
+added or removed is named in the header and in each row, and every other
+cell is still compared.
 ``sandwich.json`` holds every ``SandwichReport`` field, as a 17-digit repr,
 on the 7 corpus cases at 4096/48 for each cutoff 0..m, rho 0.5, 0.9 and 1,
 and shift n 0 and 1.  ``sweep_identity.json`` holds, on the same cases at
@@ -41,6 +42,7 @@ import ctypes
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import platform
 import tempfile
@@ -187,9 +189,12 @@ def differences(expected, actual, bound=None, where="") -> list:
 
 
 def _keyed(files: dict) -> dict:
-    """Each CSV's rows after the header as dicts keyed by the header."""
-    return {name: dict(entry, content=[dict(zip(entry["content"][0], row))
-                                       for row in entry["content"][1:]])
+    """Each CSV's content as its header and its rows, each row a dict keyed by
+    the header (a missing cell reads None, a cell past the header has key None)."""
+    return {name: dict(entry, content={
+                "header": entry["content"][0],
+                "rows": [dict(itertools.zip_longest(entry["content"][0], row))
+                         for row in entry["content"][1:]]})
             if name.endswith(".csv") else entry
             for name, entry in files.items()}
 

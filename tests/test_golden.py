@@ -54,8 +54,8 @@ def test_bounded_readme_comparison_reads_contents_not_versions():
 
 
 def test_a_dropped_csv_column_is_named_once_per_row():
-    # rows keyed by the header: the column is named in each row, and no other
-    # cell is reported as moved, bit for bit or within the bound
+    # rows keyed by the header: the column is named in each row, the header
+    # shrinks, and no other cell is reported as moved, bit for bit or bounded
     values = contract.load("readme_config.json")["values"]
     rows = values["sandwich.csv"]["content"]
     drop = rows[0].index("chain_upper_slack")
@@ -64,7 +64,8 @@ def test_a_dropped_csv_column_is_named_once_per_row():
                                  content=[row[:drop] + row[drop + 1:] for row in rows])
     for bitwise, where in ((True, "/sandwich.csv/content"), (False, "/sandwich.csv")):
         assert contract.readme_differences(values, other, bitwise) == \
-            [f"{where}[{i}]/chain_upper_slack: removed" for i in range(len(rows) - 1)]
+            [f"{where}/header: {len(rows[0])} entries != {len(rows[0]) - 1}"] + \
+            [f"{where}/rows[{i}]/chain_upper_slack: removed" for i in range(len(rows) - 1)]
 
 
 def test_an_unread_blas_config_never_compares_bit_for_bit(monkeypatch):
