@@ -1,5 +1,5 @@
-"""The output contract: what the README config writes and what the sandwich
-check reports on the corpus, against the files committed in ``tests/golden/``.
+"""The output contract: what the README config writes and what the library
+reports on the corpus, against the files committed in ``tests/golden/``.
 
 ``readme_config.json`` holds the SHA-256 of each CSV and of ``summary.json``
 that ``hardydual run perfbench/readme_config.json`` writes, with their
@@ -12,6 +12,11 @@ on the 7 corpus cases at 4096/48 for each cutoff 0..m, rho 0.5, 0.9 and 1,
 and shift n 0 and 1.  ``sweep_identity.json`` holds, on the same cases at
 4096/48, the ``asymptotic_sweep`` values K^{alpha_n}(0) for n = 0..16 and
 every ``IdentityReport`` field of ``duality_identity``, as 17-digit reprs.
+``theorem_system.json`` holds, on the same cases at 4096/48, every
+``TheoremReport`` field of ``theorem_check``, the orthonormality defect and
+the vectors (real and imaginary parts, one list per column) of
+``orthonormal_system`` on the shifts 0..4, and K(0) of the Gram on
+z^0..z^48, as 17-digit reprs.
 
 Each file records the numpy version, the BLAS core and SIMD features numpy
 chose on the CPU, the machine and the C library it was made with
@@ -50,7 +55,16 @@ from pathlib import Path
 
 import numpy as np
 
-from hardydual import asymptotic_sweep, dual_of, duality_identity, sandwich_check
+from hardydual import (
+    asymptotic_sweep,
+    build_gram_analytic,
+    dual_of,
+    duality_identity,
+    kernel_at_origin,
+    orthonormal_system,
+    sandwich_check,
+    theorem_check,
+)
 from hardydual.cli import main
 from hardydual.corpus import CASES
 
@@ -61,6 +75,7 @@ GRID, DEGREE = 4096, 48
 RHOS = (0.5, 0.9, 1.0)
 SHIFTS = (0, 1)
 N_MAX = 16
+SYSTEM_SHIFTS = range(5)
 BOUND = 1e-10
 
 
@@ -155,6 +170,27 @@ def sweep_identity_values() -> dict:
     return values
 
 
+def _reprs(array) -> list:
+    """A real array as nested lists of 17-digit reprs."""
+    return [_reprs(row) for row in array] if np.ndim(array) > 1 \
+        else [format(float(value), ".17g") for value in array]
+
+
+def theorem_system_values() -> dict:
+    values = {}
+    for case in CASES:
+        space = case.space(GRID)
+        system = orthonormal_system(space, SYSTEM_SHIFTS, DEGREE)
+        k0 = kernel_at_origin(build_gram_analytic(space, DEGREE)).norm
+        values[case.name] = {
+            "theorem": report_fields(theorem_check(space, dual_of(space), DEGREE)),
+            "orthonormal": {"defect": format(system.orthonormality_defect, ".17g"),
+                            "real": _reprs(system.vectors.T.real),
+                            "imag": _reprs(system.vectors.T.imag)},
+            "kernel_at_origin": format(k0, ".17g")}
+    return values
+
+
 def _number(value):
     if isinstance(value, bool):
         return None
@@ -226,10 +262,12 @@ def load(name: str) -> dict:
 
 FILES = {"readme_config.json": readme_outputs,
          "sandwich.json": sandwich_values,
-         "sweep_identity.json": sweep_identity_values}
+         "sweep_identity.json": sweep_identity_values,
+         "theorem_system.json": theorem_system_values}
 COMPARE = {"readme_config.json": readme_differences,
            "sandwich.json": value_differences,
-           "sweep_identity.json": value_differences}
+           "sweep_identity.json": value_differences,
+           "theorem_system.json": value_differences}
 
 
 def regenerate(name: str) -> list:

@@ -1,6 +1,6 @@
-"""The README config's reports and the corpus sandwich fields match the
-files in ``tests/golden/``: bit for bit where the file's record matches
-this process, within ``contract.BOUND`` elsewhere (see ``contract``)."""
+"""The README config's reports and the corpus values match the files in
+``tests/golden/``: bit for bit where the file's record matches this process,
+within ``contract.BOUND`` elsewhere (see ``contract``)."""
 
 import math
 
@@ -10,7 +10,7 @@ import contract
 
 
 @pytest.mark.parametrize("name", list(contract.FILES),
-                         ids=["readme_config", "sandwich", "sweep_identity"])
+                         ids=[name.removesuffix(".json") for name in contract.FILES])
 def test_outputs_match_the_golden_file(name):
     golden = contract.load(name)
     bitwise = contract.bitwise(golden["record"])
