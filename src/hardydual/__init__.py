@@ -11,8 +11,6 @@ involution.
 __version__ = "0.1.0"
 
 from .circle import (
-    ANALYTIC,
-    ANTIANALYTIC,
     BlaschkeData,
     CircleGrid,
     MassSet,

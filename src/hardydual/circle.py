@@ -2,7 +2,7 @@
 
 Everything downstream (metrics, kernels, the duality map) is built from the
 primitives collected here: equispaced grids with FFT-backed Fourier data,
-Riesz projections onto analytic/antianalytic frequencies, outer functions
+the Riesz projection onto antianalytic frequencies, outer functions
 recovered from a boundary modulus, and Blaschke products with their
 derivatives at the prescribed zeros.
 
@@ -28,9 +28,6 @@ import numpy as np
 
 from .errors import DuplicatePoint, GridMismatch, SzegoViolation
 from .tolerances import TOL_BLASCHKE, TOL_TOUCH, TOL_UNIT
-
-ANALYTIC = "analytic"
-ANTIANALYTIC = "antianalytic"
 
 # inner block b of the two-level power table in evaluate_analytic
 _POWER_BLOCK = 128
@@ -153,25 +150,14 @@ def _running_powers(base: np.ndarray, count: int) -> np.ndarray:
     return np.multiply.accumulate(steps, axis=1)
 
 
-def riesz_project_values(values, sign: str) -> np.ndarray:
-    """Riesz projection acting on grid samples (FFT round trip, last axis).
-
-    ``analytic`` keeps frequencies p >= 0, ``antianalytic`` keeps p <= -1.
-    The shared +-size/2 bin counts as antianalytic, so the two projections
-    are exactly complementary.
+def riesz_project_values(values) -> np.ndarray:
+    """The antianalytic Riesz projection P_- on grid samples (FFT round trip,
+    last axis): it keeps the frequencies p <= -1, with the shared +-size/2
+    bin, so ``values - riesz_project_values(values)`` is P_+.
     """
     c = np.fft.fft(np.asarray(values, dtype=complex))
-    c[..., _dropped_half(c.shape[-1], sign)] = 0
+    c[..., : c.shape[-1] // 2] = 0
     return np.fft.ifft(c, out=c)
-
-
-def _dropped_half(size: int, sign: str) -> slice:
-    """The frequencies a Riesz projection sets to zero, in FFT layout."""
-    if sign == ANALYTIC:
-        return slice(size // 2, None)
-    if sign == ANTIANALYTIC:
-        return slice(None, size // 2)
-    raise ValueError(f"sign must be 'analytic' or 'antianalytic', got {sign!r}")
 
 
 # ---------------------------------------------------------------------------

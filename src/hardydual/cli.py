@@ -340,7 +340,8 @@ def _study_duality(config, space, shared_dual):
 def _study_sandwich(config, space, shared_dual):
     cutoffs = config.cutoff_list or [space.masses.count]
     pairs = [(cutoff, rho) for cutoff in cutoffs for rho in config.rho_list]
-    reports = [sandwich_check(space, cutoff, rho, 0, config.degree) for cutoff, rho in pairs]
+    reports = [sandwich_check(space, cutoff, rho, 0, config.degree, config.convention)
+               for cutoff, rho in pairs]
     # every report field in its order, each identity residual a column
     rows = []
     for (cutoff, rho), rep in zip(pairs, reports):
@@ -549,6 +550,8 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunR
         # from derived data, such as a shifted weight nu |zeta|^2 that underflows
         if isinstance(exc, FloatingPointError):
             exc = f"{exc}: the data's scale is beyond double range"
+            if space.masses.count:
+                exc += f"; the largest mass weight is {np.max(space.masses.weights):.3e}"
         where = f" ({study} study)" if study else ""
         print(f"data failure: {str(exc) or 'out of memory'}{where}", file=sys.stderr)
         return EXIT_DATA, None

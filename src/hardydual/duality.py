@@ -185,7 +185,7 @@ def canonical_vector(symbol: SymbolData, f1, mass_values=None) -> TauVector:
     """
     grid = symbol.grid
     f1 = grid.check(f1)
-    f2 = riesz_project_values(symbol.values * f1, "antianalytic")
+    f2 = riesz_project_values(symbol.values * f1)
     np.negative(f2, out=f2)
     if mass_values is None:
         mass_values = np.empty(f1.shape[:-1] + (0,), dtype=complex)
@@ -581,7 +581,7 @@ def _paired_conditions(dual: DualData, powers: np.ndarray):
     a, b = _weighted_pair(image, symbol.values)
     mass_part = dual.masses.weights * image.mass_values
     del image
-    a -= np.conj(symbol.values) * riesz_project_values(b, "antianalytic")
+    a -= np.conj(symbol.values) * riesz_project_values(b)
     return a, mass_part, norms
 
 

@@ -262,12 +262,12 @@ class SandwichReport:
                    self.psd_margin_scaled, self.chain_upper_slack)
 
 
-def _dual_parts(space: SpaceData):
-    """(T(0), dual space) and T_e(0) of the dual data of ``space``; the rest
-    of the dual data is released on return."""
+def _dual_parts(space: SpaceData, convention: str):
+    """(T(0), dual space) and T_e(0) of the dual data of ``space`` in the
+    pairing ``convention``; the rest of the dual data is released on return."""
     from .duality import dual_of  # cycle: duality uses kernels
 
-    dual = dual_of(space)
+    dual = dual_of(space, convention)
     return (dual.T_at_zero, dual.dual_space()), dual.outer.value_at_zero
 
 
@@ -292,7 +292,7 @@ def _psd_margin(upper: np.ndarray, lower: np.ndarray, out: np.ndarray) -> float:
 
 
 def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
-                   degree: int) -> SandwichReport:
+                   degree: int, convention: str = "unitary") -> SandwichReport:
     """The variants (rho', N') in {1, rho} x {m, min(N, m)} of the shifted
     pair; each distinct one is assembled, solved and dualized once.  With
     N >= m the cutoff is alpha itself and "both" is "scaled"; with rho = 1
@@ -302,7 +302,9 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     as in their own PD checks); only an unusable Gram raises.  No lower chain
     K(scaled) >= (B(0)/B^N(0)) K(both) is reported: f = b g, b the Blaschke
     product of the dropped masses, gives it only for R = 0, since
-    P_-(rho R b g) is not P_-(rho R g).
+    P_-(rho R b g) is not P_-(rho R g).  The variant duals, and so the
+    identity residuals, take the dual-mass pairing ``convention``, as
+    ``duality.dual_of`` does (spelled out here: duality imports this module).
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]; 1 gives the degenerate equalities")
@@ -341,7 +343,7 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     duals = {}
     for label in labels:
         if pair[label] not in duals:
-            duals[pair[label]] = _dual_parts(shifted(spaces[label], 1))
+            duals[pair[label]] = _dual_parts(shifted(spaces[label], 1), convention)
     # the primal Grams go only now: released before the duals, they would
     # lie at the top of the heap and be handed back to the system, and the
     # dual phase would fault their pages in again; released here, below the

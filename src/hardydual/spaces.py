@@ -21,8 +21,7 @@ Gamma is a plain array from :func:`analytic_hankel`, held by the caller that
 recombines it, and every Gram is a plain Hermitian array of its entries.
 
 Gamma is assembled by its displacement recurrence, except over a window of
-exact zeros (the zero symbol's), where the recurrence could give only zeros
-and Gamma is filled with its bytes (:func:`_zero_gram`).  A Gram is certified
+exact zeros (the zero symbol's), where Gamma is zero.  A Gram is certified
 positive definite by a Gershgorin floor on its smallest eigenvalue, which
 the contraction R makes 1 - rho^2 (Gamma's largest absolute row sum) less a
 rounding slack (:func:`_eig_floor`).  The check's threshold is the Gram's
@@ -126,8 +125,7 @@ def _lagged_gram(c: np.ndarray, truncation: int, order: int) -> np.ndarray:
     to ``circle.SUM_CHUNK`` terms); the rest follows down the
     diagonals by the displacement recurrence
     G[m+1, l+1] = G[m, l] - conj(c[m]) c[l] + conj(c[J+m]) c[J+l],
-    each row mirrored into its column as it is made.  A ``c`` of zeros gives
-    :func:`_zero_gram`, which :func:`hankel_block` returns without this call.
+    each row mirrored into its column as it is made.
     """
     J = truncation
     gram = np.empty((order, order), dtype=c.dtype)
@@ -148,22 +146,6 @@ def _lagged_gram(c: np.ndarray, truncation: int, order: int) -> np.ndarray:
     return gram
 
 
-def _zero_gram(order: int) -> np.ndarray:
-    """The bytes :func:`_lagged_gram` gives for an all-zero window.
-
-    Whatever the signs of the zeros it reads, its first row sums products
-    into +0 and each later row is +0 - (+-0) + (+-0) = +0, so every entry on
-    and above the diagonal is +0+0j and every mirrored entry below it is
-    +0-0j.  The array is allocated as the recurrence allocates it.
-    """
-    gram = np.empty((order, order), dtype=complex)
-    gram.fill(0)
-    mirrored = complex(0.0, -0.0)
-    for m in range(1, order):
-        gram[m, :m] = mirrored
-    return gram
-
-
 def hankel_block(symbol: SymbolData, exponents, truncation: int) -> np.ndarray:
     """Hankel Gram Gamma of the unscaled symbol on the consecutive exponents
     e0..e0+order-1.
@@ -171,8 +153,8 @@ def hankel_block(symbol: SymbolData, exponents, truncation: int) -> np.ndarray:
     With a_k = r_{-(e0+k)}, Gamma[m, l] = sum_{j=1..J} conj(a_{j+m}) a_{j+l},
     assembled in O(J order + order^2) by :func:`_lagged_gram`; rho enters as
     rho^2 when the metric is assembled.  When a_1..a_{J+order-1} are all
-    zero, Gamma is :func:`_zero_gram`, the same bytes with neither the first
-    row's correlation nor the recurrence run.
+    zero, Gamma is zero, with neither the first row's correlation nor the
+    recurrence run.
     """
     exponents = np.asarray(exponents, dtype=int)
     n = symbol.grid.size
@@ -191,7 +173,7 @@ def hankel_block(symbol: SymbolData, exponents, truncation: int) -> np.ndarray:
     # a[k - 1] = a_k for k = 1..size/2 - first, i.e. r_{-first-1} down to r_{-size/2}
     a = symbol.coeffs[-(first + 1 + np.arange(n // 2 - first)) % n]
     if not a[:truncation + order - 1].any():
-        return _zero_gram(order)
+        return np.zeros((order, order), dtype=complex)
     return _lagged_gram(a, truncation, order)
 
 
@@ -331,8 +313,8 @@ def assemble_gram(space: SpaceData, gamma: np.ndarray) -> np.ndarray:
                        order + masses.count)
     entries = np.multiply(gamma, -space.rho ** 2)
     entries[np.diag_indices_from(entries)] += 1.0
-    # adding 0.0 without masses keeps the signs of zeros of I - rho^2 Gamma
-    entries += _mass_gram(masses, exponents) if masses.count else 0.0
+    if masses.count:
+        entries += _mass_gram(masses, exponents)
     return _finalize_gram(entries, masses.weights, floor)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from hardydual.duality import (
     CONVERSE_POWERS,
+    UNITARY,
     TauVector,
     TheoremReport,
     apply_tau,
@@ -348,7 +349,7 @@ def sandwich_check_four_grams(space, cutoff, rho, n, degree):
                 "both": (sp_both, k_both)}
     duals, te0 = {}, {}
     for label, (sp, _) in variants.items():
-        duals[label], te0[label] = _dual_parts(shifted(sp, 1))
+        duals[label], te0[label] = _dual_parts(shifted(sp, 1), UNITARY)
 
     chain_upper = (te0["scaled"] / te0["cutoff"]) * k_both - k_cut
 

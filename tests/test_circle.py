@@ -90,12 +90,11 @@ def test_riesz_projections_complementary_and_idempotent(coeffs):
     grid = CircleGrid(8)
     v = grid.values(np.asarray(coeffs))
     tol = 1e-14 * (1.0 + np.abs(v).max())
-    plus = riesz_project_values(v, "analytic")
-    minus = riesz_project_values(v, "antianalytic")
-    assert np.abs(plus + minus - v).max() <= tol
-    assert np.abs(riesz_project_values(plus, "analytic") - plus).max() <= tol
-    assert np.abs(riesz_project_values(minus, "antianalytic") - minus).max() <= tol
-    assert np.abs(riesz_project_values(plus, "antianalytic")).max() <= tol
+    # P_+ is the complement I - P_-
+    minus = riesz_project_values(v)
+    plus = v - minus
+    assert np.abs(riesz_project_values(minus) - minus).max() <= tol
+    assert np.abs(riesz_project_values(plus)).max() <= tol
     # the shared +-size/2 bin goes to the antianalytic half
     assert np.abs(grid.coefficients(plus)[4:]).max() <= tol
     assert np.abs(grid.coefficients(minus)[:4]).max() <= tol
@@ -107,7 +106,7 @@ def test_riesz_antianalytic_keeps_negative_index():
     coeffs[-1 % 16] = 2.5 + 1j
     coeffs[8] = 0.75j  # the shared +-8 bin
     coeffs[0] = -1.0
-    out = grid.coefficients(riesz_project_values(grid.values(coeffs), "antianalytic"))
+    out = grid.coefficients(riesz_project_values(grid.values(coeffs)))
     assert abs(out[-1 % 16] - (2.5 + 1j)) < 1e-15
     assert abs(out[8] - 0.75j) < 1e-15
     assert np.abs(out[:8]).max() < 1e-15
@@ -117,14 +116,9 @@ def test_riesz_grid_route_matches_coefficient_shift(grid512):
     # P_-(R z^n) two ways: sample-and-filter vs shift-the-coefficients
     symbol = symbol_from_expression(grid512, "0.6*conj(t) + 0.25*conj(t)**2")
     n = 1
-    sampled = riesz_project_values(symbol.values * grid512.nodes ** n, "antianalytic")
+    sampled = riesz_project_values(symbol.values * grid512.nodes ** n)
     shifted_coeffs = riesz_project(np.roll(symbol.coeffs, n), "antianalytic")
     assert np.abs(grid512.coefficients(sampled) - shifted_coeffs).max() < 1e-14
-
-
-def test_riesz_rejects_unknown_sign():
-    with pytest.raises(ValueError):
-        riesz_project_values(np.zeros(8, dtype=complex), "sideways")
 
 
 # --- series evaluation inside the disk ---------------------------------------

@@ -206,13 +206,18 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_convention_flag_printed(tmp_path):
     cfg = tmp_path / "c.json"
-    _write_config(cfg)
+    _write_config(cfg, studies=["duality", "sandwich"])
     out = tmp_path / "out"
     code = main(["run", str(cfg), "--out", str(out), "--convention", "printed",
                  "--tol-gate", "1.0"])
     assert code == 0
     rows = _read_csv(out / "duality.csv")
     assert float(rows[0]["residual"]) > 0.05  # printed pairing breaks the identity
+    # and the sandwich dualizes its variants in the same pairing
+    row, = _read_csv(out / "sandwich.csv")
+    residuals = [float(row[f"identity_residual_{label}"])
+                 for label in ("cutoff", "scaled", "both")]
+    assert min(residuals) > 0.05
     summary = json.loads((out / "summary.json").read_text())
     assert summary["convention"] == "printed"
 
@@ -537,13 +542,16 @@ def test_blaschke_family_runs_or_names_the_gram_scale(tmp_path, capsys, count, s
 
 
 def test_overflow_names_the_sandwich_study(tmp_path, capsys):
-    # a weight of 1e308 overflows the first Gram the sandwich study assembles
+    # a weight of 1e308 overflows the first Gram the sandwich study assembles;
+    # the line names the largest weight, as when a Gram's scale is blamed on it
     cfg = tmp_path / "c.json"
     _write_config(cfg, grid=256, degree=16, studies=["sandwich"],
-                  masses=[{"point": [0.5, 0.0], "weight": 1e308}])
+                  masses=[{"point": [0.5, 0.0], "weight": 2.0},
+                          {"point": [-0.25, 0.0], "weight": 1e308}])
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == ("data failure: overflow encountered in add: the "
-                                       "data's scale is beyond double range (sandwich study)\n")
+                                       "data's scale is beyond double range; the largest "
+                                       "mass weight is 1.000e+308 (sandwich study)\n")
 
 
 @pytest.mark.parametrize("weight", [1e16, 1e300, 1e-16, 1e-300])
@@ -664,8 +672,8 @@ def test_a_negative_upper_chain_alone_fails_the_order_gates(tmp_path, monkeypatc
     # tolerance its Grams' roundoff, 1.09e-6
     dual_parts = kernels._dual_parts
 
-    def halved(space):
-        parts, te0 = dual_parts(space)
+    def halved(space, convention):
+        parts, te0 = dual_parts(space, convention)
         return parts, te0 * (0.5 if space.rho != 1.0 else 1.0)
 
     monkeypatch.setattr(kernels, "_dual_parts", halved)
