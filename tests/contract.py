@@ -170,10 +170,9 @@ def sweep_identity_values() -> dict:
     return values
 
 
-def _reprs(array) -> list:
-    """A real array as nested lists of 17-digit reprs."""
-    return [_reprs(row) for row in array] if np.ndim(array) > 1 \
-        else [format(float(value), ".17g") for value in array]
+def _reprs(rows) -> list:
+    """A real 2-d array as one list of 17-digit reprs per row."""
+    return [[format(float(value), ".17g") for value in row] for row in rows]
 
 
 def theorem_system_values() -> dict:
