@@ -16,11 +16,16 @@ every ``IdentityReport`` field of ``duality_identity``, as 17-digit reprs.
 ``TheoremReport`` field of ``theorem_check``, the orthonormality defect and
 the vectors (real and imaginary parts, one list per column) of
 ``orthonormal_system`` on the shifts 0..4, and K(0) of the Gram on
-z^0..z^48, as 17-digit reprs.
+z^0..z^48, as 17-digit reprs.  ``corpus_16384.json`` holds, per corpus
+case at 16384/256, every ``SandwichReport`` field for each cutoff 0..m and
+rho 0.5, 0.9 and 1 at shift 0, and the sweep, identity, theorem, orthonormal
+system and K(0) values of the two files above.
 
 Each file records the numpy version, the BLAS core and SIMD features numpy
 chose on the CPU, the machine and the C library it was made with
-(:func:`record`).  Where the
+(:func:`record`).  ``corpus_16384.json`` also records the OpenBLAS thread
+count: at degree 256 OpenBLAS splits dense products and factorizations over
+its threads, and their bits depend on the count.  Where the
 record matches, every value compares bit for bit: the hashes, and the
 reprs as strings (:func:`bitwise`).  A record whose OpenBLAS config could
 not be read, from a numpy that does not bundle OpenBLAS in ``numpy.libs``,
@@ -72,6 +77,7 @@ REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README_CONFIG = REPO / "perfbench" / "readme_config.json"
 GRID, DEGREE = 4096, 48
+LARGE_GRID, LARGE_DEGREE = 16384, 256
 RHOS = (0.5, 0.9, 1.0)
 SHIFTS = (0, 1)
 N_MAX = 16
@@ -79,27 +85,37 @@ SYSTEM_SHIFTS = range(5)
 BOUND = 1e-10
 
 
+def _openblas_call(getter: str, restype):
+    """What the OpenBLAS bundled with numpy returns from its ``getter``
+    (``get_config`` or ``get_num_threads``, under the symbol names its
+    builds export), or None for a numpy that bundles none."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy loaded: dlopen reuses it
+        for name in (f"scipy_openblas_{getter}64_", f"scipy_openblas_{getter}",
+                     f"openblas_{getter}64_", f"openblas_{getter}"):
+            func = getattr(lib, name, None)
+            if func is not None:
+                func.restype = restype
+                return func()
+    return None
+
+
 def _openblas_config():
     """The config line of the OpenBLAS bundled with numpy, which names the
     core it chose for this CPU (or ``OPENBLAS_CORETYPE``) at load time, or
     None for a numpy that bundles none."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))  # the copy numpy loaded: dlopen reuses it
-        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
-                     "openblas_get_config64_", "openblas_get_config"):
-            func = getattr(lib, name, None)
-            if func is not None:
-                func.restype = ctypes.c_char_p
-                return func().decode()
-    return None
+    config = _openblas_call("get_config", ctypes.c_char_p)
+    return None if config is None else config.decode()
 
 
-def record() -> dict:
+def record(threads: bool = False) -> dict:
     """What decides the bits: numpy, the BLAS core and the SIMD kernels it
-    dispatches to on this CPU, the machine, and the C library's math."""
+    dispatches to on this CPU, the machine, and the C library's math; with
+    ``threads``, also the OpenBLAS thread count (``OPENBLAS_NUM_THREADS``,
+    or the core count), read from the library :func:`_openblas_config` reads."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
-    return {
+    out = {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
                  "config": _openblas_config()},
@@ -107,12 +123,16 @@ def record() -> dict:
         "machine": platform.machine(),
         "libc": " ".join(platform.libc_ver()),
     }
+    if threads:
+        out["blas"]["threads"] = _openblas_call("get_num_threads", ctypes.c_int)
+    return out
 
 
 def bitwise(golden_record: dict) -> bool:
     """Whether values made under ``golden_record`` compare bit for bit here:
-    the records match and name the BLAS core."""
-    here = record()
+    the records match, the thread count too where it is recorded, and name
+    the BLAS core."""
+    here = record(threads="threads" in golden_record["blas"])
     return golden_record == here and here["blas"]["config"] is not None
 
 
@@ -159,15 +179,15 @@ def sandwich_values() -> dict:
     return values
 
 
+def _sweep_identity(space, degree: int) -> dict:
+    trace = asymptotic_sweep(space, N_MAX, degree)
+    report = duality_identity(space, dual_of(space), degree)
+    return {"sweep": [format(float(v), ".17g") for v in trace.values],
+            "identity": report_fields(report)}
+
+
 def sweep_identity_values() -> dict:
-    values = {}
-    for case in CASES:
-        space = case.space(GRID)
-        trace = asymptotic_sweep(space, N_MAX, DEGREE)
-        report = duality_identity(space, dual_of(space), DEGREE)
-        values[case.name] = {"sweep": [format(float(v), ".17g") for v in trace.values],
-                             "identity": report_fields(report)}
-    return values
+    return {case.name: _sweep_identity(case.space(GRID), DEGREE) for case in CASES}
 
 
 def _reprs(rows) -> list:
@@ -175,18 +195,30 @@ def _reprs(rows) -> list:
     return [[format(float(value), ".17g") for value in row] for row in rows]
 
 
-def theorem_system_values() -> dict:
-    values = {}
-    for case in CASES:
-        space = case.space(GRID)
-        system = orthonormal_system(space, SYSTEM_SHIFTS, DEGREE)
-        k0 = kernel_at_origin(build_gram_analytic(space, DEGREE)).norm
-        values[case.name] = {
-            "theorem": report_fields(theorem_check(space, dual_of(space), DEGREE)),
+def _theorem_system(space, degree: int) -> dict:
+    system = orthonormal_system(space, SYSTEM_SHIFTS, degree)
+    k0 = kernel_at_origin(build_gram_analytic(space, degree)).norm
+    return {"theorem": report_fields(theorem_check(space, dual_of(space), degree)),
             "orthonormal": {"defect": format(system.orthonormality_defect, ".17g"),
                             "real": _reprs(system.vectors.T.real),
                             "imag": _reprs(system.vectors.T.imag)},
             "kernel_at_origin": format(k0, ".17g")}
+
+
+def theorem_system_values() -> dict:
+    return {case.name: _theorem_system(case.space(GRID), DEGREE) for case in CASES}
+
+
+def large_values() -> dict:
+    values = {}
+    for case in CASES:
+        space = case.space(LARGE_GRID)
+        sandwich = {f"cutoff={cutoff} rho={rho}":
+                    report_fields(sandwich_check(space, cutoff, rho, 0, LARGE_DEGREE))
+                    for cutoff in range(space.masses.count + 1) for rho in RHOS}
+        values[case.name] = {"sandwich": sandwich,
+                             **_sweep_identity(space, LARGE_DEGREE),
+                             **_theorem_system(space, LARGE_DEGREE)}
     return values
 
 
@@ -262,11 +294,15 @@ def load(name: str) -> dict:
 FILES = {"readme_config.json": readme_outputs,
          "sandwich.json": sandwich_values,
          "sweep_identity.json": sweep_identity_values,
-         "theorem_system.json": theorem_system_values}
+         "theorem_system.json": theorem_system_values,
+         "corpus_16384.json": large_values}
 COMPARE = {"readme_config.json": readme_differences,
            "sandwich.json": value_differences,
            "sweep_identity.json": value_differences,
-           "theorem_system.json": value_differences}
+           "theorem_system.json": value_differences,
+           "corpus_16384.json": value_differences}
+# the files whose bits depend on the OpenBLAS thread count
+THREADED = {"corpus_16384.json"}
 
 
 def regenerate(name: str) -> list:
@@ -275,7 +311,8 @@ def regenerate(name: str) -> list:
     values = FILES[name]()
     path = GOLDEN / name
     moved = COMPARE[name](load(name)["values"], values, bitwise=True) if path.exists() else []
-    text = json.dumps({"record": record(), "values": values}, indent=1, sort_keys=True)
+    text = json.dumps({"record": record(threads=name in THREADED), "values": values},
+                      indent=1, sort_keys=True)
     path.write_text(text + "\n", encoding="utf-8")
     return moved
 

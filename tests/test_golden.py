@@ -88,3 +88,10 @@ def test_regeneration_returns_the_paths_that_moved(tmp_path, monkeypatch):
     contract.FILES["x.json"] = lambda: {"a": "1.5", "b": {"d": "2"}}
     assert contract.regenerate("x.json") == ["/a: '1' != '1.5'", "/b/c: removed", "/b/d: added"]
     assert contract.load("x.json")["values"] == {"a": "1.5", "b": {"d": "2"}}
+
+
+def test_another_thread_count_never_compares_bit_for_bit():
+    here = contract.record(threads=True)
+    assert contract.bitwise(here) == (here["blas"]["config"] is not None)
+    other = dict(here, blas=dict(here["blas"], threads=(here["blas"]["threads"] or 0) + 1))
+    assert not contract.bitwise(other)
