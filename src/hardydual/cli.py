@@ -41,7 +41,7 @@ from .duality import CONVERSE_POWERS, UNITARY, PRINTED, apply_tau, dual_of, \
 from .errors import ConfigError, HardyDualError, SzegoViolation
 from .kernels import asymptotic_sweep, kernel_at_origin, largest_rise, order_tolerance, \
     sandwich_check
-from .spaces import SpaceData, analytic_hankel, assemble_gram, regularized
+from .spaces import SpaceData, regularized_grams
 from .tolerances import TOL_ORDER
 
 SCHEMA_VERSION = 1
@@ -433,32 +433,27 @@ def _study_convergence(config, base_space, shared_dual):
                      "final_deviation": float(trace.deviations[-1])})
         reports.append(rep)
 
-    # one Hankel Gram: the base and each rho/N row recombine it
-    gamma = analytic_hankel(base_space, config.degree)
-    k_tolerances = []
-
-    def k_regularized(**regularization):
-        gram = assemble_gram(regularized(base_space, **regularization), gamma)
+    # K(alpha), each K(rho) and each K(N), from the Grams of one Gamma
+    m = base_space.masses.count
+    rhos = sorted(config.rho_list)
+    cutoffs = sorted(config.cutoff_list or [m])
+    pairs = [(1.0, m)] + [(rho, m) for rho in rhos] + [(1.0, n) for n in cutoffs]
+    k, k_tolerances = {}, []
+    for pair, gram in regularized_grams(base_space, config.degree, pairs):
         k_tolerances.append(order_tolerance(gram))
-        return kernel_at_origin(gram).norm
-
-    k_base = k_regularized()
-
-    rho_rows = [{"rho": rho, "k_scaled": k_regularized(rho=rho)}
-                for rho in sorted(config.rho_list)]
-    cutoffs = sorted(config.cutoff_list or [base_space.masses.count])
-    cutoff_rows = [{"cutoff": n, "k_cutoff": k_regularized(mass_cutoff=n)}
-                   for n in cutoffs]
+        k[pair] = kernel_at_origin(gram).norm
+    rho_rows = [{"rho": rho, "k_scaled": k[rho, m]} for rho in rhos]
+    cutoff_rows = [{"cutoff": n, "k_cutoff": k[1.0, n]} for n in cutoffs]
     # K(rho) rises to K(alpha) as rho grows, and K(N) falls to it as N grows
-    rho_values = [r["k_scaled"] for r in rho_rows] + [k_base]
-    cut_values = [r["k_cutoff"] for r in cutoff_rows] + [k_base]
+    rho_values = [k[rho, m] for rho in rhos + [1.0]]
+    cut_values = [k[1.0, n] for n in cutoffs + [m]]
     # the record is the rule: the largest rise against the largest tolerance
     rise = largest_rise([rep.residual for rep in reports])
     tolerance = max(rep.tolerance for rep in reports)
     gates = [Gate("convergence.residual_monotone", rise, tolerance, bool(rise <= tolerance))]
     scalars = {"rho_sweep_monotone": bool(largest_rise(rho_values[::-1]) <= max(k_tolerances)),
                "cutoff_sweep_monotone": bool(largest_rise(cut_values) <= max(k_tolerances)),
-               "k_unregularized": k_base}
+               "k_unregularized": k[1.0, m]}
     return {"tables": {"convergence_refinement": rows,
                        "convergence_rho": rho_rows,
                        "convergence_cutoff": cutoff_rows},

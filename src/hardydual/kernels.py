@@ -4,8 +4,8 @@ For the Gram matrix G of the metric on z^0..z^M, a plain Hermitian array,
 the reproducing kernel at the origin solves G k = e_0, so k(0) = (G^{-1})_{00}
 = ||k||^2 and the normalized value is K(0) = sqrt((G^{-1})_{00}).  Every
 routine that needs several Grams of one data pair assembles one Gram and
-reads the others from it: shifts are principal windows, and regularizations
-recombine the one Hankel Gram Gamma it was assembled from (see
+reads the others from it: shifts are principal windows, and the Grams of
+its regularizations come from ``spaces.regularized_grams`` (see
 :func:`sandwich_check`, which builds each distinct variant once).  The
 asymptotic sweep and the orthonormal system read their windows' kernel
 vectors the same way (:func:`_window_runs`): runs of max(1, (degree + 1) // 4)
@@ -24,10 +24,9 @@ from .errors import NotPositiveDefinite, RejectBoundary
 from .spaces import (
     SpaceData,
     _roundoff,
-    analytic_hankel,
-    assemble_gram,
     build_gram_analytic,
     regularized,
+    regularized_grams,
     shifted,
 )
 from .tolerances import TOL_ORDER
@@ -309,28 +308,17 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]; 1 gives the degenerate equalities")
     base = shifted(space, n)
-    spaces = {"alpha": base,
-              "cutoff": regularized(base, mass_cutoff=cutoff),
-              "scaled": regularized(base, rho=rho),
-              "both": regularized(base, rho=rho, mass_cutoff=cutoff)}
-    # a Gram and a dual read only rho and the masses kept, so equal pairs
-    # give equal bits
-    pair = {label: (sp.rho, sp.masses.count) for label, sp in spaces.items()}
+    m = base.masses.count
+    # the (rho', N') of each variant: a Gram and a dual read only these, so
+    # equal pairs give equal bits
+    alpha, cut = (1.0, m), (1.0, min(cutoff, m))
+    scaled, both = (rho, m), (rho, min(cutoff, m))
 
-    gamma = analytic_hankel(base, degree)
-    grams = {}
-    for label, sp in spaces.items():
-        if pair[label] not in grams:
-            grams[pair[label]] = assemble_gram(sp, gamma)
-    del gamma
+    grams = dict(regularized_grams(base, degree, (alpha, cut, scaled, both)))
     tol = max(order_tolerance(gram) for gram in grams.values())
-    k = {key: kernel_at_origin(gram).norm for key, gram in grams.items()}
-    g_alpha, g_cut, g_rho = (grams[pair[label]] for label in ("alpha", "cutoff", "scaled"))
+    k = {pair: kernel_at_origin(gram).norm for pair, gram in grams.items()}
+    g_alpha, g_cut, g_rho = grams[alpha], grams[cut], grams[scaled]
     del grams
-    k_alpha, k_cut, k_rho, k_both = (k[pair[label]] for label in spaces)
-
-    margin_cutoff = k_cut - k_alpha
-    margin_scaled = k_alpha - k_rho
 
     # each difference overwrites the entries of the Gram other than alpha's
     psd_cut = _psd_margin(g_alpha, g_cut, out=g_cut)
@@ -339,31 +327,28 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     # the dual of each variant shifted up by one, kept as (T(0), dual space),
     # and the value at 0 of its outer factor: a shift leaves |R| alone and a
     # mass cutoff leaves R alone, so "cutoff" gives T_e(0), "scaled" T_e^rho(0)
-    labels = ("cutoff", "scaled", "both")
-    duals = {}
-    for label in labels:
-        if pair[label] not in duals:
-            duals[pair[label]] = _dual_parts(shifted(spaces[label], 1), convention)
+    duals = {pair: _dual_parts(shifted(regularized(base, *pair), 1), convention)
+             for pair in dict.fromkeys((cut, scaled, both))}
     # the primal Grams go only now: released before the duals, they would
     # lie at the top of the heap and be handed back to the system, and the
     # dual phase would fault their pages in again; released here, below the
     # dual spaces, they are reused by the dual Grams
     del g_alpha, g_cut, g_rho
-    te0_cut, te0_rho = (duals[pair[label]][1] for label in ("cutoff", "scaled"))
 
-    chain_upper = (te0_rho / te0_cut) * k_both - k_cut
+    chain_upper = (duals[scaled][1] / duals[cut][1]) * k[both] - k[cut]
 
     # the identity T(0) K^{alpha_{-1}}(0) K~(0) = 1 for each variant shifted
     # up by one; its shifted-down kernel is the variant's own kernel
     residual = {}
-    for key, ((t_at_zero, dual_space), _) in duals.items():
+    for pair, ((t_at_zero, dual_space), _) in duals.items():
         k_dual = kernel_at_origin(build_gram_analytic(dual_space, degree)).norm
-        residual[key] = abs(t_at_zero * k[key] * k_dual - 1.0)
+        residual[pair] = abs(t_at_zero * k[pair] * k_dual - 1.0)
 
     return SandwichReport(
-        k_alpha=k_alpha, k_cutoff=k_cut, k_scaled=k_rho, k_both=k_both,
-        margin_cutoff=margin_cutoff, margin_scaled=margin_scaled,
+        k_alpha=k[alpha], k_cutoff=k[cut], k_scaled=k[scaled], k_both=k[both],
+        margin_cutoff=k[cut] - k[alpha], margin_scaled=k[alpha] - k[scaled],
         psd_margin_cutoff=psd_cut, psd_margin_scaled=psd_rho,
         chain_upper_slack=chain_upper, tolerance=tol,
-        identity_residuals={label: residual[pair[label]] for label in labels},
+        identity_residuals={"cutoff": residual[cut], "scaled": residual[scaled],
+                            "both": residual[both]},
     )

@@ -17,8 +17,8 @@ principal window of one Gram over a longer exponent range.  A SpaceData
 keeps shift and rho lazy for that reason; a mass cutoff is a shorter MassSet
 (:func:`regularized`).  Symbol scaling by rho and mass truncation recombine
 the same Hankel Gram Gamma as I - rho^2 Gamma + (mass Gram of the masses):
-Gamma is a plain array from :func:`analytic_hankel`, held by the caller that
-recombines it, and every Gram is a plain Hermitian array of its entries.
+Gamma, from :func:`analytic_hankel`, is held only by :func:`regularized_grams`,
+and every Gram is a plain Hermitian array of its entries.
 
 Gamma is assembled by its displacement recurrence, except over a window of
 exact zeros (the zero symbol's), where Gamma is zero.  A Gram is certified
@@ -316,6 +316,15 @@ def assemble_gram(space: SpaceData, gamma: np.ndarray) -> np.ndarray:
     if masses.count:
         entries += _mass_gram(masses, exponents)
     return _finalize_gram(entries, masses.weights, floor)
+
+
+def regularized_grams(space: SpaceData, degree: int, pairs):
+    """Yield (pair, :func:`build_gram_analytic` of ``regularized(space, *pair)``)
+    for each distinct (rho', N') of ``pairs`` in order, one Gram at a time,
+    each recombining one Gamma of ``space`` (:func:`assemble_gram`)."""
+    gamma = analytic_hankel(space, degree)
+    for pair in dict.fromkeys(pairs):
+        yield pair, assemble_gram(regularized(space, *pair), gamma)
 
 
 def build_gram_analytic(space: SpaceData, degree: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from hardydual import (
     symbol_from_expression,
     zero_symbol,
 )
-from hardydual import kernels
+from hardydual import kernels, spaces
 from hardydual.corpus import BY_NAME, CASES, MIXED_NAMES, mass_single_trace
 from hardydual.kernels import AsymptoticTrace, SandwichReport, largest_rise
 from hardydual.spaces import analytic_hankel, assemble_gram
@@ -289,15 +289,17 @@ def test_psd_margin_of_a_difference_with_zero_rows(size, zeros, semidefinite, se
 
 def _double_the_kept_masses(monkeypatch):
     """Make sandwich_check's Gram(cutoff) carry its kept masses at twice
-    their weight, so that it is not below Gram(alpha) in PSD order."""
+    their weight, so that it is not below Gram(alpha) in PSD order.  The
+    stub replaces the regularization that ``spaces.regularized_grams``
+    assembles each primal Gram of; alpha keeps every mass."""
     def doubled(space, rho=1.0, mass_cutoff=None):
         out = regularized(space, rho=rho, mass_cutoff=mass_cutoff)
-        if mass_cutoff is None or rho != 1.0:
+        if mass_cutoff is None or mass_cutoff >= space.masses.count or rho != 1.0:
             return out
         kept = out.masses
         return replace(out, masses=MassSet(kept.points, 2.0 * kept.weights))
 
-    monkeypatch.setattr(kernels, "regularized", doubled)
+    monkeypatch.setattr(spaces, "regularized", doubled)
 
 
 def test_a_heavier_kept_mass_fails_the_cutoff_order(monkeypatch):
@@ -364,7 +366,7 @@ def test_a_heavier_kept_mass_still_fails_at_a_heavy_weight(monkeypatch):
 
 
 def _count_sandwich_calls(monkeypatch, space, cutoff):
-    counts = {"assemble_gram": 0, "eigvalsh": 0, "_dual_parts": 0}
+    counts = {"primal_grams": 0, "eigvalsh": 0, "_dual_parts": 0}
 
     def counted(name, call):
         def wrapper(*args, **kwargs):
@@ -372,7 +374,12 @@ def _count_sandwich_calls(monkeypatch, space, cutoff):
             return call(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(kernels, "assemble_gram", counted("assemble_gram", kernels.assemble_gram))
+    def primal_grams(*args):
+        for item in spaces.regularized_grams(*args):
+            counts["primal_grams"] += 1
+            yield item
+
+    monkeypatch.setattr(kernels, "regularized_grams", primal_grams)
     monkeypatch.setattr(kernels, "_dual_parts", counted("_dual_parts", kernels._dual_parts))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     report = sandwich_check(space, cutoff, 0.5, 0, 24)
@@ -383,17 +390,17 @@ def _count_sandwich_calls(monkeypatch, space, cutoff):
 def test_sandwich_keeping_every_mass_builds_two_variants(monkeypatch, mass_space):
     space = BY_NAME["mixed_rational"].space(1024)
     counts = _count_sandwich_calls(monkeypatch, space, space.masses.count)
-    assert counts["assemble_gram"] == 2 and counts["_dual_parts"] == 2
+    assert counts["primal_grams"] == 2 and counts["_dual_parts"] == 2
     assert counts["eigvalsh"] <= 1
     # the zero symbol: Gram(scaled) - Gram(alpha) is exactly zero
     counts = _count_sandwich_calls(monkeypatch, mass_space, 1)
-    assert counts == {"assemble_gram": 2, "eigvalsh": 0, "_dual_parts": 2}
+    assert counts == {"primal_grams": 2, "eigvalsh": 0, "_dual_parts": 2}
 
 
 def test_sandwich_dropping_a_mass_builds_four_variants(monkeypatch):
     space = BY_NAME["mixed_two_mass"].space(1024)
     counts = _count_sandwich_calls(monkeypatch, space, 1)
-    assert counts == {"assemble_gram": 4, "eigvalsh": 2, "_dual_parts": 3}
+    assert counts == {"primal_grams": 4, "eigvalsh": 2, "_dual_parts": 3}
 
 
 def test_monotonicity_of_inverse_under_psd_growth(grid512):

@@ -286,6 +286,21 @@ def test_shift_sweep_op_runs_a_recurrence_per_nonzero_window(name, recurrences):
     assert report.worst_margin >= -report.tolerance
 
 
+def test_regularized_grams_are_the_direct_grams_from_one_recurrence():
+    # each distinct (rho', N') of a shifted two-mass pair once, in order,
+    # repeats dropped, every Gram the direct build's bits, one Gamma for all
+    space = spaces.shifted(BY_NAME["mixed_two_mass"].space(1024), 2)
+    degree = 24
+    pairs = [(1.0, 2), (1.0, 1), (0.5, 2), (0.5, 1), (1.0, 2), (0.9, 0), (0.5, 1)]
+    with _counted_recurrences() as calls:
+        grams = list(spaces.regularized_grams(space, degree, pairs))
+    assert calls == [degree + 1]
+    assert [pair for pair, _ in grams] == list(dict.fromkeys(pairs))
+    for pair, gram in grams:
+        direct = build_gram_analytic(regularized(space, *pair), degree)
+        assert gram.tobytes() == direct.tobytes(), pair
+
+
 # --- PD check by Cholesky ---------------------------------------------------------
 
 def test_pd_threshold_unchanged():
