@@ -178,6 +178,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "symbol formula must be a nonempty string")
     _expect("path" not in symbol_spec or _is_path(symbol_spec["path"]),
             "symbol path must be a nonempty printable string")
+    _expect(not {"values", "path"} <= set(symbol_spec),
+            "a samples symbol takes 'values' or 'path', not both")
 
     mass_spec = raw.get("masses", [])
     _expect(isinstance(mass_spec, list), "masses must be a list")

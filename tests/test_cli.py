@@ -317,6 +317,20 @@ def test_symbol_inline_samples_and_overrides(tmp_path):
     assert abs(float(rows[0]["kernel_shifted"]) - 1.25) < 1e-10
 
 
+def test_samples_with_both_values_and_path_exit_2(tmp_path, capsys):
+    # neither source wins silently: inline 0.9 and a file of 0.3 are refused
+    sample_path = tmp_path / "symbol.json"
+    sample_path.write_text(json.dumps([[0.3, 0.0]] * 64))
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=64, degree=8, masses=[], N_list=[0],
+                  symbol={"kind": "samples", "values": [[0.9, 0.0]] * 64,
+                          "path": str(sample_path)})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: a samples symbol takes 'values' or 'path', not both\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_wrong_sample_count_exits_2(tmp_path):
     cfg = tmp_path / "c.json"
     _write_config(cfg, grid=512, symbol={"kind": "samples", "values": [[0.1, 0.0]] * 17},

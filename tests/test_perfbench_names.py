@@ -88,9 +88,10 @@ def test_workload_calls_bind_to_their_signatures():
     # and a positional argument spelled as a parameter's name lands on that
     # parameter.  A removed parameter shifts the arguments after it: were
     # sandwich_check's n removed, sandwich_check(space, 1, 0.5, 0, degree)
-    # would now fail to bind, one argument too many; with a parameter left
-    # after degree it would bind silently, 0 to degree, which the name
-    # check catches
+    # would still bind, since convention follows degree: 0 to degree and
+    # degree to convention, which the name check catches.  With no
+    # parameter left after degree it would fail to bind, one argument too
+    # many
     calls = [(node, chain) for node in ast.walk(_workloads())
              if isinstance(node, ast.Call) and (chain := _chain(node.func))]
     assert calls
