@@ -95,7 +95,7 @@ def _openblas_call(getter: str, restype):
                      f"openblas_{getter}64_", f"openblas_{getter}"):
             func = getattr(lib, name, None)
             if func is not None:
-                func.restype = restype
+                func.argtypes, func.restype = [], restype
                 return func()
     return None
 

@@ -290,8 +290,9 @@ def test_psd_margin_of_a_difference_with_zero_rows(size, zeros, semidefinite, se
 def _double_the_kept_masses(monkeypatch):
     """Make sandwich_check's Gram(cutoff) carry its kept masses at twice
     their weight, so that it is not below Gram(alpha) in PSD order.  The
-    stub replaces the regularization that ``spaces.regularized_grams``
-    assembles each primal Gram of; alpha keeps every mass."""
+    stub replaces ``spaces.regularized``, which ``spaces.regularized_grams``
+    calls for each primal Gram; alpha's cutoff is every mass, so only a
+    cutoff below the mass count is doubled."""
     def doubled(space, rho=1.0, mass_cutoff=None):
         out = regularized(space, rho=rho, mass_cutoff=mass_cutoff)
         if mass_cutoff is None or mass_cutoff >= space.masses.count or rho != 1.0:
