@@ -56,21 +56,21 @@ from .errors import (
 )
 from .kernels import (
     AsymptoticTrace,
-    KernelVector,
     OrthonormalSystem,
     SandwichReport,
     asymptotic_sweep,
     kernel_at_origin,
-    kernel_at_point,
     orthonormal_system,
     sandwich_check,
 )
 from .spaces import (
+    KernelVector,
     SpaceData,
     build_gram_analytic,
     build_gram_laurent,
     effective_data,
     embed_h2,
+    kernel_at_point,
     regularized,
     shifted,
 )

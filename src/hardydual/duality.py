@@ -20,7 +20,7 @@ The complement-mapping theorem (:func:`theorem_check`) does not go through
 columns are Laurent polynomials, for which P_-(R f1) splits exactly into a
 grid product and a short convolution (:class:`_LaurentProjection`), so the
 membership residuals of a column's tau image are one linear grid map of
-it, with factors built once per check.
+it, with factors built once per check.  Kernels come from ``spaces``.
 """
 
 from __future__ import annotations
@@ -45,13 +45,14 @@ from .circle import (
     symbol_from_samples,
 )
 from .errors import GridMismatch
-from .kernels import KernelVector, kernel_at_origin
 from .spaces import (
+    KernelVector,
     SpaceData,
     _roundoff,
     build_gram_analytic,
     build_gram_laurent,
     effective_data,
+    kernel_at_point,
     shifted,
 )
 
@@ -125,10 +126,17 @@ def build_dual(space: SpaceData, convention: str = UNITARY) -> DualData:
     if masses.count:
         outer_at_masses = outer.value_at(masses.points)
         inv_t_deriv = blaschke.derivative_at_zeros / outer_at_masses
-        if convention == UNITARY:
-            dual_weights = 1.0 / (masses.weights * np.abs(inv_t_deriv) ** 2)
-        else:
-            dual_weights = np.abs(inv_t_deriv) ** 2 / masses.weights
+        # |(1/T)'(zeta_k)|^2 may leave double range, and a weight with it
+        with np.errstate(all="ignore"):
+            if convention == UNITARY:
+                dual_weights = 1.0 / (masses.weights * np.abs(inv_t_deriv) ** 2)
+            else:
+                dual_weights = np.abs(inv_t_deriv) ** 2 / masses.weights
+        beyond = np.flatnonzero(~((dual_weights > 0) & (dual_weights < np.inf)))
+        if beyond.size:
+            k = beyond[0]
+            raise ValueError(f"the dual weight at mass point {masses.points[k]:.9g} is beyond "
+                             f"double range: |(1/T)'(zeta_k)| is {abs(inv_t_deriv[k]):.3e}")
         dual_masses = MassSet(np.conj(masses.points), dual_weights)
     else:
         outer_at_masses = inv_t_deriv = np.empty(0, dtype=complex)
@@ -644,10 +652,10 @@ def duality_identity(space: SpaceData, dual: DualData, degree: int) -> IdentityR
 
     # each Gram is released once its kernel and tolerance are read
     gram = build_gram_analytic(shifted(space, -1), degree)
-    kernel_down, tol_down = kernel_at_origin(gram), _roundoff(gram)
+    kernel_down, tol_down = kernel_at_point(gram, 0.0), _roundoff(gram)
     del gram
     gram = build_gram_analytic(dual.dual_space(), degree)
-    kernel_dual, tol_dual = kernel_at_origin(gram), _roundoff(gram)
+    kernel_dual, tol_dual = kernel_at_point(gram, 0.0), _roundoff(gram)
     del gram
 
     product = dual.T_at_zero * kernel_down.norm * kernel_dual.norm

@@ -2,15 +2,15 @@
 
 For the Gram matrix G of the metric on z^0..z^M, a plain Hermitian array,
 the reproducing kernel at the origin solves G k = e_0, so k(0) = (G^{-1})_{00}
-= ||k||^2 and the normalized value is K(0) = sqrt((G^{-1})_{00}).  Every
-routine that needs several Grams of one data pair assembles one Gram and
-reads the others from it: shifts are principal windows, and the Grams of
-its regularizations come from ``spaces.regularized_grams`` (see
-:func:`sandwich_check`, which builds each distinct variant once).  The
-asymptotic sweep and the orthonormal system read their windows' kernel
-vectors the same way (:func:`_window_runs`): runs of max(1, (degree + 1) // 4)
-windows, each run from one solve with the sub-Gram covering it
-(:func:`_covering_kernels`).
+= ||k||^2 and the normalized value is K(0) = sqrt((G^{-1})_{00})
+(``spaces.kernel_at_point``).  Every routine that needs several Grams of one
+data pair assembles one Gram and reads the others from it: shifts are
+principal windows, and the Grams of its regularizations come from
+``spaces.regularized_grams``; the sandwich's duals come from ``duality``, the
+layer below this one.  The asymptotic sweep and the orthonormal system read
+their windows' kernel vectors the same way (:func:`_window_runs`): runs of
+max(1, (degree + 1) // 4) windows, each run from one solve with the sub-Gram
+covering it (:func:`_covering_kernels`).
 """
 
 from __future__ import annotations
@@ -20,51 +20,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, RejectBoundary
+from .duality import UNITARY, dual_of
+from .errors import NotPositiveDefinite
 from .spaces import (
+    KernelVector,
     SpaceData,
     _roundoff,
     build_gram_analytic,
+    kernel_at_point,
     regularized,
     regularized_grams,
     shifted,
 )
 from .tolerances import TOL_ORDER
-
-
-@dataclass(frozen=True, eq=False)
-class KernelVector:
-    """Reproducing kernel of the truncated space at a disk point.
-
-    ``norm`` is the metric norm; the kernel value at its own base point
-    equals norm^2, so the normalized kernel K = k/||k|| has K(point) = norm.
-    """
-
-    coefficients: np.ndarray
-    norm: float
-
-    @property
-    def value_at_zero(self) -> complex:
-        return complex(self.coefficients[0])
-
-    def normalized(self) -> np.ndarray:
-        return self.coefficients / self.norm
-
-
-def kernel_at_point(gram: np.ndarray, point: complex) -> KernelVector:
-    """Solve G k = (conj(point)^m)_m, the evaluation functional at ``point``.
-
-    One LU solve with G: numpy has no triangular solve, so a Cholesky
-    factor would only add a factorization."""
-    point = complex(point)
-    if abs(point) >= 1.0:
-        raise RejectBoundary(f"evaluation point {point} not inside the open disk")
-    rhs = np.conj(point) ** np.arange(gram.shape[0])
-    coeffs = np.linalg.solve(gram, rhs)
-    norm_sq = np.vdot(coeffs, rhs)
-    if norm_sq.real <= 0:
-        raise NotPositiveDefinite("kernel norm came out nonpositive; Gram unusable")
-    return KernelVector(coeffs, float(np.sqrt(norm_sq.real)))
 
 
 def kernel_at_origin(gram: np.ndarray) -> KernelVector:
@@ -264,8 +232,6 @@ class SandwichReport:
 def _dual_parts(space: SpaceData, convention: str):
     """(T(0), dual space) and T_e(0) of the dual data of ``space`` in the
     pairing ``convention``; the rest of the dual data is released on return."""
-    from .duality import dual_of  # cycle: duality uses kernels
-
     dual = dual_of(space, convention)
     return (dual.T_at_zero, dual.dual_space()), dual.outer.value_at_zero
 
@@ -291,7 +257,7 @@ def _psd_margin(upper: np.ndarray, lower: np.ndarray, out: np.ndarray) -> float:
 
 
 def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
-                   degree: int, convention: str = "unitary") -> SandwichReport:
+                   degree: int, convention: str = UNITARY) -> SandwichReport:
     """The variants (rho', N') in {1, rho} x {m, min(N, m)} of the shifted
     pair; each distinct one is assembled, solved and dualized once.  With
     N >= m the cutoff is alpha itself and "both" is "scaled"; with rho = 1
@@ -303,7 +269,7 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     product of the dropped masses, gives it only for R = 0, since
     P_-(rho R b g) is not P_-(rho R g).  The variant duals, and so the
     identity residuals, take the dual-mass pairing ``convention``, as
-    ``duality.dual_of`` does (spelled out here: duality imports this module).
+    ``duality.dual_of`` does.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]; 1 gives the degenerate equalities")

@@ -31,7 +31,8 @@ Gram whose floor falls short of tol is checked by one Cholesky of G - tol I.
 Its windows inherit the check: by Cauchy interlacing a window's smallest
 eigenvalue is at least its Gram's, and a window's tol is at most its Gram's.
 Every factorization goes through numpy.linalg, so one LAPACK serves the
-whole process.
+whole process.  A point's kernel is one LU solve of a Gram against the
+evaluation functional, :func:`kernel_at_point`, which the layers above read.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .circle import CircleGrid, MassSet, SymbolData, chunked_sum
-from .errors import NotPositiveDefinite
+from .errors import NotPositiveDefinite, RejectBoundary
 from .tolerances import TOL_PSD
 
 
@@ -62,6 +63,8 @@ class SpaceData:
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
+        if self.shift < 0 and self.masses.has_origin:
+            raise ValueError("negative shift undefined for a mass at the origin")
 
     @property
     def grid(self) -> CircleGrid:
@@ -104,8 +107,6 @@ def effective_data(space: SpaceData) -> tuple[SymbolData, MassSet]:
 
     masses = space.masses
     if space.shift != 0 and masses.count:
-        if space.shift < 0 and masses.has_origin:
-            raise ValueError("negative shift undefined for a mass at the origin")
         weights = masses.weights * np.abs(masses.points) ** (2 * space.shift)
         if not np.all(weights > 0):
             raise ValueError(f"a mass weight nu |zeta|^{2 * space.shift} underflows to 0")
@@ -305,8 +306,6 @@ def assemble_gram(space: SpaceData, gamma: np.ndarray) -> np.ndarray:
     regularization of the same data pair.
     """
     masses = space.masses
-    if space.shift < 0 and masses.has_origin:
-        raise ValueError("negative shift undefined for a mass at the origin")
     order = gamma.shape[0]
     exponents = space.shift + np.arange(order)
     floor = _eig_floor(gamma, space.rho ** 2, _mass_rows(masses, exponents),
@@ -382,3 +381,36 @@ def embed_h2(space: SpaceData, degree: int, half_band: int) -> np.ndarray:
             out[2 * half_band + 1:, p] = masses.points ** p
     return out
 
+@dataclass(frozen=True, eq=False)
+class KernelVector:
+    """Reproducing kernel of the truncated space at a disk point.
+
+    ``norm`` is the metric norm; the kernel value at its own base point
+    equals norm^2, so the normalized kernel K = k/||k|| has K(point) = norm.
+    """
+
+    coefficients: np.ndarray
+    norm: float
+
+    @property
+    def value_at_zero(self) -> complex:
+        return complex(self.coefficients[0])
+
+    def normalized(self) -> np.ndarray:
+        return self.coefficients / self.norm
+
+
+def kernel_at_point(gram: np.ndarray, point: complex) -> KernelVector:
+    """Solve G k = (conj(point)^m)_m, the evaluation functional at ``point``.
+
+    One LU solve with G: numpy has no triangular solve, so a Cholesky
+    factor would only add a factorization."""
+    point = complex(point)
+    if abs(point) >= 1.0:
+        raise RejectBoundary(f"evaluation point {point} not inside the open disk")
+    rhs = np.conj(point) ** np.arange(gram.shape[0])
+    coeffs = np.linalg.solve(gram, rhs)
+    norm_sq = np.vdot(coeffs, rhs)
+    if norm_sq.real <= 0:
+        raise NotPositiveDefinite("kernel norm came out nonpositive; Gram unusable")
+    return KernelVector(coeffs, float(np.sqrt(norm_sq.real)))

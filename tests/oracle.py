@@ -168,6 +168,14 @@ def golden_angle_points(count):
     return radii * np.exp(1j * np.pi * (3 - np.sqrt(5)) * k)
 
 
+def sunflower_points(count):
+    """``count`` mass points zeta_k = 0.9 sqrt((k+1)/count) e^(2 pi i k phi),
+    phi = 0.6180339887498949: a separated family whose |B'(zeta_k)| falls
+    below double range as ``count`` grows."""
+    k = np.arange(count)
+    return 0.9 * np.sqrt((k + 1) / count) * np.exp(2j * np.pi * k * 0.6180339887498949)
+
+
 def blaschke_derivative_at_zeros(points):
     """B'(zeta_k) by the product rule, one factor at a time in Python complex
     arithmetic: the derivative -(|zeta_k|/zeta_k) / (1 - |zeta_k|^2) of the

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hardydual import NotPositiveDefinite, cli, kernels
 from hardydual.cli import STUDY_ORDER, main
 from hardydual.corpus import mass_single_trace
-from oracle import golden_angle_points
+from oracle import golden_angle_points, sunflower_points
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -553,6 +553,26 @@ def test_blaschke_family_runs_or_names_the_gram_scale(tmp_path, capsys, count, s
     assert err.endswith("sets that scale (a dual weight 1/(nu |(1/T)'(zeta_k)|^2) grows as "
                         "nu |(1/T)'(zeta_k)|^2 shrinks) (duality study)\n")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("count, cause", [
+    (512, "of the Gram's scale "),
+    (640, "the dual weight at mass point 0.0355756237+0j is beyond double range: "
+          "|(1/T)'(zeta_k)| is 2.125e-166 (duality study)\n"),
+], ids=["512", "640"])
+def test_dual_weight_beyond_double_range_exits_3(tmp_path, capsys, count, cause):
+    # a sunflower family at 4096/48: at 512 masses the dual weights reach
+    # 1.5e264 and the dual Gram's scale is blamed; at 640 |(1/T)'(zeta_0)|^2
+    # underflows, and the weight is refused at its point before any Gram
+    cfg = tmp_path / "c.json"
+    points = sunflower_points(count)
+    _write_config(cfg, grid=4096, degree=48, studies=["duality"],
+                  symbol={"kind": "expression", "formula": "0.3*conj(t)"},
+                  masses=[{"point": [z.real, z.imag], "weight": 1.0} for z in points])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data failure: ") and len(err.splitlines()) == 1, err
+    assert cause in err and "largest mass weight is" not in err
 
 
 def test_overflow_names_the_sandwich_study(tmp_path, capsys):

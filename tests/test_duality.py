@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,20 @@ def test_dual_rejects_degenerate_derivative():
     # their separation 1.33e-7 is below TOL_BLASCHKE, so the mass set refuses them
     with pytest.raises(DuplicatePoint, match="separation 1.33e-07"):
         MassSet(np.array([0.5, 0.5 + 1e-7]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("convention", [UNITARY, PRINTED])
+def test_dual_weight_beyond_double_range_names_its_point(convention):
+    # at 640 masses |(1/T)'(zeta_0)| is 2.1e-166, so its square underflows:
+    # the dual weight is refused at its point, in either pairing, with no
+    # numpy warning on the way
+    points = oracle.sunflower_points(640)
+    space = SpaceData(symbol_from_expression(CircleGrid(4096), "0.3*conj(t)"),
+                      MassSet(points, np.ones(points.size)))
+    with pytest.raises(ValueError, match=re.escape(
+            "the dual weight at mass point 0.0355756237+0j is beyond double range: "
+            "|(1/T)'(zeta_k)| is 2.125e-166")):
+        dual_of(space, convention)
 
 
 def test_dual_rejects_unknown_convention(mass_space):

@@ -29,6 +29,7 @@ from hardydual import (
     orthonormal_system,
     regularized,
     sandwich_check,
+    shifted,
     symbol_from_coefficients,
     symbol_from_expression,
     zero_symbol,
@@ -80,10 +81,20 @@ def test_effective_data_rho_scales_symbol(grid512):
 
 
 def test_negative_shift_rejects_origin_mass(grid512):
-    masses = MassSet(np.array([0.0]), np.array([1.0]))
-    space = SpaceData(zero_symbol(grid512), masses, shift=-1)
-    with pytest.raises(ValueError):
-        effective_data(space)
+    # the rule lives in SpaceData, so the shifted pair is refused when it is
+    # made, on every route that makes one
+    masses = MassSet(np.array([0.0, 0.5]), np.array([1.0, 2.0]))
+    space = SpaceData(zero_symbol(grid512), masses)
+    with pytest.raises(ValueError, match="negative shift undefined"):
+        SpaceData(zero_symbol(grid512), masses, shift=-1)
+    with pytest.raises(ValueError, match="negative shift undefined"):
+        shifted(space, -1)
+    with pytest.raises(ValueError, match="negative shift undefined"):
+        orthonormal_system(space, [-1, 0], 4)
+    # a shift >= 0 still builds, and so does a negative one off the origin
+    assert np.isfinite(kernel_at_origin(build_gram_analytic(shifted(space, 1), 4)).norm)
+    off_origin = SpaceData(zero_symbol(grid512), MassSet(np.array([0.5]), np.array([2.0])))
+    assert effective_data(shifted(off_origin, -1))[1].weights == pytest.approx([8.0])
 
 
 def test_mass_cutoff(grid512):
