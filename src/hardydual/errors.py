@@ -10,8 +10,8 @@ class SzegoViolation(HardyDualError):
 
 
 class NotPositiveDefinite(HardyDualError):
-    """A Gram matrix is unusable: it has no Cholesky factorization, or a
-    kernel norm solved from it came out nonpositive.
+    """A Gram matrix is unusable: its smallest eigenvalue lies below its
+    tolerance, or a kernel norm solved from it came out nonpositive.
 
     Usually means the symbol modulus is too close to 1 for the chosen
     truncation; scale the symbol (rho < 1) or refine the grid.

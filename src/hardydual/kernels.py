@@ -21,10 +21,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .duality import UNITARY, dual_of
-from .errors import NotPositiveDefinite
 from .spaces import (
     KernelVector,
     SpaceData,
+    _integer_shift,
+    _positive_norms,
     _roundoff,
     build_gram_analytic,
     kernel_at_point,
@@ -127,8 +128,7 @@ def _window_runs(entries: np.ndarray, starts: np.ndarray, size: int) -> np.ndarr
         kernels[i:stop] = _covering_kernels(entries[first:end, first:end],
                                             starts[i:stop] - first, size)
         i = stop
-    if np.any(kernels[:, 0].real <= 0):
-        raise NotPositiveDefinite("kernel norm came out nonpositive; Gram unusable")
+    _positive_norms(kernels[:, 0])
     return kernels
 
 
@@ -136,7 +136,7 @@ def orthonormal_system(space: SpaceData, shifts: Sequence[int],
                        degree: int) -> OrthonormalSystem:
     """e_n = z^n K^{alpha_n} for each shift n, from one Gram on
     z^(min n)..z^(max n + degree) (:func:`_window_runs`)."""
-    shifts = np.asarray(sorted(int(n) for n in shifts), dtype=int)
+    shifts = np.asarray(sorted(_integer_shift(n) for n in shifts), dtype=int)
     if shifts.size == 0:
         raise ValueError("need at least one shift")
     repeated = shifts[1:][shifts[1:] == shifts[:-1]]

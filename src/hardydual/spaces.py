@@ -26,13 +26,14 @@ positive definite by a Gershgorin floor on its smallest eigenvalue, which
 the contraction R makes 1 - rho^2 (Gamma's largest absolute row sum) less a
 rounding slack (:func:`_eig_floor`).  The check's threshold is the Gram's
 tolerance tol = max(TOL_PSD, order * eps * (largest diagonal entry))
-(:func:`_roundoff`, the one rule for every ordering a run judges); only a
-Gram whose floor falls short of tol is checked by one Cholesky of G - tol I.
-Its windows inherit the check: by Cauchy interlacing a window's smallest
-eigenvalue is at least its Gram's, and a window's tol is at most its Gram's.
-Every factorization goes through numpy.linalg, so one LAPACK serves the
-whole process.  A point's kernel is one LU solve of a Gram against the
-evaluation functional, :func:`kernel_at_point`, which the layers above read.
+(:func:`_roundoff`, the one rule for every ordering a run judges); a Gram
+whose floor falls short of tol is judged by one eigensolve, min eig >= tol.
+A Gram's windows inherit its check: by Cauchy interlacing a window's
+smallest eigenvalue is at least its Gram's, and a window's tol is at most
+its Gram's.  No Gram is factored by Cholesky; every solve goes through
+numpy.linalg, so one LAPACK serves the whole process.  A point's kernel is
+one LU solve of a Gram against the evaluation functional,
+:func:`kernel_at_point`, which the layers above read.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ import numpy as np
 from .circle import CircleGrid, MassSet, SymbolData, chunked_sum
 from .errors import NotPositiveDefinite, RejectBoundary
 from .tolerances import TOL_PSD
+
+
+def _integer_shift(shift) -> int:
+    """``shift`` as an int, refused unless it is an integer (Python or numpy)."""
+    if isinstance(shift, (int, np.integer)):
+        return int(shift)
+    raise ValueError(f"shift must be an integer, got {shift!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +69,7 @@ class SpaceData:
     rho: float = 1.0
 
     def __post_init__(self):
+        _integer_shift(self.shift)
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
         if self.shift < 0 and self.masses.has_origin:
@@ -210,33 +219,18 @@ def _finalize_gram(entries, weights=(), floor=-np.inf) -> np.ndarray:
 
     tol = :func:`_roundoff`: an eigenvalue below the Gram's own roundoff
     cannot be told from zero.  ``floor`` is a lower bound on the symmetrized
-    Gram's smallest eigenvalue that already counts the Cholesky's own
-    rounding (:func:`_eig_floor`).  A floor above tol
-    certifies the Gram; otherwise the check is a Cholesky of G - tol I.
-    Only a failed Cholesky runs the eigensolver, to report the minimum
-    eigenvalue; ``weights`` are the mass weights in the Gram, quoted when its
-    scale is the cause.
+    Gram's smallest eigenvalue (:func:`_eig_floor`).  A floor above tol
+    certifies the Gram; otherwise one eigensolve decides.  ``weights`` are
+    the mass weights in the Gram, quoted when its scale is the cause.
     """
     entries += entries.conj().T
     entries *= 0.5
     tol = _roundoff(entries)
     if floor > tol:
         return entries
-    # G - tol I in place: the saved diagonal goes back after the check
-    diag = np.diag_indices_from(entries)
-    diagonal = entries[diag]
-    entries[diag] -= tol
-    try:
-        np.linalg.cholesky(entries)
-    except np.linalg.LinAlgError:
-        passed = False
-    else:
-        passed = True
-    entries[diag] = diagonal
-    if not passed:
-        min_eig = float(np.linalg.eigvalsh(entries)[0])
-        if min_eig < tol:
-            raise NotPositiveDefinite(_pd_failure(entries, min_eig, tol, weights)) from None
+    min_eig = float(np.linalg.eigvalsh(entries)[0])
+    if min_eig < tol:
+        raise NotPositiveDefinite(_pd_failure(entries, min_eig, tol, weights))
     return entries
 
 
@@ -247,9 +241,8 @@ def _eig_floor(gamma, rho2: float, mass_rows: float, dim: int) -> float:
     The mass Gram V^H diag(nu) V is PSD, and by Gershgorin lambda_max(Gamma)
     is at most Gamma's largest absolute row sum.  The slack
     16 dim^2 eps (1 + rho2 rowsum + mass_rows) covers the rounding of the
-    mass Gram's product, of the assembly and of the symmetrization, and the
-    Cholesky's own completion threshold (about dim^2 eps times the largest
-    diagonal entry); ``mass_rows`` bounds the mass Gram's absolute row sums
+    mass Gram's product, of the assembly and of the symmetrization;
+    ``mass_rows`` bounds the mass Gram's absolute row sums
     (:func:`_mass_rows`).  An overflow gives a non-finite floor, which
     certifies nothing.
     """
@@ -400,17 +393,21 @@ class KernelVector:
         return self.coefficients / self.norm
 
 
+def _positive_norms(norms_sq) -> None:
+    """Refuse a Gram whose kernels' squared norms k(point) are not all positive."""
+    if np.any(np.real(norms_sq) <= 0):
+        raise NotPositiveDefinite("kernel norm came out nonpositive; Gram unusable")
+
+
 def kernel_at_point(gram: np.ndarray, point: complex) -> KernelVector:
     """Solve G k = (conj(point)^m)_m, the evaluation functional at ``point``.
 
-    One LU solve with G: numpy has no triangular solve, so a Cholesky
-    factor would only add a factorization."""
+    One LU solve with G, as numpy has no triangular solve."""
     point = complex(point)
     if abs(point) >= 1.0:
         raise RejectBoundary(f"evaluation point {point} not inside the open disk")
     rhs = np.conj(point) ** np.arange(gram.shape[0])
     coeffs = np.linalg.solve(gram, rhs)
     norm_sq = np.vdot(coeffs, rhs)
-    if norm_sq.real <= 0:
-        raise NotPositiveDefinite("kernel norm came out nonpositive; Gram unusable")
+    _positive_norms(norm_sq)
     return KernelVector(coeffs, float(np.sqrt(norm_sq.real)))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hardydual import (
     CircleGrid,
     MassSet,
+    NotPositiveDefinite,
     RejectBoundary,
     SpaceData,
     asymptotic_sweep,
@@ -95,6 +96,16 @@ def test_kernel_at_point_reproduces_monomial(mass_space):
     z_coeffs[1] = 1.0
     inner = np.vdot(kernel.coefficients, gram @ z_coeffs)
     assert abs(inner - 0.5) < 1e-10
+
+
+def test_point_kernels_and_window_runs_refuse_a_nonpositive_norm_alike():
+    # one rule for a kernel norm, on the single solve and on the window runs
+    gram = -np.eye(6, dtype=complex)
+    message = "^kernel norm came out nonpositive; Gram unusable$"
+    with pytest.raises(NotPositiveDefinite, match=message):
+        kernel_at_point(gram, 0.3)
+    with pytest.raises(NotPositiveDefinite, match=message):
+        kernels._window_runs(gram, np.arange(3), 4)
 
 
 def test_kernel_at_point_rejects_boundary(mass_space):

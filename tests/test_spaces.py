@@ -97,6 +97,33 @@ def test_negative_shift_rejects_origin_mass(grid512):
     assert effective_data(shifted(off_origin, -1))[1].weights == pytest.approx([8.0])
 
 
+def test_a_shift_that_is_not_an_integer_is_refused():
+    # SpaceData states the rule, so every route that makes a shifted pair,
+    # and orthonormal_system's shifts, refuse a float before numpy sees it
+    space = BY_NAME["mixed_rational"].space(1024)
+    refused = [
+        lambda: orthonormal_system(space, [0.5, 1.7], 8),
+        lambda: build_gram_analytic(shifted(space, 1.5), 8),
+        lambda: sandwich_check(space, 1, 0.5, 0.5, 8),
+        lambda: shifted(space, 1.0),
+        lambda: SpaceData(space.symbol, space.masses, shift=np.float64(2.0)),
+    ]
+    for build in refused:
+        with pytest.raises(ValueError, match=r"^shift must be an integer, got "):
+            build()
+
+
+def test_numpy_integer_shifts_build_the_int_shifts_bits():
+    space = BY_NAME["mixed_rational"].space(1024)
+    gram = build_gram_analytic(shifted(space, np.int64(2)), 8)
+    assert gram.tobytes() == build_gram_analytic(shifted(space, 2), 8).tobytes()
+    system = orthonormal_system(space, np.array([0, 2], dtype=np.int64), 8)
+    assert system.shifts.tolist() == [0, 2]
+    assert system.vectors.tobytes() == orthonormal_system(space, [0, 2], 8).vectors.tobytes()
+    with pytest.raises(ValueError, match=r"^shift must be an integer, got np\.float64\(0\.5\)$"):
+        orthonormal_system(space, np.array([0.5, 1.0]), 8)
+
+
 def test_mass_cutoff(grid512):
     masses = MassSet(np.array([0.5, 1 / 3]), np.array([3.0, 1.0]))
     space = regularized(SpaceData(zero_symbol(grid512), masses), mass_cutoff=1)
@@ -312,7 +339,7 @@ def test_regularized_grams_are_the_direct_grams_from_one_recurrence():
         assert gram.tobytes() == direct.tobytes(), pair
 
 
-# --- PD check by Cholesky ---------------------------------------------------------
+# --- PD check: the floor certifies, or one eigensolve decides -----------------------
 
 def test_pd_threshold_unchanged():
     with pytest.raises(NotPositiveDefinite, match="5.000e-13"):
@@ -378,20 +405,25 @@ def test_certified_gram_passes_the_cholesky_check(space, degree):
             assert np.linalg.eigvalsh(entries)[0] >= floor
 
 
-def test_certified_grams_skip_the_cholesky(tmp_path, monkeypatch):
-    callers = []
-    cholesky = np.linalg.cholesky
+def test_certified_grams_skip_the_eigensolve(tmp_path, monkeypatch):
+    eigensolves, factorizations = [], []
+    eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
 
-    def counted(a):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return cholesky(a)
+    def counted_eigvalsh(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_finalize_gram":
+            eigensolves.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
-    # every Gram of the README config is certified, and nothing else factors
+    def counted_cholesky(a, *args, **kwargs):
+        factorizations.append(sys._getframe(1).f_code.co_name)
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    # every Gram of the README config is certified, and nothing factors
     readme = REPO / "perfbench" / "readme_config.json"
     assert cli.main(["run", str(readme), "--out", str(tmp_path / "o")]) == 0
-    assert callers == []
-    callers.clear()
+    assert (eigensolves, factorizations) == ([], [])
     grid = CircleGrid(CERTIFICATE_GRID)
     # Gamma's row sums of this inner symbol reach 1.5 sup|R|^2: Gershgorin falls short
     near_one = symbol_from_expression(grid, "0.999999*conj((t-0.5)/(1-0.5*t))")
@@ -399,8 +431,70 @@ def test_certified_grams_skip_the_cholesky(tmp_path, monkeypatch):
     heavy = MassSet(np.array([0.5]), np.array([1e16]))
     with contextlib.suppress(NotPositiveDefinite):  # the roundoff of a 1e16 Gram decides
         build_gram_analytic(SpaceData(zero_symbol(grid), heavy), 16)
-    _finalize_gram(np.eye(2, dtype=complex))  # no floor: the Cholesky decides
-    assert callers == ["_finalize_gram"] * 3
+    _finalize_gram(np.eye(2, dtype=complex))  # no floor: the eigensolve decides
+    assert (eigensolves, factorizations) == ([17, 17, 2], [])
+
+
+def _rotated(eigenvalues, seed):
+    """Q diag(eigenvalues) Q^H for a seeded unitary Q."""
+    rng = np.random.default_rng(seed)
+    size = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.standard_normal((size, size))
+                        + 1j * rng.standard_normal((size, size)))
+    return (q * np.asarray(eigenvalues)) @ q.conj().T
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+def test_the_eigensolve_decides_at_the_tolerance(seed, side):
+    # with no floor, a Gram is judged by its smallest eigenvalue against
+    # tol = TOL_PSD alone; its norm, 1e-2, keeps eigvalsh's rounding near
+    # 1e-17, far inside the 1e-15 between lam_min and tol
+    lam_min = TOL_PSD * (1.0 + side * 1e-3)
+    eigenvalues = [1e-2, lam_min, 5e-3, 1e-3, 2e-3][: 3 + seed % 3]
+    entries = _rotated(eigenvalues, seed)
+    assert spaces._roundoff(entries) == TOL_PSD
+    if side > 0:
+        assert _finalize_gram(entries) is entries
+        assert np.linalg.eigvalsh(entries)[0] == pytest.approx(lam_min, rel=1e-4)
+    else:
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^Gram minimum eigenvalue 9\.990e-13 below tolerance 1e-12;"):
+            _finalize_gram(entries)
+
+
+def _judged(build, *args):
+    """The entries ``build`` passed to ``_finalize_gram``, symmetrized by it,
+    the eigenvalue floor it passed, and whether the Gram was accepted."""
+    calls = []
+    finalize = spaces._finalize_gram
+
+    def spy(entries, weights=(), floor=-np.inf):
+        calls.append((entries, floor))
+        return finalize(entries, weights, floor)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "_finalize_gram", spy)
+        try:
+            build(*args)
+        except NotPositiveDefinite:
+            return (*calls[0], False)
+    return (*calls[0], True)
+
+
+@given(metric_data(), st.integers(0, 16))
+@settings(deadline=None, max_examples=80)
+def test_a_gram_is_refused_only_when_floor_and_eigensolve_both_fall_short(space, degree):
+    for build in (build_gram_analytic, build_gram_laurent):
+        entries, floor, accepted = _judged(build, space, degree)
+        tol = spaces._roundoff(entries)
+        min_eig = np.linalg.eigvalsh(entries)[0]
+        event(f"{build.__name__}: "
+              f"{'certified' if floor > tol else 'accepted' if accepted else 'refused'}")
+        if accepted:
+            assert floor > tol or min_eig >= tol
+        else:
+            assert floor <= tol and min_eig < tol
 
 
 def _scale_line(roundoff: str, weight: float) -> str:
