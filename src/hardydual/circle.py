@@ -13,6 +13,10 @@ analytic frequencies (p >= 0) and the upper half antianalytic ones (p <= -1,
 including the shared +-size/2 bin).  The L^2 norm on the circle is the
 quadrature norm ``sqrt(mean |f(t_j)|^2)``, i.e. integration against
 normalized Lebesgue measure.
+
+Integers.  Every count and index the library takes is judged by one rule,
+:func:`_integer`: a Python or numpy integer, never a bool, within its caller's
+bounds, or else one ValueError, ``<name> must be an integer, got <repr>``.
 """
 
 from __future__ import annotations
@@ -39,16 +43,27 @@ _POWER_BLOCK = 128
 SUM_CHUNK = 8192
 
 
+def _integer(value, name: str, low=None, high=None) -> int:
+    """``value`` as an int if it is a Python or numpy integer, not a bool, in
+    low..high (``high`` only with ``low``); else one ValueError naming ``name``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+            and (low is None or value >= low) and (high is None or value <= high):
+        return int(value)
+    bounds = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+    raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CircleGrid:
-    """Equispaced nodes exp(2*pi*i*j/size), size a power of two."""
+    """Equispaced nodes exp(2*pi*i*j/size), size a power of two >= 8."""
 
     size: int
 
     def __post_init__(self):
-        n = self.size
-        if n < 8 or (n & (n - 1)) != 0:
+        n = _integer(self.size, "grid size", low=8)
+        if n & (n - 1):
             raise ValueError(f"grid size must be a power of two >= 8, got {n}")
+        object.__setattr__(self, "size", n)
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -190,13 +205,11 @@ def symbol_from_samples(grid: CircleGrid, values) -> SymbolData:
 
 
 def symbol_from_coefficients(grid: CircleGrid, entries: Mapping[int, complex]) -> SymbolData:
-    """Symbol from a sparse mapping {index p: coefficient r_p}."""
+    """Symbol from a sparse mapping {index p: coefficient r_p}, |p| < size/2."""
     coeffs = np.zeros(grid.size, dtype=complex)
     half = grid.size // 2
     for p, value in entries.items():
-        p = int(p)
-        if abs(p) >= half:
-            raise ValueError(f"coefficient index {p} outside resolvable band (+-{half - 1})")
+        p = _integer(p, "coefficient index", 1 - half, half - 1)
         coeffs[p % grid.size] = complex(value)
     return SymbolData(grid, grid.values(coeffs), coeffs)
 
@@ -337,8 +350,7 @@ class MassSet:
 
     def truncated(self, n: int) -> "MassSet":
         """Keep the first n masses (in the order supplied)."""
-        if not 0 <= n <= self.count:
-            raise ValueError(f"mass cutoff {n} outside 0..{self.count}")
+        n = _integer(n, "mass cutoff", 0, self.count)
         return MassSet(self.points[:n], self.weights[:n])
 
 

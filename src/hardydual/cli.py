@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circle import CircleGrid, MassSet, symbol_from_coefficients, \
+from .circle import CircleGrid, MassSet, _integer, symbol_from_coefficients, \
     symbol_from_expression, symbol_from_samples, validate_szego
 from .duality import CONVERSE_POWERS, UNITARY, PRINTED, apply_tau, dual_of, \
     duality_identity, l2_norm, canonical_vector, theorem_check, TauVector
@@ -115,8 +116,11 @@ def _expect(condition, message):
         raise ConfigError(message)
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+def _config_int(value, name, low=None, high=None):  # circle._integer's rule, as a config error
+    try:
+        return _integer(value, name, low, high)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _is_real(value):
@@ -150,15 +154,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     label = raw.get("label", "experiment")
     _expect(isinstance(label, str), "label must be a string")
-    seed = raw.get("seed", 20260809)
-    _expect(_is_int(seed) and seed >= 0, "seed must be a nonnegative integer")
+    seed = _config_int(raw.get("seed", 20260809), "seed", low=0)
 
-    grid = raw.get("grid", 4096)
-    _expect(_is_int(grid) and grid >= 8 and (grid & (grid - 1)) == 0,
-            f"grid must be a power of two >= 8, got {grid!r}")
-    degree = raw.get("degree", 48)
-    _expect(_is_int(degree) and 0 <= degree < grid // 2,
-            f"degree must lie in 0..{grid // 2 - 1}")
+    grid = _config_int(raw.get("grid", 4096), "grid", low=8)
+    _expect(grid & (grid - 1) == 0, f"grid must be a power of two >= 8, got {grid!r}")
+    degree = _config_int(raw.get("degree", 48), "degree", 0, grid // 2 - 1)
 
     symbol_spec = raw.get("symbol", {"kind": "coefficients", "entries": {}})
     _expect(isinstance(symbol_spec, dict) and "kind" in symbol_spec,
@@ -171,8 +171,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
                "samples": {"kind", "values", "path"}}[kind]
     _expect(set(symbol_spec) <= allowed,
             f"unknown symbol keys: {sorted(set(symbol_spec) - allowed)}")
-    _expect(isinstance(symbol_spec.get("entries", {}), dict),
-            "symbol entries must be an object")
+    entries = symbol_spec.get("entries", {})
+    _expect(isinstance(entries, dict), "symbol entries must be an object")
+    for key in entries:  # as str(int(key)) writes it: not "-01", "+1", " 1" or "1_0"
+        _expect(isinstance(key, str) and re.fullmatch("0|-?[1-9][0-9]*", key),
+                f"coefficient key {key!r} is not an integer in canonical decimal form")
     formula = symbol_spec.get("formula")
     _expect(kind != "expression" or (isinstance(formula, str) and formula != ""),
             "symbol formula must be a nonempty string")
@@ -189,8 +192,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _expect(_is_real(item["weight"]) and item["weight"] > 0,
                 "mass weights must be positive numbers")
 
-    n_max = raw.get("n_max", 16)
-    _expect(_is_int(n_max) and n_max >= 1, "n_max must be >= 1")
+    n_max = _config_int(raw.get("n_max", 16), "n_max", low=1)
 
     studies = raw.get("studies", ["duality"])
     _expect(isinstance(studies, list) and studies
@@ -211,9 +213,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "rho_list entries must lie strictly between 0 and 1")
     cutoff_list = raw.get("N_list")
     if cutoff_list is not None:
-        _expect(isinstance(cutoff_list, list) and cutoff_list
-                and all(_is_int(n) and n >= 0 for n in cutoff_list),
-                "N_list entries must be nonnegative integers")
+        _expect(isinstance(cutoff_list, list) and cutoff_list, "N_list must be a nonempty list")
+        cutoff_list = [_config_int(n, "N_list entry", low=0) for n in cutoff_list]
 
     convention = raw.get("convention", UNITARY)
     _expect(convention in (UNITARY, PRINTED),
@@ -228,21 +229,24 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "gate thresholds must be positive finite numbers")
     gates.update({k: float(v) for k, v in gate_raw.items()})
 
-    convergence = raw.get("convergence")
-    if "convergence" in studies:
+    convergence = raw.get("convergence")  # checked whenever given, run or not
+    if "convergence" in studies or "convergence" in raw:
         _expect(isinstance(convergence, dict)
                 and set(convergence) <= {"grids", "degrees"},
-                "convergence study needs an object with 'grids' and 'degrees'")
+                "convergence needs an object with 'grids' and 'degrees'")
         grids = convergence.get("grids", [])
         degrees = convergence.get("degrees", [])
         _expect(isinstance(grids, list) and isinstance(degrees, list)
                 and len(grids) >= 2 and len(degrees) == len(grids),
                 "convergence needs at least two (grid, degree) refinement levels")
         for g, d in zip(grids, degrees):
-            _expect(_is_int(g) and g >= 8 and (g & (g - 1)) == 0,
+            _expect(_config_int(g, "convergence grid", low=8) & (g - 1) == 0,
                     "convergence grids must be powers of two >= 8")
-            _expect(_is_int(d) and 0 <= d and d + n_max < g // 2,
+            _expect(_config_int(d, "convergence degree", low=0) + n_max < g // 2,
                     "convergence degrees plus n_max must fit the grid")
+        for (g0, d0), (g1, d1) in zip(zip(grids, degrees), zip(grids[1:], degrees[1:])):
+            _expect(g0 <= g1 and d0 <= d1 and (g0, d0) != (g1, d1),
+                    f"convergence level ({g1}, {d1}) does not refine ({g0}, {d0})")
         _expect(kind != "samples" or all(g == grid for g in grids),
                 f"a samples symbol fixes the grid: every convergence grid must equal grid {grid}")
 

@@ -35,6 +35,7 @@ from .circle import (
     MassSet,
     OuterData,
     SymbolData,
+    _integer,
     build_blaschke,
     build_outer,
     chunked_vecdot,
@@ -275,25 +276,22 @@ def apply_tau(vector: TauVector, dual: DualData) -> TauVector:
         f1~(conj t) = t (conj B / conj T_e) (f1 + conj(R) f2)(t)
         f2~(conj t) = t (1 / T_e) (R f1 + f2)(t)
 
-    with both grid factors cached on ``dual`` (``tau_multipliers``).
-    Mass part: f~(conj zeta_k) = -conj((1/T)'(zeta_k)) f(zeta_k) nu_k.  The
-    vector map itself is convention-independent; only the dual weights that
-    measure the image differ between the two pairing conventions.
+    the weighted pair (:func:`_weighted_pair`) times the grid factors cached
+    on ``dual`` (``tau_multipliers``).  Mass part: f~(conj zeta_k) =
+    -conj((1/T)'(zeta_k)) f(zeta_k) nu_k.  The vector map itself is
+    convention-independent; only the dual weights that measure the image
+    differ between the two pairing conventions.
     """
     grid = dual.symbol.grid
-    f1 = grid.check(vector.f1)
-    f2 = grid.check(vector.f2)
+    grid.check(vector.f1)
+    grid.check(vector.f2)
     _check_mass_block(vector, dual.masses,
                       "mass value block does not match the primal mass set")
-    work = np.conj(dual.symbol.values) * f2
-    work += f1
-    work *= dual.tau_multipliers[0]
-    image_f1 = grid.conjugate_reindex(work)
-    work = dual.symbol.values * f1
-    work += f2
-    work *= dual.tau_multipliers[1]
+    a, b = _weighted_pair(vector, dual.symbol.values)
+    a *= dual.tau_multipliers[0]
+    b *= dual.tau_multipliers[1]
     mass_tau = -np.conj(dual.inv_T_deriv) * vector.mass_values * dual.masses.weights
-    return TauVector(image_f1, grid.conjugate_reindex(work), mass_tau)
+    return TauVector(grid.conjugate_reindex(a), grid.conjugate_reindex(b), mass_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +481,7 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int) -> TheoremRepor
         raise ValueError(f"the theorem check needs grid/2 > {CONVERSE_POWERS}")
     # two calls, so that the Laurent Gram, the complement and the forward
     # buffers are gone before the converse stack
-    fwd_hardy, fwd_mass, dimension = _forward_residuals(space, dual, degree)
+    fwd_hardy, fwd_mass, dimension = _forward_residuals(space, dual, _integer(degree, "degree", 0))
     converse = _converse_orthogonality(dual)
     return TheoremReport(fwd_hardy, fwd_mass, converse, dimension)
 

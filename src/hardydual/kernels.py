@@ -20,11 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .circle import _integer
 from .duality import UNITARY, dual_of
 from .spaces import (
     KernelVector,
     SpaceData,
-    _integer_shift,
     _positive_norms,
     _roundoff,
     build_gram_analytic,
@@ -136,13 +136,13 @@ def orthonormal_system(space: SpaceData, shifts: Sequence[int],
                        degree: int) -> OrthonormalSystem:
     """e_n = z^n K^{alpha_n} for each shift n, from one Gram on
     z^(min n)..z^(max n + degree) (:func:`_window_runs`)."""
-    shifts = np.asarray(sorted(_integer_shift(n) for n in shifts), dtype=int)
+    shifts = np.asarray(sorted(_integer(n, "shift") for n in shifts), dtype=int)
     if shifts.size == 0:
         raise ValueError("need at least one shift")
     repeated = shifts[1:][shifts[1:] == shifts[:-1]]
     if repeated.size:
         raise ValueError(f"shift {int(repeated[0])} is repeated; each e_n is one vector")
-    n_min, n_max = int(shifts[0]), int(shifts[-1])
+    n_min, n_max, degree = int(shifts[0]), int(shifts[-1]), _integer(degree, "degree", 0)
 
     gram = build_gram_analytic(shifted(space, n_min), degree + n_max - n_min)
     kernels = _window_runs(gram, shifts - n_min, degree + 1)
@@ -187,9 +187,8 @@ def asymptotic_sweep(space: SpaceData, n_max: int, degree: int) -> AsymptoticTra
     """K^{alpha_n}(0) for n = 0..n_max from one Gram on z^0..z^{degree + n_max},
     read from its windows in runs of max(1, (degree + 1) // 4) shifts
     (:func:`_window_runs`)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    gram = build_gram_analytic(space, degree + n_max)
+    n_max = _integer(n_max, "n_max", low=1)
+    gram = build_gram_analytic(space, _integer(degree, "degree", low=0) + n_max)
     kernels = _window_runs(gram, np.arange(n_max + 1), degree + 1)
     return AsymptoticTrace(np.arange(n_max + 1), np.sqrt(kernels[:, 0].real), _roundoff(gram))
 
@@ -277,7 +276,7 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     m = base.masses.count
     # the (rho', N') of each variant: a Gram and a dual read only these, so
     # equal pairs give equal bits
-    alpha, cut = (1.0, m), (1.0, min(cutoff, m))
+    alpha, cut = (1.0, m), (1.0, min(_integer(cutoff, "mass cutoff", low=0), m))
     scaled, both = (rho, m), (rho, min(cutoff, m))
 
     grams = dict(regularized_grams(base, degree, (alpha, cut, scaled, both)))

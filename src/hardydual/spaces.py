@@ -15,10 +15,12 @@ A shift alpha_n (symbol times t^n, weights times |zeta|^{2n}) only moves
 exponents: its Gram on z^0..z^M is the unshifted metric on z^n..z^{n+M}, a
 principal window of one Gram over a longer exponent range.  A SpaceData
 keeps shift and rho lazy for that reason; a mass cutoff is a shorter MassSet
-(:func:`regularized`).  Symbol scaling by rho and mass truncation recombine
-the same Hankel Gram Gamma as I - rho^2 Gamma + (mass Gram of the masses):
-Gamma, from :func:`analytic_hankel`, is held only by :func:`regularized_grams`,
-and every Gram is a plain Hermitian array of its entries.
+(:func:`regularized`).  A shift, degree, band, truncation or cutoff is an
+integer by ``circle._integer``, judged where a function here takes it.
+Symbol scaling by rho and mass truncation recombine the same Hankel Gram
+Gamma as I - rho^2 Gamma + (mass Gram of the masses): Gamma, from
+:func:`analytic_hankel`, is held only by :func:`regularized_grams`, and
+every Gram is a plain Hermitian array of its entries.
 
 Gamma is assembled by its displacement recurrence, except over a window of
 exact zeros (the zero symbol's), where Gamma is zero.  A Gram is certified
@@ -43,16 +45,9 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import CircleGrid, MassSet, SymbolData, chunked_sum
+from .circle import CircleGrid, MassSet, SymbolData, _integer, chunked_sum
 from .errors import NotPositiveDefinite, RejectBoundary
 from .tolerances import TOL_PSD
-
-
-def _integer_shift(shift) -> int:
-    """``shift`` as an int, refused unless it is an integer (Python or numpy)."""
-    if isinstance(shift, (int, np.integer)):
-        return int(shift)
-    raise ValueError(f"shift must be an integer, got {shift!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +64,7 @@ class SpaceData:
     rho: float = 1.0
 
     def __post_init__(self):
-        _integer_shift(self.shift)
+        _integer(self.shift, "shift")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
         if self.shift < 0 and self.masses.has_origin:
@@ -81,7 +76,7 @@ class SpaceData:
 
 
 def shifted(space: SpaceData, dn: int) -> SpaceData:
-    return replace(space, shift=space.shift + dn)
+    return replace(space, shift=space.shift + _integer(dn, "shift"))
 
 
 def regularized(space: SpaceData, rho: float = 1.0,
@@ -91,7 +86,8 @@ def regularized(space: SpaceData, rho: float = 1.0,
     if rho != 1.0:
         out = replace(out, rho=out.rho * rho)
     if mass_cutoff is not None:
-        out = replace(out, masses=out.masses.truncated(min(mass_cutoff, out.masses.count)))
+        cutoff = min(_integer(mass_cutoff, "mass cutoff", low=0), out.masses.count)
+        out = replace(out, masses=out.masses.truncated(cutoff))
     return out
 
 
@@ -166,20 +162,14 @@ def hankel_block(symbol: SymbolData, exponents, truncation: int) -> np.ndarray:
     zero, Gamma is zero, with neither the first row's correlation nor the
     recurrence run.
     """
-    exponents = np.asarray(exponents, dtype=int)
     n = symbol.grid.size
+    first = _integer(exponents[0], "Hankel exponent")
+    exponents = np.asarray(exponents)
     order = exponents.size
-    first = int(exponents[0])
     if not np.array_equal(exponents, np.arange(first, first + order)):
         raise ValueError("Hankel exponents must be consecutive and increasing")
-    if truncation < 1:
-        raise ValueError(f"Hankel truncation must be >= 1, got {truncation}")
     top = first + order - 1
-    if truncation + top > n // 2:
-        raise ValueError(
-            f"Hankel truncation {truncation} exceeds the resolvable band for "
-            f"degree {top} on a size-{n} grid"
-        )
+    truncation = _integer(truncation, "Hankel truncation", 1, n // 2 - top)
     # a[k - 1] = a_k for k = 1..size/2 - first, i.e. r_{-first-1} down to r_{-size/2}
     a = symbol.coeffs[-(first + 1 + np.arange(n // 2 - first)) % n]
     if not a[:truncation + order - 1].any():
@@ -194,9 +184,7 @@ def analytic_hankel(space: SpaceData, degree: int) -> np.ndarray:
     row wraps.  It serves :func:`assemble_gram` for every rho and mass
     cutoff of ``space``.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    top = space.shift + degree
+    top = space.shift + _integer(degree, "degree", low=0)
     return hankel_block(space.symbol, np.arange(space.shift, top + 1),
                         space.grid.size // 2 - top)
 
@@ -338,8 +326,7 @@ def build_gram_laurent(space: SpaceData, half_band: int) -> np.ndarray:
     polynomial), with J = size/2 - M; the mass block is diag(nu) with zero
     coupling.
     """
-    if half_band < 0:
-        raise ValueError("half_band must be >= 0")
+    _integer(half_band, "half_band", low=0)
     symbol, masses = effective_data(space)
     exponents = np.arange(-half_band, half_band + 1)
     # Gamma is made before the entries: in the other order, glibc's heap
@@ -363,8 +350,8 @@ def embed_h2(space: SpaceData, degree: int, half_band: int) -> np.ndarray:
     z^p maps to the unit Laurent coefficient at exponent p together with its
     values zeta_k^p at the mass points.
     """
-    if degree > half_band:
-        raise ValueError("embedding degree must not exceed the Laurent half band")
+    half_band = _integer(half_band, "half_band", low=0)
+    degree = _integer(degree, "degree", 0, half_band)
     _, masses = effective_data(space)
     rows = 2 * half_band + 1 + masses.count
     out = np.zeros((rows, degree + 1), dtype=complex)
@@ -404,7 +391,7 @@ def kernel_at_point(gram: np.ndarray, point: complex) -> KernelVector:
 
     One LU solve with G, as numpy has no triangular solve."""
     point = complex(point)
-    if abs(point) >= 1.0:
+    if not abs(point) < 1.0:  # NaN fails too
         raise RejectBoundary(f"evaluation point {point} not inside the open disk")
     rhs = np.conj(point) ** np.arange(gram.shape[0])
     coeffs = np.linalg.solve(gram, rhs)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -868,6 +869,87 @@ def test_samples_symbol_with_a_coarser_convergence_grid_exits_2(tmp_path, capsys
     raw["grid"] = 128
     cfg.write_text(json.dumps(raw))
     assert main(["run", str(cfg), "--grid", "256", "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("convergence, message", [
+    (5, "convergence needs an object with 'grids' and 'degrees'"),
+    (None, "convergence needs an object with 'grids' and 'degrees'"),
+    ({"grids": [1024, 512], "degrees": [8, 8]},
+     "convergence level (512, 8) does not refine (1024, 8)"),
+    ({"grids": [4096, 2048, 1024], "degrees": [48, 36, 24]},
+     "convergence level (2048, 36) does not refine (4096, 48)"),
+    ({"grids": [512, 1024], "degrees": [24, 16]},
+     "convergence level (1024, 16) does not refine (512, 24)"),
+    ({"grids": [512, 512], "degrees": [16, 16]},
+     "convergence level (512, 16) does not refine (512, 16)"),
+    ({"grids": [512, 1024.0], "degrees": [16, 24]},
+     "convergence grid must be an integer >= 8, got 1024.0"),
+    ({"grids": [512, 1024], "degrees": [16, True]},
+     "convergence degree must be an integer >= 0, got True"),
+], ids=["int", "null", "coarser-grid", "coarsening", "lower-degree", "equal", "float-grid",
+        "bool-degree"])
+def test_a_convergence_block_is_checked_whenever_given(tmp_path, capsys, convergence, message):
+    # without the convergence study too; a ladder must refine level by level
+    cfg = tmp_path / "c.json"
+    raw = _write_config(cfg, studies=["asymptotics"], n_max=8, convergence=convergence)
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        cli.parse_config(raw)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_refining_ladder_that_holds_one_axis_runs(tmp_path):
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, studies=["convergence"], n_max=8,
+                  convergence={"grids": [512, 512, 1024], "degrees": [16, 24, 24]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("entries, key", [
+    ({"+1": 0.3}, "+1"),
+    ({" -1 ": 0.3}, " -1 "),
+    ({"-1_0": 0.3}, "-1_0"),
+    ({"-１": 0.3}, "-１"),
+    ({"-0": 0.3}, "-0"),
+    ({"-1": 0.3, "-01": 0.1}, "-01"),
+], ids=["plus", "spaces", "underscore", "fullwidth", "minus-zero", "collision"])
+def test_a_coefficient_key_not_in_canonical_decimal_form_exits_2(tmp_path, capsys,
+                                                                entries, key):
+    # each of these once ran, read by int(); the collision ran with r_{-1} = 0.1
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, symbol={"kind": "coefficients", "entries": entries})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: coefficient key {key!r} is not an "
+                                       "integer in canonical decimal form\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"grid": 1024.0}, "grid must be an integer >= 8, got 1024.0"),
+    ({"grid": 1000}, "grid must be a power of two >= 8, got 1000"),
+    ({"degree": 512}, "degree must be an integer in 0..511, got 512"),
+    ({"n_max": 0}, "n_max must be an integer >= 1, got 0"),
+    ({"N_list": [1, -1]}, "N_list entry must be an integer >= 0, got -1"),
+    ({"N_list": []}, "N_list must be a nonempty list"),
+], ids=["seed-bool", "grid-float", "grid-1000", "degree-high", "n_max-0", "cutoff-negative",
+        "cutoff-empty"])
+def test_config_integers_take_the_library_rule(tmp_path, capsys, overrides, message):
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, **overrides)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_canonical_coefficient_keys_build_their_symbol(tmp_path):
+    cfg = tmp_path / "c.json"
+    raw = _write_config(cfg, symbol={"kind": "coefficients",
+                                     "entries": {"-1": 0.3, "0": 0.1, "2": [0.0, 0.05]}})
+    symbol = cli.build_space(cli.parse_config(raw)).symbol
+    grid = symbol.grid.size
+    assert symbol.coeffs[[grid - 1, 0, 2]].tolist() == [0.3, 0.1, 0.05j]
+    assert np.count_nonzero(symbol.coeffs) == 3
 
 
 def test_readme_config_never_imports_numpy_random(tmp_path):

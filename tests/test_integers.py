@@ -1,0 +1,119 @@
+"""One integer rule: every count and index the library takes is judged by
+``circle._integer``.
+
+Each public count is listed once, as (name, call, bounds): ``call`` takes
+the count and hands it to the library, and ``bounds`` is (low, high), either
+of them None.  A float, a bool, a numpy float with an integer value and an
+int out of bounds each raise one ValueError that names the count.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from hardydual import (
+    CircleGrid,
+    SpaceData,
+    asymptotic_sweep,
+    build_gram_analytic,
+    build_gram_laurent,
+    dual_of,
+    duality_identity,
+    embed_h2,
+    orthonormal_system,
+    regularized,
+    sandwich_check,
+    shifted,
+    symbol_from_coefficients,
+    theorem_check,
+)
+from hardydual.corpus import BY_NAME
+from hardydual.spaces import analytic_hankel, hankel_block, kernel_at_point
+from hardydual.errors import RejectBoundary
+
+GRID = 256
+SPACE = BY_NAME["mixed_rational"].space(GRID)
+DUAL = dual_of(SPACE)
+
+COUNTS = [
+    ("grid size", lambda v: CircleGrid(v), (8, None)),
+    ("coefficient index", lambda v: symbol_from_coefficients(SPACE.grid, {v: 0.1}),
+     (1 - GRID // 2, GRID // 2 - 1)),
+    ("mass cutoff", lambda v: SPACE.masses.truncated(v), (0, SPACE.masses.count)),
+    ("mass cutoff", lambda v: regularized(SPACE, mass_cutoff=v), (0, None)),
+    ("mass cutoff", lambda v: sandwich_check(SPACE, v, 0.5, 0, 4), (0, None)),
+    ("shift", lambda v: SpaceData(SPACE.symbol, SPACE.masses, shift=v), (None, None)),
+    ("shift", lambda v: shifted(SPACE, v), (None, None)),
+    ("shift", lambda v: orthonormal_system(SPACE, [v], 4), (None, None)),
+    ("shift", lambda v: sandwich_check(SPACE, 1, 0.5, v, 4), (None, None)),
+    ("Hankel exponent", lambda v: hankel_block(SPACE.symbol, [v, v + 1], 8), (None, None)),
+    ("Hankel truncation", lambda v: hankel_block(SPACE.symbol, np.arange(3), v),
+     (1, GRID // 2 - 2)),
+    ("degree", lambda v: analytic_hankel(SPACE, v), (0, None)),
+    ("degree", lambda v: build_gram_analytic(SPACE, v), (0, None)),
+    ("degree", lambda v: asymptotic_sweep(SPACE, 4, v), (0, None)),
+    ("degree", lambda v: orthonormal_system(SPACE, [0, 1], v), (0, None)),
+    ("degree", lambda v: theorem_check(SPACE, DUAL, v), (0, None)),
+    ("degree", lambda v: duality_identity(SPACE, DUAL, v), (0, None)),
+    ("degree", lambda v: sandwich_check(SPACE, 1, 0.5, 0, v), (0, None)),
+    ("degree", lambda v: embed_h2(SPACE, v, 8), (0, 8)),
+    ("n_max", lambda v: asymptotic_sweep(SPACE, v, 4), (1, None)),
+    ("half_band", lambda v: build_gram_laurent(SPACE, v), (0, None)),
+    ("half_band", lambda v: embed_h2(SPACE, 0, v), (0, None)),
+]
+
+
+def _refused(low, high):
+    """The values every count refuses: not integers, or out of its bounds."""
+    values = [1.5, True, np.float64(2.0)]
+    values += [low - 1] if low is not None else []
+    values += [high + 1] if high is not None else []
+    return values
+
+
+def _bounds_text(low, high):
+    if low is None:
+        return ""
+    return f" >= {low}" if high is None else f" in {low}..{high}"
+
+
+@pytest.mark.parametrize("name, call, bounds", COUNTS,
+                         ids=[f"{i}-{name}" for i, (name, _, _) in enumerate(COUNTS)])
+def test_every_count_refuses_what_is_not_an_integer_in_bounds(name, call, bounds):
+    for value in _refused(*bounds):
+        message = f"{name} must be an integer{_bounds_text(*bounds)}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+@pytest.mark.parametrize("case", ["mixed_rational", "mass_single"])
+def test_numpy_integer_counts_build_the_int_counts_bits(case):
+    def run(count):
+        space = BY_NAME[case].space(count(512))
+        dual = dual_of(space)
+        return [
+            asymptotic_sweep(space, count(6), count(16)).values,
+            orthonormal_system(space, [count(0), count(2)], count(16)).vectors,
+            build_gram_laurent(space, count(8)),
+            regularized(shifted(space, count(1)), mass_cutoff=count(1)).masses.weights,
+            hankel_block(space.symbol, np.arange(count(2), count(6)), count(40)),
+            theorem_check(space, dual, count(8)).forward_hardy_residual,
+            duality_identity(space, dual, count(16)).residual,
+            sandwich_check(space, count(1), 0.5, count(1), count(16)).k_both,
+        ]
+
+    for plain, numpy_count in zip(run(int), run(np.int64)):
+        assert np.asarray(plain).tobytes() == np.asarray(numpy_count).tobytes()
+
+
+def test_numpy_grid_size_is_stored_as_an_int():
+    grid = CircleGrid(np.int64(64))
+    assert type(grid.size) is int and grid == CircleGrid(64)
+
+
+@pytest.mark.parametrize("point", [float("nan"), complex(0.0, float("nan")), 1.0, 2.0j])
+def test_kernel_at_a_nan_or_boundary_point_is_refused(point):
+    gram = build_gram_analytic(SPACE, 4)
+    with pytest.raises(RejectBoundary, match="not inside the open disk"):
+        kernel_at_point(gram, point)
