@@ -17,6 +17,7 @@ normalized Lebesgue measure.
 Integers.  Every count and index the library takes is judged by one rule,
 :func:`_integer`: a Python or numpy integer, never a bool, within its caller's
 bounds, or else one ValueError, ``<name> must be an integer, got <repr>``.
+The grid's limits are two judges on it: :func:`_grid_size` and :func:`_band_top`.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ def _integer(value, name: str, low=None, high=None) -> int:
     raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
+def _grid_size(value, name: str) -> int:
+    """``value`` as an int if it is a power of two >= 8, else one ValueError."""
+    n = _integer(value, name, low=8)
+    if n & (n - 1):
+        raise ValueError(f"{name} must be a power of two >= 8, got {n}")
+    return n
+
+
+def _band_top(value, name: str, size: int, low=0) -> int:
+    """``value`` as an int if it is in low..size // 2 - 1, the top exponents a
+    ``size``-point grid resolves (J = size/2 - top >= 1), by :func:`_integer`."""
+    return _integer(value, name, low, size // 2 - 1)
+
+
 @dataclass(frozen=True)
 class CircleGrid:
     """Equispaced nodes exp(2*pi*i*j/size), size a power of two >= 8."""
@@ -60,10 +75,7 @@ class CircleGrid:
     size: int
 
     def __post_init__(self):
-        n = _integer(self.size, "grid size", low=8)
-        if n & (n - 1):
-            raise ValueError(f"grid size must be a power of two >= 8, got {n}")
-        object.__setattr__(self, "size", n)
+        object.__setattr__(self, "size", _grid_size(self.size, "grid size"))
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -138,7 +150,7 @@ def power_table(z, count: int) -> np.ndarray:
     0 <= i < b, each level by running products.  A caller that evaluates
     many series at the same points builds the table once.
     """
-    block = min(_POWER_BLOCK, max(count, 1))
+    block = min(_POWER_BLOCK, max(_integer(count, "power count", low=0), 1))
     rows = -(-max(count, 1) // block)
     flat = np.asarray(z, dtype=complex).reshape(-1, 1)
     inner = _running_powers(flat, block)  # z**i

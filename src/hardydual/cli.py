@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circle import CircleGrid, MassSet, _integer, symbol_from_coefficients, \
-    symbol_from_expression, symbol_from_samples, validate_szego
+from .circle import CircleGrid, MassSet, _band_top, _grid_size, _integer, \
+    symbol_from_coefficients, symbol_from_expression, symbol_from_samples, validate_szego
 from .duality import CONVERSE_POWERS, UNITARY, PRINTED, apply_tau, dual_of, \
     duality_identity, l2_norm, canonical_vector, theorem_check, TauVector
 from .errors import ConfigError, HardyDualError, SzegoViolation
@@ -116,9 +116,9 @@ def _expect(condition, message):
         raise ConfigError(message)
 
 
-def _config_int(value, name, low=None, high=None):  # circle._integer's rule, as a config error
+def _config_int(judge, *args, **bounds):  # a circle judge's ValueError, as a config error
     try:
-        return _integer(value, name, low, high)
+        return judge(*args, **bounds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -154,11 +154,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     label = raw.get("label", "experiment")
     _expect(isinstance(label, str), "label must be a string")
-    seed = _config_int(raw.get("seed", 20260809), "seed", low=0)
+    seed = _config_int(_integer, raw.get("seed", 20260809), "seed", low=0)
 
-    grid = _config_int(raw.get("grid", 4096), "grid", low=8)
-    _expect(grid & (grid - 1) == 0, f"grid must be a power of two >= 8, got {grid!r}")
-    degree = _config_int(raw.get("degree", 48), "degree", 0, grid // 2 - 1)
+    grid = _config_int(_grid_size, raw.get("grid", 4096), "grid")
+    degree = _config_int(_band_top, raw.get("degree", 48), "degree", grid)
 
     symbol_spec = raw.get("symbol", {"kind": "coefficients", "entries": {}})
     _expect(isinstance(symbol_spec, dict) and "kind" in symbol_spec,
@@ -192,20 +191,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _expect(_is_real(item["weight"]) and item["weight"] > 0,
                 "mass weights must be positive numbers")
 
-    n_max = _config_int(raw.get("n_max", 16), "n_max", low=1)
+    n_max = _config_int(_integer, raw.get("n_max", 16), "n_max", low=1)
 
     studies = raw.get("studies", ["duality"])
     _expect(isinstance(studies, list) and studies
             and all(s in STUDY_ORDER for s in studies),
             f"studies must be a nonempty subset of {STUDY_ORDER}")
 
-    # highest exponent any Gram of the run reaches: the asymptotics sweep
-    # reads every shift from one Gram on z^0..z^{degree + n_max}
-    top = degree + n_max if "asymptotics" in studies else degree
-    _expect(top < grid // 2,
-            f"degree + n_max must stay below {grid // 2} for the asymptotics study")
-    _expect("theorem" not in studies or grid // 2 > CONVERSE_POWERS,
-            f"the theorem study needs grid/2 > {CONVERSE_POWERS}, got grid {grid}")
+    # the top exponents of the sweep's one Gram and of the theorem's dual monomials
+    for study, top, what in (("asymptotics", degree + n_max, "degree + n_max"),
+                             ("theorem", CONVERSE_POWERS, "the theorem study's converse power")):
+        if study in studies:
+            _config_int(_band_top, top, f"{what} on a size-{grid} grid", grid)
 
     rho_list = raw.get("rho_list", [0.5])
     _expect(isinstance(rho_list, list) and rho_list
@@ -214,7 +211,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     cutoff_list = raw.get("N_list")
     if cutoff_list is not None:
         _expect(isinstance(cutoff_list, list) and cutoff_list, "N_list must be a nonempty list")
-        cutoff_list = [_config_int(n, "N_list entry", low=0) for n in cutoff_list]
+        cutoff_list = [_config_int(_integer, n, "N_list entry", low=0) for n in cutoff_list]
 
     convention = raw.get("convention", UNITARY)
     _expect(convention in (UNITARY, PRINTED),
@@ -240,10 +237,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 and len(grids) >= 2 and len(degrees) == len(grids),
                 "convergence needs at least two (grid, degree) refinement levels")
         for g, d in zip(grids, degrees):
-            _expect(_config_int(g, "convergence grid", low=8) & (g - 1) == 0,
-                    "convergence grids must be powers of two >= 8")
-            _expect(_config_int(d, "convergence degree", low=0) + n_max < g // 2,
-                    "convergence degrees plus n_max must fit the grid")
+            g = _config_int(_grid_size, g, "convergence grid")
+            top = _config_int(_integer, d, "convergence degree", low=0) + n_max
+            _config_int(_band_top, top, f"convergence degree + n_max on a size-{g} grid", g)
         for (g0, d0), (g1, d1) in zip(zip(grids, degrees), zip(grids[1:], degrees[1:])):
             _expect(g0 <= g1 and d0 <= d1 and (g0, d0) != (g1, d1),
                     f"convergence level ({g1}, {d1}) does not refine ({g0}, {d0})")

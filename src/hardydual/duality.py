@@ -35,6 +35,7 @@ from .circle import (
     MassSet,
     OuterData,
     SymbolData,
+    _band_top,
     _integer,
     build_blaschke,
     build_outer,
@@ -204,17 +205,14 @@ def canonical_vector(symbol: SymbolData, f1, mass_values=None) -> TauVector:
 def _analytic_layout(grid, coeffs) -> np.ndarray:
     """FFT-layout array of the polynomial sum_p coeffs[..., p] t**p.
 
-    The polynomial must fit the analytic half of the grid's band, so its
-    grid samples are ``grid.values`` of the result and its values inside the
-    disk are ``evaluate_analytic`` of it.
+    The polynomial (zero for an empty array) must fit the analytic half of
+    the grid's band, so its grid samples are ``grid.values`` of the result
+    and its values inside the disk are ``evaluate_analytic`` of it.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    degree = coeffs.shape[-1] - 1
-    if degree >= grid.size // 2:
-        raise ValueError(f"polynomial of degree {degree} exceeds the "
-                         f"analytic band of a {grid.size}-point grid")
+    _band_top(max(coeffs.shape[-1] - 1, 0), f"degree on a size-{grid.size} grid", grid.size)
     full = np.zeros(coeffs.shape[:-1] + (grid.size,), dtype=complex)
-    full[..., : degree + 1] = coeffs
+    full[..., : coeffs.shape[-1]] = coeffs
     return full
 
 
@@ -474,11 +472,9 @@ def theorem_check(space: SpaceData, dual: DualData, degree: int) -> TheoremRepor
     gives every pairing, with both norms applied to its entries.
     Multiplying by t^q rolls a spectrum, so P_-(R~ u^p) takes one inverse
     FFT of a roll of the spectrum of R~, and the norm of B t^q is read off
-    a roll of the spectrum of R B.  A grid whose analytic band cannot hold
-    u^CONVERSE_POWERS raises ValueError.
+    a roll of the spectrum of R B.  u^CONVERSE_POWERS must lie in the grid's band.
     """
-    if space.grid.size // 2 <= CONVERSE_POWERS:
-        raise ValueError(f"the theorem check needs grid/2 > {CONVERSE_POWERS}")
+    _band_top(CONVERSE_POWERS, f"converse power on a size-{space.grid.size} grid", space.grid.size)
     # two calls, so that the Laurent Gram, the complement and the forward
     # buffers are gone before the converse stack
     fwd_hardy, fwd_mass, dimension = _forward_residuals(space, dual, _integer(degree, "degree", 0))

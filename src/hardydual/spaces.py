@@ -7,9 +7,9 @@ The metric on analytic polynomials is
 realized on the monomial basis z^0..z^M as I - (Hankel Gram) + (mass Gram).
 The same Hankel expression extends to Laurent monomials z^-M..z^M, giving
 the circle block of the two-sided space; point-mass coordinates are
-appended as a direct summand diag(nu).  The Hankel sum runs over
-j = 1..J with J = size/2 minus the Gram's top exponent, all of R's
-negative band the grid resolves; the windows of one Gram share its J.
+appended as a direct summand diag(nu).  The Hankel sum runs over j = 1..J,
+J = size/2 minus the Gram's top exponent (judged by ``circle._band_top``):
+all of R's negative band the grid resolves; one Gram's windows share its J.
 
 A shift alpha_n (symbol times t^n, weights times |zeta|^{2n}) only moves
 exponents: its Gram on z^0..z^M is the unshifted metric on z^n..z^{n+M}, a
@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import CircleGrid, MassSet, SymbolData, _integer, chunked_sum
+from .circle import CircleGrid, MassSet, SymbolData, _band_top, _integer, chunked_sum
 from .errors import NotPositiveDefinite, RejectBoundary
 from .tolerances import TOL_PSD
 
@@ -163,9 +163,9 @@ def hankel_block(symbol: SymbolData, exponents, truncation: int) -> np.ndarray:
     recurrence run.
     """
     n = symbol.grid.size
-    first = _integer(exponents[0], "Hankel exponent")
-    exponents = np.asarray(exponents)
-    order = exponents.size
+    if not (isinstance(exponents, np.ndarray) and exponents.dtype.kind in "iu"):
+        exponents = np.array([_integer(e, "Hankel exponent") for e in exponents])
+    first, order = int(exponents[0]), exponents.size
     if not np.array_equal(exponents, np.arange(first, first + order)):
         raise ValueError("Hankel exponents must be consecutive and increasing")
     top = first + order - 1
@@ -184,9 +184,9 @@ def analytic_hankel(space: SpaceData, degree: int) -> np.ndarray:
     row wraps.  It serves :func:`assemble_gram` for every rho and mass
     cutoff of ``space``.
     """
-    top = space.shift + _integer(degree, "degree", low=0)
-    return hankel_block(space.symbol, np.arange(space.shift, top + 1),
-                        space.grid.size // 2 - top)
+    n, top = space.grid.size, space.shift + _integer(degree, "degree", low=0)
+    _band_top(top, f"top exponent on a size-{n} grid", n, low=space.shift)
+    return hankel_block(space.symbol, np.arange(space.shift, top + 1), n // 2 - top)
 
 
 def _mass_gram(masses: MassSet, exponents: np.ndarray) -> np.ndarray:
@@ -326,12 +326,13 @@ def build_gram_laurent(space: SpaceData, half_band: int) -> np.ndarray:
     polynomial), with J = size/2 - M; the mass block is diag(nu) with zero
     coupling.
     """
-    _integer(half_band, "half_band", low=0)
+    n = space.grid.size
+    _band_top(_integer(half_band, "half_band", low=0), f"half_band on a size-{n} grid", n)
     symbol, masses = effective_data(space)
     exponents = np.arange(-half_band, half_band + 1)
     # Gamma is made before the entries: in the other order, glibc's heap
     # placement raised the peak RSS of repeated theorem checks by 2.4 MB
-    gamma = hankel_block(symbol, exponents, symbol.grid.size // 2 - half_band)
+    gamma = hankel_block(symbol, exponents, n // 2 - half_band)
     dim = exponents.size + masses.count
     # the mass block diag(nu) is uncoupled: its pivots are nu - tol exactly
     floor = min(_eig_floor(gamma, 1.0, 0.0, dim), np.min(masses.weights, initial=np.inf))

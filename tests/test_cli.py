@@ -283,7 +283,8 @@ def test_theorem_study_on_too_small_grid_exits_2(tmp_path, capsys):
                   convergence={"grids": [8, 16], "degrees": [1, 2]})
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "theorem study needs grid" in err
+    assert err == ("config error: the theorem study's converse power on a size-8 grid "
+                   "must be an integer in 0..3, got 8\n")
 
 
 def test_symbol_from_sample_file(tmp_path):
@@ -1100,18 +1101,54 @@ _fuzz_overrides = st.lists(st.one_of(
     max_size=3)
 
 
-@given(_fuzz_mutations, _fuzz_overrides)
-@example([(("output", "dir"), 5)], [])
-@example([(("output", "dir"), None)], [])
-@example([(("symbol",), {"kind": "expression"})], [])
-@example([(("seed",), 1)], [("--grid", 1024), ("--degree", 64), ("--tol-gate", -math.inf)])
-@example([(("seed",), 1)], [("--grid", "x"), ("--convention", "bad")])
+@st.composite
+def _fuzz_band(draw):
+    """(config keys, top, past): a config on a grid of 32 to 1024 whose highest
+    exponent, top = grid/2 - 1 the band's last, is reached, or passed by one,
+    by the degree (degree + n_max with the asymptotics study), by n_max, or by
+    the top convergence level's degree + n_max."""
+    grid = draw(st.sampled_from([2 ** k for k in range(5, 11)]))
+    limit = draw(st.sampled_from(["degree", "n_max", "convergence"]))
+    past = draw(st.booleans())
+    studies = draw(st.lists(st.sampled_from(STUDY_ORDER[:5]), min_size=1, max_size=2,
+                            unique=True))
+    top = grid // 2 - 1
+    keys = {"grid": grid, "degree": 8, "n_max": draw(st.sampled_from([1, 2, 4]))}
+    if limit == "degree":
+        asymptotics = keys["n_max"] if "asymptotics" in studies else 0
+        keys["degree"] = top - asymptotics + past
+    elif limit == "n_max":
+        studies = ["asymptotics", *studies]
+        keys["degree"] = draw(st.sampled_from([0, 1, 8]))
+        keys["n_max"] = top - keys["degree"] + past
+    else:  # the lower level holds degree 0 + n_max <= 7 on the coarsest grid, 16
+        studies = [*studies, "convergence"]
+        keys["convergence"] = {"grids": [grid // 2, grid],
+                               "degrees": [0, top - keys["n_max"] + past]}
+    return {**keys, "studies": list(dict.fromkeys(studies))}, top, past
+
+
+@given(_fuzz_mutations, _fuzz_overrides, st.none() | _fuzz_band())
+@example([(("output", "dir"), 5)], [], None)
+@example([(("output", "dir"), None)], [], None)
+@example([(("symbol",), {"kind": "expression"})], [], None)
+@example([(("seed",), 1)], [("--grid", 1024), ("--degree", 64), ("--tol-gate", -math.inf)],
+         None)
+@example([(("seed",), 1)], [("--grid", "x"), ("--convention", "bad")], None)
+@example([], [], ({"grid": 1024, "degree": 511, "n_max": 1, "studies": ["theorem"]}, 511, False))
+@example([], [], ({"grid": 32, "degree": 15, "n_max": 1, "studies": ["asymptotics"]}, 15, True))
 @settings(deadline=None, max_examples=400,
           suppress_health_check=[HealthCheck.too_slow])
-def test_mutated_readme_config_exits_cleanly(mutations, overrides):
+def test_mutated_readme_config_exits_cleanly(mutations, overrides, band):
     # a documented exit code, no exception, one stderr line for exits 2 and
-    # 3 and none for 0 and 4; warnings count as stderr output
+    # 3 and none for 0 and 4; warnings count as stderr output.  A band draw
+    # replaces the mutations: at the band's edge the config reaches its
+    # studies (exit 0, 3 or 4), and one past it, it exits 2 naming the exponent
     config = copy.deepcopy(_FUZZ_BASE)
+    if band is not None:
+        config.pop("convergence")
+        config.update(band[0])
+        mutations, overrides = [], []
     for path, value in mutations:
         node = config
         try:
@@ -1139,3 +1176,8 @@ def test_mutated_readme_config_exits_cleanly(mutations, overrides):
         assert text == "", text
     else:
         assert text.count("\n") == 1 and text.endswith("\n"), text
+    if band is not None:
+        _, top, past = band
+        assert (code == 2) == past, (band, text)
+        assert not past or (text.startswith("config error: ")
+                            and text.endswith(f"0..{top}, got {top + 1}\n")), text

@@ -313,7 +313,9 @@ def test_theorem_check_refuses_grid_too_small_for_the_converse(size):
     # band cannot hold them read a converse near 1 (0.99993 at 8, 0.99932 at 16)
     masses = MassSet(np.array([0.5]), np.array([3.0]))
     space = SpaceData(symbol_from_expression(CircleGrid(size), "0.3*conj(t)"), masses)
-    with pytest.raises(ValueError, match=f"grid/2 > {CONVERSE_POWERS}"):
+    message = (f"converse power on a size-{size} grid must be an integer in "
+               f"0..{size // 2 - 1}, got {CONVERSE_POWERS}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         theorem_check(space, dual_of(space), 2)
 
 

@@ -1,10 +1,13 @@
 """One integer rule: every count and index the library takes is judged by
-``circle._integer``.
+``circle._integer``, and the grid's band by ``circle._band_top``.
 
 Each public count is listed once, as (name, call, bounds): ``call`` takes
 the count and hands it to the library, and ``bounds`` is (low, high), either
 of them None.  A float, a bool, a numpy float with an integer value and an
-int out of bounds each raise one ValueError that names the count.
+int out of bounds each raise one ValueError that names the count.  Each
+library entry that builds a Gram or a polynomial on the grid refuses a top
+exponent past the band, size/2 - 1, with one ValueError naming it, the grid
+size and the bound, and runs at the band's last exponent.
 """
 
 import re
@@ -20,6 +23,7 @@ from hardydual import (
     build_gram_laurent,
     dual_of,
     duality_identity,
+    embed_analytic_vector,
     embed_h2,
     orthonormal_system,
     regularized,
@@ -28,6 +32,7 @@ from hardydual import (
     symbol_from_coefficients,
     theorem_check,
 )
+from hardydual.circle import power_table
 from hardydual.corpus import BY_NAME
 from hardydual.spaces import analytic_hankel, hankel_block, kernel_at_point
 from hardydual.errors import RejectBoundary
@@ -61,6 +66,7 @@ COUNTS = [
     ("n_max", lambda v: asymptotic_sweep(SPACE, v, 4), (1, None)),
     ("half_band", lambda v: build_gram_laurent(SPACE, v), (0, None)),
     ("half_band", lambda v: embed_h2(SPACE, 0, v), (0, None)),
+    ("power count", lambda v: power_table(np.array([0.5]), v), (0, None)),
 ]
 
 
@@ -117,3 +123,55 @@ def test_kernel_at_a_nan_or_boundary_point_is_refused(point):
     gram = build_gram_analytic(SPACE, 4)
     with pytest.raises(RejectBoundary, match="not inside the open disk"):
         kernel_at_point(gram, point)
+
+
+@pytest.mark.parametrize("exponents, value", [
+    ([0, 1.0, 2.0], 1.0),
+    ([0, True], True),
+    (np.array([0.0, 1.0]), np.float64(0.0)),
+], ids=["float", "bool", "float-array"])
+def test_every_hankel_exponent_is_judged(exponents, value):
+    # np.asarray([0, True]) is an int array: each entry is judged, not the dtype
+    message = f"Hankel exponent must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hankel_block(SPACE.symbol, exponents, 8)
+
+
+def test_integer_hankel_exponents_give_the_same_block_as_an_array():
+    block = hankel_block(SPACE.symbol, np.arange(2, 7), 40)
+    for exponents in ([2, 3, 4, 5, 6], [np.int64(e) for e in range(2, 7)], range(2, 7)):
+        assert hankel_block(SPACE.symbol, exponents, 40).tobytes() == block.tobytes()
+
+
+TOP = GRID // 2 - 1
+# (name, call, value at the band's last exponent, values past it): the top
+# exponent is the value plus what the call adds to it
+BAND = [
+    ("top exponent", lambda v: asymptotic_sweep(SPACE, v, 48), TOP - 48, [TOP - 47, 120]),
+    ("top exponent", lambda v: orthonormal_system(SPACE, range(v), 48), TOP - 47, [TOP - 46, 100]),
+    ("top exponent", lambda v: build_gram_analytic(SPACE, v), TOP, [TOP + 1]),
+    ("half_band", lambda v: build_gram_laurent(SPACE, v), TOP, [TOP + 1]),
+    ("half_band", lambda v: theorem_check(SPACE, DUAL, v), TOP, [TOP + 1, 200]),
+    ("top exponent", lambda v: duality_identity(SPACE, DUAL, v), TOP, [TOP + 1]),
+    ("top exponent", lambda v: sandwich_check(SPACE, 1, 0.5, 0, v), TOP, [TOP + 1]),
+    ("degree", lambda v: embed_analytic_vector(SPACE.symbol, SPACE.masses, np.ones(v)),
+     TOP + 1, [TOP + 2]),
+]
+
+
+@pytest.mark.parametrize("name, call, inside, past", BAND,
+                         ids=["asymptotic_sweep", "orthonormal_system", "build_gram_analytic",
+                              "build_gram_laurent", "theorem_check", "duality_identity",
+                              "sandwich_check", "embed_analytic_vector"])
+def test_every_entry_judges_its_top_exponent_by_the_band(name, call, inside, past):
+    call(inside)
+    for value in past:
+        top = value + TOP - inside
+        message = f"{name} on a size-{GRID} grid must be an integer in 0..{TOP}, got {top}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+def test_an_empty_coefficient_array_embeds_the_zero_polynomial():
+    vector = embed_analytic_vector(SPACE.symbol, SPACE.masses, np.ones(0))
+    assert not (vector.f1.any() or vector.f2.any() or vector.mass_values.any())
