@@ -17,7 +17,7 @@ normalized Lebesgue measure.
 Integers.  Every count and index the library takes is judged by one rule,
 :func:`_integer`: a Python or numpy integer, never a bool, within its caller's
 bounds, or else one ValueError, ``<name> must be an integer, got <repr>``.
-The grid's limits are two judges on it: :func:`_grid_size` and :func:`_band_top`.
+The grid's limits: :func:`_grid_size`, :func:`_band_top`, :func:`_coefficient_index`.
 """
 
 from __future__ import annotations
@@ -64,8 +64,14 @@ def _grid_size(value, name: str) -> int:
 
 def _band_top(value, name: str, size: int, low=0) -> int:
     """``value`` as an int if it is in low..size // 2 - 1, the top exponents a
-    ``size``-point grid resolves (J = size/2 - top >= 1), by :func:`_integer`."""
+    ``size``-point grid resolves (J = size/2 - top >= 1), by :func:`_integer`;
+    a first exponent takes low = -size/2, so its Hankel run reads no bin twice."""
     return _integer(value, name, low, size // 2 - 1)
+
+
+def _coefficient_index(value, size: int) -> int:
+    """``value`` as an int if it indexes a coefficient r_p, |p| < size/2, of the grid."""
+    return _integer(value, "coefficient index", 1 - size // 2, size // 2 - 1)
 
 
 @dataclass(frozen=True)
@@ -219,10 +225,8 @@ def symbol_from_samples(grid: CircleGrid, values) -> SymbolData:
 def symbol_from_coefficients(grid: CircleGrid, entries: Mapping[int, complex]) -> SymbolData:
     """Symbol from a sparse mapping {index p: coefficient r_p}, |p| < size/2."""
     coeffs = np.zeros(grid.size, dtype=complex)
-    half = grid.size // 2
     for p, value in entries.items():
-        p = _integer(p, "coefficient index", 1 - half, half - 1)
-        coeffs[p % grid.size] = complex(value)
+        coeffs[_coefficient_index(p, grid.size) % grid.size] = complex(value)
     return SymbolData(grid, grid.values(coeffs), coeffs)
 
 

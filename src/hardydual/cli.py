@@ -7,11 +7,16 @@ deterministic: identical configuration (including the seed) produces
 byte-identical CSV and JSON outputs.  Wall-clock timings go to ``run.log``,
 which is outside the determinism contract.
 
+The configuration alone sets a run: ``--grid`` and ``--degree`` are written
+into it, ``--out`` names the output directory, and :func:`parse_config` judges
+it once, before any study, by the library's own judges.  Only a symbol's
+contraction waits for :func:`build_space`, so a level's grid can refuse it late.
+
 Exit codes: 0 all gates pass, 2 configuration error (mass points at a
 pseudo-hyperbolic separation below TOL_BLASCHKE included), 3 data failure
 (any library error raised by a study, e.g. a symbol touching |R| = 1 or a
-Gram that is not positive definite or beyond double precision in scale), 4
-tolerance-gate failure (the report is still written).
+Gram that is not positive definite or beyond double precision in scale, and
+a refused allocation), 4 tolerance-gate failure (the report is still written).
 
 Every ordering the run judges holds within the tolerance of the Grams its
 values come from, which the library reports.  The convergence gate records the
@@ -35,11 +40,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circle import CircleGrid, MassSet, _band_top, _grid_size, _integer, \
+from .circle import CircleGrid, MassSet, _band_top, _coefficient_index, _grid_size, _integer, \
     symbol_from_coefficients, symbol_from_expression, symbol_from_samples, validate_szego
-from .duality import CONVERSE_POWERS, UNITARY, PRINTED, apply_tau, dual_of, \
+from .duality import CONVERSE_POWERS, UNITARY, _pairing, apply_tau, dual_of, \
     duality_identity, l2_norm, canonical_vector, theorem_check, TauVector
-from .errors import ConfigError, HardyDualError, SzegoViolation
+from .errors import ConfigError, GridMismatch, HardyDualError, SzegoViolation
 from .kernels import asymptotic_sweep, kernel_at_origin, largest_rise, order_tolerance, \
     sandwich_check
 from .spaces import SpaceData, regularized_grams
@@ -69,7 +74,7 @@ class ExperimentConfig:
     grid: int
     degree: int
     symbol_spec: dict
-    mass_spec: list
+    masses: MassSet
     n_max: int
     rho_list: list
     cutoff_list: list | None
@@ -116,7 +121,7 @@ def _expect(condition, message):
         raise ConfigError(message)
 
 
-def _config_int(judge, *args, **bounds):  # a circle judge's ValueError, as a config error
+def _judged(judge, *args, **bounds):  # a library judge's ValueError, as a config error
     try:
         return judge(*args, **bounds)
     except ValueError as exc:
@@ -125,10 +130,6 @@ def _config_int(judge, *args, **bounds):  # a circle judge's ValueError, as a co
 
 def _is_real(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_threshold(value):
-    return _is_real(value) and 0 < value < math.inf
 
 
 def _is_path(value):  # printable: no NUL, newline or lone surrogate
@@ -154,10 +155,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     label = raw.get("label", "experiment")
     _expect(isinstance(label, str), "label must be a string")
-    seed = _config_int(_integer, raw.get("seed", 20260809), "seed", low=0)
+    seed = _judged(_integer, raw.get("seed", 20260809), "seed", low=0)
 
-    grid = _config_int(_grid_size, raw.get("grid", 4096), "grid")
-    degree = _config_int(_band_top, raw.get("degree", 48), "degree", grid)
+    grid = _judged(_grid_size, raw.get("grid", 4096), "grid")
+    degree = _judged(_band_top, raw.get("degree", 48), "degree", grid)
 
     symbol_spec = raw.get("symbol", {"kind": "coefficients", "entries": {}})
     _expect(isinstance(symbol_spec, dict) and "kind" in symbol_spec,
@@ -188,10 +189,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for item in mass_spec:
         _expect(isinstance(item, dict) and set(item) == {"point", "weight"},
                 "each mass needs exactly the keys 'point' and 'weight'")
-        _expect(_is_real(item["weight"]) and item["weight"] > 0,
-                "mass weights must be positive numbers")
+        _expect(_is_real(item["weight"]), "mass weights must be numbers")
+    # MassSet judges the points, weights and separation; a MemoryError goes to main
+    try:
+        masses = MassSet([_as_complex(m["point"], "mass point") for m in mass_spec],
+                         [m["weight"] for m in mass_spec])
+    except (ValueError, OverflowError, HardyDualError) as exc:
+        raise ConfigError(f"invalid masses: {exc}") from exc
 
-    n_max = _config_int(_integer, raw.get("n_max", 16), "n_max", low=1)
+    n_max = _judged(_integer, raw.get("n_max", 16), "n_max", low=1)
 
     studies = raw.get("studies", ["duality"])
     _expect(isinstance(studies, list) and studies
@@ -202,7 +208,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for study, top, what in (("asymptotics", degree + n_max, "degree + n_max"),
                              ("theorem", CONVERSE_POWERS, "the theorem study's converse power")):
         if study in studies:
-            _config_int(_band_top, top, f"{what} on a size-{grid} grid", grid)
+            _judged(_band_top, top, f"{what} on a size-{grid} grid", grid)
 
     rho_list = raw.get("rho_list", [0.5])
     _expect(isinstance(rho_list, list) and rho_list
@@ -211,18 +217,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
     cutoff_list = raw.get("N_list")
     if cutoff_list is not None:
         _expect(isinstance(cutoff_list, list) and cutoff_list, "N_list must be a nonempty list")
-        cutoff_list = [_config_int(_integer, n, "N_list entry", low=0) for n in cutoff_list]
+        cutoff_list = [_judged(_integer, n, "N_list entry", low=0) for n in cutoff_list]
+        _expect(max(cutoff_list) <= masses.count,
+                "N_list entries must not exceed the number of masses")
+    _expect(set(studies) <= {"asymptotics"} or not masses.has_origin,
+            "duality-type studies need origin-free mass points")
 
-    convention = raw.get("convention", UNITARY)
-    _expect(convention in (UNITARY, PRINTED),
-            f"convention must be '{UNITARY}' or '{PRINTED}'")
+    convention = _judged(_pairing, raw.get("convention", UNITARY))
 
     gates = dict(_DEFAULT_GATES)
     gate_raw = raw.get("gates", {})
     _expect(isinstance(gate_raw, dict), "gates must be an object")
     _expect(set(gate_raw) <= set(gates),
             f"unknown gate keys: {sorted(set(gate_raw) - set(gates))}")
-    _expect(all(map(_is_threshold, gate_raw.values())),
+    _expect(all(_is_real(v) and 0 < v <= sys.float_info.max for v in gate_raw.values()),
             "gate thresholds must be positive finite numbers")
     gates.update({k: float(v) for k, v in gate_raw.items()})
 
@@ -237,14 +245,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 and len(grids) >= 2 and len(degrees) == len(grids),
                 "convergence needs at least two (grid, degree) refinement levels")
         for g, d in zip(grids, degrees):
-            g = _config_int(_grid_size, g, "convergence grid")
-            top = _config_int(_integer, d, "convergence degree", low=0) + n_max
-            _config_int(_band_top, top, f"convergence degree + n_max on a size-{g} grid", g)
+            g = _judged(_grid_size, g, "convergence grid")
+            top = _judged(_integer, d, "convergence degree", low=0) + n_max
+            _judged(_band_top, top, f"convergence degree + n_max on a size-{g} grid", g)
         for (g0, d0), (g1, d1) in zip(zip(grids, degrees), zip(grids[1:], degrees[1:])):
             _expect(g0 <= g1 and d0 <= d1 and (g0, d0) != (g1, d1),
                     f"convergence level ({g1}, {d1}) does not refine ({g0}, {d0})")
         _expect(kind != "samples" or all(g == grid for g in grids),
                 f"a samples symbol fixes the grid: every convergence grid must equal grid {grid}")
+        if "convergence" in studies:  # each level realizes the symbol on its own grid
+            for key in entries:  # int() past 4300 digits raises ValueError too
+                _judged(lambda: _coefficient_index(int(key), min(grids)))
 
     output = raw.get("output", {})
     _expect(isinstance(output, dict) and set(output) <= {"dir"},
@@ -254,7 +265,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         label=label, seed=seed, grid=grid, degree=degree,
-        symbol_spec=symbol_spec, mass_spec=mass_spec, n_max=n_max,
+        symbol_spec=symbol_spec, masses=masses, n_max=n_max,
         rho_list=[float(r) for r in rho_list], cutoff_list=cutoff_list,
         convention=convention, gates=gates,
         studies=list(studies), convergence=convergence, out_dir=out_dir,
@@ -263,7 +274,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def build_space(config: ExperimentConfig, grid_size: int | None = None) -> SpaceData:
-    """Realize the configured symbol and masses; contraction-checked."""
+    """Realize the configured symbol on a grid, contraction-checked, with the masses."""
     grid = CircleGrid(grid_size or config.grid)
     chosen = config.symbol_spec
     # overflow or division by zero in the samples or their FFT leaves inf or
@@ -278,42 +289,21 @@ def build_space(config: ExperimentConfig, grid_size: int | None = None) -> Space
             elif chosen["kind"] == "expression":
                 symbol = symbol_from_expression(grid, chosen["formula"])
             else:
+                values = chosen.get("values")
                 if "path" in chosen:
                     with open(chosen["path"], encoding="utf-8") as handle:
                         values = json.load(handle)
-                else:
-                    values = chosen.get("values")
-                _expect(isinstance(values, list) and len(values) == grid.size,
-                        f"samples must provide exactly {grid.size} values")
+                _expect(isinstance(values, list), "samples must be a list")
                 samples = np.array([_as_complex(v, "sample") for v in values])
                 symbol = symbol_from_samples(grid, samples)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OverflowError, OSError, GridMismatch) as exc:
             raise ConfigError(f"cannot build symbol: {exc}") from exc
 
     try:
         validate_szego(symbol)
     except SzegoViolation as exc:
         raise ConfigError(str(exc)) from exc
-
-    try:
-        if config.mass_spec:
-            points = np.array([_as_complex(m["point"], "mass point")
-                               for m in config.mass_spec])
-            weights = np.array([float(m["weight"]) for m in config.mass_spec])
-            masses = MassSet(points, weights)
-        else:
-            masses = MassSet.empty()
-    except (ValueError, HardyDualError) as exc:
-        raise ConfigError(f"invalid masses: {exc}") from exc
-
-    if config.cutoff_list is not None:
-        _expect(max(config.cutoff_list) <= masses.count,
-                "N_list entries must not exceed the number of masses")
-    needs_dual = set(config.studies) & {"duality", "sandwich", "theorem",
-                                        "tau", "convergence"}
-    if needs_dual and masses.has_origin:
-        raise ConfigError("duality-type studies need origin-free mass points")
-    return SpaceData(symbol, masses)
+    return SpaceData(symbol, config.masses)
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +571,6 @@ def main(argv=None) -> int:
     run_parser.add_argument("--out", help="output directory (overrides config)")
     run_parser.add_argument("--grid", type=int, help="override the grid size")
     run_parser.add_argument("--degree", type=int, help="override the basis degree")
-    run_parser.add_argument("--convention", choices=[UNITARY, PRINTED],
-                            help="dual-mass pairing convention")
-    run_parser.add_argument("--tol-gate", type=float, dest="tol_gate",
-                            help="override the residual gates (identity/theorem/tau)")
 
     try:
         args = parser.parse_args(argv)
@@ -597,22 +583,16 @@ def main(argv=None) -> int:
             raise ConfigError(str(exc)) from exc
         # the overrides write into the config, so its type is checked first
         _expect(isinstance(raw, dict), "configuration must be a JSON object")
-        if args.grid is not None:
-            raw["grid"] = args.grid
-        if args.degree is not None:
-            raw["degree"] = args.degree
-        if args.convention is not None:
-            raw["convention"] = args.convention
-        if args.tol_gate is not None:
-            gates = raw.setdefault("gates", {})
-            _expect(isinstance(gates, dict), "gates must be an object")
-            for key in ("identity", "theorem", "tau"):
-                gates[key] = args.tol_gate
+        overrides = {"grid": args.grid, "degree": args.degree}
+        raw.update({key: value for key, value in overrides.items() if value is not None})
         config = parse_config(raw)
         code, _ = run(config, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:  # refused outside run(), e.g. while parse_config builds the masses
+        print("data failure: out of memory", file=sys.stderr)
+        return EXIT_DATA
     return code
 
 

@@ -108,14 +108,20 @@ class DualData:
         return SpaceData(self.dual_symbol, self.dual_masses)
 
 
+def _pairing(convention) -> str:
+    """``convention`` if it names a dual-mass pairing, else one ValueError."""
+    if convention in (UNITARY, PRINTED):
+        return convention
+    raise ValueError(f"convention must be '{UNITARY}' or '{PRINTED}', got {convention!r}")
+
+
 def build_dual(space: SpaceData, convention: str = UNITARY) -> DualData:
     """Construct the dual data of the space's effective data.
 
     The effective symbol and masses are resolved once, together with their
     outer function T_e and Blaschke product B.
     """
-    if convention not in (UNITARY, PRINTED):
-        raise ValueError(f"convention must be 'unitary' or 'printed', got {convention!r}")
+    convention = _pairing(convention)
     symbol, masses = effective_data(space)
     outer = build_outer(symbol)
     blaschke = build_blaschke(masses, outer)

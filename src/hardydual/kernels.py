@@ -26,6 +26,7 @@ from .spaces import (
     KernelVector,
     SpaceData,
     _positive_norms,
+    _rho,
     _roundoff,
     build_gram_analytic,
     kernel_at_point,
@@ -270,9 +271,7 @@ def sandwich_check(space: SpaceData, cutoff: int, rho: float, n: int,
     identity residuals, take the dual-mass pairing ``convention``, as
     ``duality.dual_of`` does.
     """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("rho must lie in (0, 1]; 1 gives the degenerate equalities")
-    base = shifted(space, n)
+    base, rho = shifted(space, n), _rho(rho)  # judged before equal pairs merge
     m = base.masses.count
     # the (rho', N') of each variant: a Gram and a dual read only these, so
     # equal pairs give equal bits

@@ -15,8 +15,8 @@ A shift alpha_n (symbol times t^n, weights times |zeta|^{2n}) only moves
 exponents: its Gram on z^0..z^M is the unshifted metric on z^n..z^{n+M}, a
 principal window of one Gram over a longer exponent range.  A SpaceData
 keeps shift and rho lazy for that reason; a mass cutoff is a shorter MassSet
-(:func:`regularized`).  A shift, degree, band, truncation or cutoff is an
-integer by ``circle._integer``, judged where a function here takes it.
+(:func:`regularized`).  A shift, degree, band, truncation or cutoff is an integer
+by ``circle._integer``, judged where a function here takes it, and rho by :func:`_rho`.
 Symbol scaling by rho and mass truncation recombine the same Hankel Gram
 Gamma as I - rho^2 Gamma + (mass Gram of the masses): Gamma, from
 :func:`analytic_hankel`, is held only by :func:`regularized_grams`, and
@@ -65,14 +65,21 @@ class SpaceData:
 
     def __post_init__(self):
         _integer(self.shift, "shift")
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
+        object.__setattr__(self, "rho", _rho(self.rho))
         if self.shift < 0 and self.masses.has_origin:
             raise ValueError("negative shift undefined for a mass at the origin")
 
     @property
     def grid(self) -> CircleGrid:
         return self.symbol.grid
+
+
+def _rho(value) -> float:
+    """``value`` as a float if it is a real number, not a bool, in (0, 1], else one ValueError."""
+    if isinstance(value, (int, float, np.integer, np.floating)) \
+            and not isinstance(value, bool) and 0 < value <= 1:
+        return float(value)
+    raise ValueError(f"rho must be a real number in (0, 1], got {value!r}")
 
 
 def shifted(space: SpaceData, dn: int) -> SpaceData:
@@ -82,7 +89,7 @@ def shifted(space: SpaceData, dn: int) -> SpaceData:
 def regularized(space: SpaceData, rho: float = 1.0,
                 mass_cutoff: Optional[int] = None) -> SpaceData:
     """Scale the symbol by rho and/or keep the first ``mass_cutoff`` masses."""
-    out = space
+    out, rho = space, _rho(rho)
     if rho != 1.0:
         out = replace(out, rho=out.rho * rho)
     if mass_cutoff is not None:
@@ -181,11 +188,12 @@ def analytic_hankel(space: SpaceData, degree: int) -> np.ndarray:
     """Gamma of ``space.symbol`` on z^n..z^{n+degree}, n = ``space.shift``.
 
     J = size/2 - (n + degree), all the band the grid resolves, so no Hankel
-    row wraps.  It serves :func:`assemble_gram` for every rho and mass
-    cutoff of ``space``.
+    row wraps, and n >= -size/2, so no coefficient is read twice.  It serves
+    :func:`assemble_gram` for every rho and mass cutoff of ``space``.
     """
     n, top = space.grid.size, space.shift + _integer(degree, "degree", low=0)
     _band_top(top, f"top exponent on a size-{n} grid", n, low=space.shift)
+    _band_top(space.shift, f"first exponent on a size-{n} grid", n, low=-(n // 2))
     return hankel_block(space.symbol, np.arange(space.shift, top + 1), n // 2 - top)
 
 

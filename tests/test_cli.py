@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from hardydual import NotPositiveDefinite, cli, kernels
 from hardydual.cli import STUDY_ORDER, main
-from hardydual.corpus import mass_single_trace
+from hardydual.corpus import BY_NAME, mass_single_trace
+from hardydual.duality import build_dual
 from oracle import golden_angle_points, sunflower_points
 
 REPO = Path(__file__).resolve().parents[1]
@@ -139,13 +140,14 @@ def test_overflowing_symbol_exits_2_without_warnings(tmp_path, formula, message)
     assert proc.stderr.splitlines() == [f"config error: {message}"]
 
 
-@pytest.mark.parametrize("target, where", [("symbol_from_expression", ""),
+@pytest.mark.parametrize("target, where", [("MassSet", ""),
+                                           ("symbol_from_expression", ""),
                                            ("asymptotic_sweep", " (asymptotics study)")],
-                         ids=["build-space", "study"])
+                         ids=["masses", "build-space", "study"])
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, target, where):
-    # a refused allocation while building the space or in a study is a
-    # data failure of one line, not a traceback, that names the study it
-    # was raised in; no report is written
+    # a refused allocation while parse_config builds the masses, while the
+    # symbol is realized or in a study is a data failure of one line, not a
+    # traceback, that names the study it was raised in; no report is written
     def refuse(*args, **kwargs):
         raise MemoryError
 
@@ -160,9 +162,9 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, target, where):
 
 def test_gate_failure_exits_4_report_written(tmp_path):
     cfg = tmp_path / "c.json"
-    _write_config(cfg)
+    _write_config(cfg, gates={"identity": 1e-30, "theorem": 1e-30, "tau": 1e-30})
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out), "--tol-gate", "1e-30"]) == 4
+    assert main(["run", str(cfg), "--out", str(out)]) == 4
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_passed"] is False
     assert (out / "duality.csv").exists()
@@ -205,13 +207,13 @@ def test_determinism_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_convention_flag_printed(tmp_path):
+def test_printed_convention_key(tmp_path):
+    # the config alone sets the pairing and the gates
     cfg = tmp_path / "c.json"
-    _write_config(cfg, studies=["duality", "sandwich"])
+    _write_config(cfg, studies=["duality", "sandwich"], convention="printed",
+                  gates={"identity": 1.0, "theorem": 1.0, "tau": 1.0})
     out = tmp_path / "out"
-    code = main(["run", str(cfg), "--out", str(out), "--convention", "printed",
-                 "--tol-gate", "1.0"])
-    assert code == 0
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
     rows = _read_csv(out / "duality.csv")
     assert float(rows[0]["residual"]) > 0.05  # printed pairing breaks the identity
     # and the sandwich dualizes its variants in the same pairing
@@ -395,8 +397,9 @@ def test_config_setting_hankel_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["run", "c.json", "--grid", "x"], "argument --grid: invalid int value: 'x'"),
     (["run", "c.json", "--degree=1.5"], "argument --degree: invalid int value: '1.5'"),
-    (["run", "c.json", "--tol-gate", ""], "argument --tol-gate: invalid float value: ''"),
-    (["run", "c.json", "--convention", "bad"], "argument --convention: invalid choice: 'bad'"),
+    (["run", "c.json", "--tol-gate", "1e-6"], "unrecognized arguments: --tol-gate 1e-6"),
+    (["run", "c.json", "--convention", "printed"],
+     "unrecognized arguments: --convention printed"),
     (["run"], "the following arguments are required: config"),
     ([], "the following arguments are required: command"),
     (["walk"], "argument command: invalid choice: 'walk'"),
@@ -406,7 +409,8 @@ def test_config_setting_hankel_exits_2(tmp_path, capsys):
 def test_rejected_command_line_exits_2(argv, message, tmp_path, monkeypatch, capsys):
     # argparse's rejections, in the run subparser too, are one config error
     # line and a return code, not a usage message and SystemExit; the list
-    # of choices after an invalid one is worded by the Python version
+    # of choices after an invalid one is worded by the Python version.  The
+    # convention and the gates are config keys only
     monkeypatch.chdir(tmp_path)
     _write_config(tmp_path / "c.json")
     assert main(argv) == 2
@@ -452,10 +456,8 @@ def test_non_object_gates_or_negative_seed_exits_2(tmp_path, capsys, overrides):
 
 @pytest.mark.parametrize("raw, flags", [
     ([], ["--grid", "256"]),
-    ({"gates": 5}, ["--tol-gate", "1e-3"]),
-    ("x", ["--convention", "printed"]),
     ([1], ["--degree", "8"]),
-], ids=["list-grid", "gates-int-tol-gate", "str-convention", "list-degree"])
+], ids=["list-grid", "list-degree"])
 def test_command_line_override_of_a_non_object_exits_2(tmp_path, capsys, raw, flags):
     # the overrides write into the loaded JSON, so its type is checked first
     cfg = tmp_path / "c.json"
@@ -953,6 +955,115 @@ def test_canonical_coefficient_keys_build_their_symbol(tmp_path):
     assert np.count_nonzero(symbol.coeffs) == 3
 
 
+def _spied_studies(monkeypatch):
+    """The names of the studies called, in order, each still run."""
+    called = []
+
+    def spy(study, func):
+        def run_study(*args):
+            called.append(study)
+            return func(*args)
+        return run_study
+
+    monkeypatch.setattr(cli, "_STUDY_FUNCS",
+                        {study: spy(study, func) for study, func in cli._STUDY_FUNCS.items()})
+    return called
+
+
+def test_a_coefficient_key_past_a_convergence_grid_exits_2_before_any_study(
+        tmp_path, capsys, monkeypatch):
+    # key 600 fits grid 4096 but not the first convergence grid, 1024: the
+    # config is refused before the first study, not after five of them
+    called = _spied_studies(monkeypatch)
+    config = json.loads((REPO / "perfbench" / "readme_config.json").read_text())
+    config["symbol"] = {"kind": "coefficients", "entries": {"-1": 0.3, "600": 0.1}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: coefficient index must be an integer in -511..511, got 600\n"
+    assert called == [] and not (tmp_path / "o").exists()
+    # a block the run does not realize is not judged by the key: the five
+    # studies run and write their report (its identity gates fail, exit 4)
+    config["studies"].remove("convergence")
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert called == config["studies"] and (tmp_path / "o" / "summary.json").exists()
+
+
+def test_a_symbol_past_one_on_a_finer_level_grid_exits_2_late(tmp_path, capsys, monkeypatch):
+    # a bump at the first odd node of the 512-point grid, which the 256-point
+    # grid misses: only realizing the symbol on the level's grid finds it
+    called = _spied_studies(monkeypatch)
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=256, degree=16, n_max=8, studies=["duality", "convergence"],
+                  symbol={"kind": "expression",
+                          "formula": "0.3*conj(t) + exp(-1e5*abs(t - exp(1j*pi/256))**2)"},
+                  convergence={"grids": [256, 512], "degrees": [8, 16]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sup |R| = 1.") and err.endswith(
+        " exceeds 1 (not a contraction)\n")
+    assert called == ["duality", "convergence"] and not (tmp_path / "o").exists()
+
+
+def test_a_run_builds_its_masses_once(tmp_path, monkeypatch):
+    # parse_config builds the MassSet; the convergence levels realize only the symbol
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return mass_set(*args)
+
+    mass_set = cli.MassSet
+    monkeypatch.setattr(cli, "MassSet", counted)
+    assert main(["run", str(REPO / "perfbench" / "readme_config.json"),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"masses": [{"point": [0.5, 0.0], "weight": -1.0}]},
+     "invalid masses: all mass weights must be strictly positive"),
+    ({"masses": [{"point": [0.5, 0.0], "weight": math.nan}]},
+     "invalid masses: mass points and weights must be finite"),
+    ({"masses": [{"point": [0.5, 0.0], "weight": "3"}]}, "mass weights must be numbers"),
+    ({"masses": [{"point": [1.5, 0.0], "weight": 1.0}]},
+     "invalid masses: all mass points must lie strictly inside the unit disk"),
+    ({"masses": [{"point": [0.5, 0.0], "weight": 10 ** 400}]},
+     "invalid masses: int too large to convert to float"),
+    ({"masses": [{"point": [10 ** 400, 0.0], "weight": 1.0}]},
+     "invalid masses: int too large to convert to float"),
+    ({"symbol": {"kind": "coefficients", "entries": {"-1": 10 ** 400}}},
+     "cannot build symbol: int too large to convert to float"),
+    ({"gates": {"tau": 10 ** 400}}, "gate thresholds must be positive finite numbers"),
+    ({"grid": 64, "degree": 8, "symbol": {"kind": "samples", "values": [0.1, 0.2, 0.3]}},
+     "cannot build symbol: expected 64 grid samples, got shape (3,)"),
+    ({"grid": 64, "degree": 8, "symbol": {"kind": "samples", "values": {"0": 0.1}}},
+     "samples must be a list"),
+    ({"convention": "Printed"}, "convention must be 'unitary' or 'printed', got 'Printed'"),
+], ids=["weight-negative", "weight-nan", "weight-string", "point-outside", "weight-huge-int",
+        "point-huge-int", "coefficient-huge-int", "gate-huge-int", "samples-short",
+        "samples-object", "convention"])
+def test_library_judges_the_config(tmp_path, capsys, overrides, message):
+    # each of these is one line from the library's own rule; before, an int
+    # past double range ended in a traceback
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, **overrides)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_config_convention_takes_the_library_judge(tmp_path):
+    raw = _write_config(tmp_path / "c.json", convention="guess")
+    with pytest.raises(ValueError) as library:
+        build_dual(BY_NAME["mass_single"].space(256), "guess")
+    with pytest.raises(cli.ConfigError) as config:
+        cli.parse_config(raw)
+    assert str(config.value) == str(library.value)
+
+
 def test_readme_config_never_imports_numpy_random(tmp_path):
     # the tau study draws from the standard library's generator; numpy.random
     # alone would add about 6 MB to the run's peak memory.  numpy.ma, which
@@ -1057,9 +1168,10 @@ def test_mass_weight_beyond_double_range_exits_3(tmp_path, capsys, weight, study
 
 # --- mutations of the README config -----------------------------------------------
 
-# the README config at 256/16; convergence levels fit n_max 16 (d + n_max < g/2)
+# the README config at 256/16; convergence levels fit n_max 16 (d + n_max < g/2).
+# Its gates are the defaults, given, so that mutations reach them
 _FUZZ_BASE = {**json.loads((REPO / "perfbench" / "readme_config.json").read_text()),
-              "grid": 256, "degree": 16,
+              "grid": 256, "degree": 16, "gates": dict(cli._DEFAULT_GATES),
               "convergence": {"grids": [64, 128, 256], "degrees": [8, 12, 16]}}
 
 
@@ -1082,22 +1194,18 @@ _fuzz_value = st.one_of(_fuzz_scalar, st.lists(_fuzz_scalar, max_size=3),
                         st.dictionaries(_fuzz_text, _fuzz_scalar, max_size=2))
 _fuzz_mutations = st.lists(st.tuples(st.sampled_from(list(_fuzz_paths(_FUZZ_BASE))),
                                      _fuzz_value), min_size=1, max_size=2)
-# command-line overrides, written --flag=value so that a negative value is not
-# read as an option; grids stop at 1024, since a config cannot yet be refused
-# for its size, and degrees stop at 64 where a grid can hold them, for speed.
-# The strings are values that argparse itself rejects.
+# command-line overrides of grid and degree, the only ones there are, written
+# --flag=value so that a negative value is not read as an option; grids stop
+# at 1024, since a config cannot yet be refused for its size, and degrees stop
+# at 64 where a grid can hold them, for speed.  The strings are values that
+# argparse itself rejects.
 _fuzz_rejected = ["", "x", "1.5", "1e3"]
 _fuzz_overrides = st.lists(st.one_of(
     st.tuples(st.just("--grid"),
               st.sampled_from([2 ** k for k in range(11)] + [0, -256, 3, 100, 1000]
                               + _fuzz_rejected)),
     st.tuples(st.just("--degree"),
-              st.sampled_from([-1, 0, 1, 8, 16, 48, 64, 511, 4096] + _fuzz_rejected)),
-    st.tuples(st.just("--convention"),
-              st.sampled_from([cli.UNITARY, cli.PRINTED, "", "bad", "UNITARY"])),
-    st.tuples(st.just("--tol-gate"),
-              st.sampled_from([math.nan, math.inf, -math.inf, -1e-6, 0.0, 1e-300, 1e-6, 1.0,
-                               "", "x", "1e-6x"]))),
+              st.sampled_from([-1, 0, 1, 8, 16, 48, 64, 511, 4096] + _fuzz_rejected))),
     max_size=3)
 
 
@@ -1132,9 +1240,8 @@ def _fuzz_band(draw):
 @example([(("output", "dir"), 5)], [], None)
 @example([(("output", "dir"), None)], [], None)
 @example([(("symbol",), {"kind": "expression"})], [], None)
-@example([(("seed",), 1)], [("--grid", 1024), ("--degree", 64), ("--tol-gate", -math.inf)],
-         None)
-@example([(("seed",), 1)], [("--grid", "x"), ("--convention", "bad")], None)
+@example([(("gates", "tau"), -math.inf)], [("--grid", 1024), ("--degree", 64)], None)
+@example([(("convention",), "bad")], [("--grid", "x")], None)
 @example([], [], ({"grid": 1024, "degree": 511, "n_max": 1, "studies": ["theorem"]}, 511, False))
 @example([], [], ({"grid": 32, "degree": 15, "n_max": 1, "studies": ["asymptotics"]}, 15, True))
 @settings(deadline=None, max_examples=400,

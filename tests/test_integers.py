@@ -7,8 +7,13 @@ of them None.  A float, a bool, a numpy float with an integer value and an
 int out of bounds each raise one ValueError that names the count.  Each
 library entry that builds a Gram or a polynomial on the grid refuses a top
 exponent past the band, size/2 - 1, with one ValueError naming it, the grid
-size and the bound, and runs at the band's last exponent.
+size and the bound, and runs at the band's last exponent; an analytic Gram's
+first exponent is judged by the same band rule, down to -size/2.  A symbol
+scaling rho has one rule too, ``spaces._rho``: a real number, not a bool, in
+(0, 1], stored as a float.
 """
+
+import math
 
 import re
 
@@ -17,6 +22,7 @@ import pytest
 
 from hardydual import (
     CircleGrid,
+    MassSet,
     SpaceData,
     asymptotic_sweep,
     build_gram_analytic,
@@ -30,6 +36,7 @@ from hardydual import (
     sandwich_check,
     shifted,
     symbol_from_coefficients,
+    symbol_from_expression,
     theorem_check,
 )
 from hardydual.circle import power_table
@@ -175,3 +182,59 @@ def test_every_entry_judges_its_top_exponent_by_the_band(name, call, inside, pas
 def test_an_empty_coefficient_array_embeds_the_zero_polynomial():
     vector = embed_analytic_vector(SPACE.symbol, SPACE.masses, np.ones(0))
     assert not (vector.f1.any() or vector.f2.any() or vector.mass_values.any())
+
+
+# a contraction with a slowly decaying antianalytic part: a first exponent
+# below -size/2 would read r_(p + size) for r_p, an aliased coefficient
+_BOTTOM_SYMBOL = "0.03*conj(t)/(1-0.9*conj(t)) + 0.2*t/(1-0.5*t)"
+
+
+def _bottom_space(grid, shift=0):
+    symbol = symbol_from_expression(CircleGrid(grid), _BOTTOM_SYMBOL)
+    return SpaceData(symbol, MassSet.empty(), shift=shift)
+
+
+BOTTOM = [
+    lambda grid, n: build_gram_analytic(_bottom_space(grid, n), 4),
+    lambda grid, n: asymptotic_sweep(_bottom_space(grid, n), 4, 4).values,
+    lambda grid, n: orthonormal_system(_bottom_space(grid), [n, n + 1], 4).vectors,
+]
+
+
+@pytest.mark.parametrize("call", BOTTOM,
+                         ids=["build_gram_analytic", "asymptotic_sweep", "orthonormal_system"])
+def test_every_entry_judges_its_first_exponent_by_the_band(call):
+    # at -size/2 the run of coefficients fills the grid once, and the result
+    # is the finer grid's; one step below, it is refused
+    bottom = -(GRID // 2)
+    assert np.abs(call(GRID, bottom) - call(4 * GRID, bottom)).max() < 1e-12
+    message = (f"first exponent on a size-{GRID} grid must be an integer in "
+               f"{bottom}..{TOP}, got {bottom - 1}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(GRID, bottom - 1)
+
+
+RHO = [
+    lambda v: SpaceData(SPACE.symbol, SPACE.masses, rho=v).rho,
+    lambda v: regularized(SPACE, rho=v).rho,
+    lambda v: sandwich_check(SPACE, 1, v, 0, 4).k_scaled,
+]
+
+
+@pytest.mark.parametrize("call", RHO, ids=["SpaceData", "regularized", "sandwich_check"])
+def test_every_rho_takes_one_rule(call):
+    for value in [True, False, "0.5", 1 + 0j, None, 0, 0.0, -0.5, 1.5, 1 + 1e-15,
+                  math.nan, math.inf, np.float64(2.0)]:
+        message = f"rho must be a real number in (0, 1], got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    # a numpy real and an int give the bits of the equal float
+    for plain, other in [(0.5, np.float64(0.5)), (0.5, np.float32(0.5)), (1.0, 1)]:
+        assert np.float64(call(plain)).tobytes() == np.float64(call(other)).tobytes()
+
+
+def test_rho_is_stored_as_a_float():
+    for value in (1, np.float64(0.5), np.int64(1)):
+        space = SpaceData(SPACE.symbol, SPACE.masses, rho=value)
+        assert type(space.rho) is float and space.rho == value
+        assert type(regularized(SPACE, rho=value).rho) is float

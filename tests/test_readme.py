@@ -1,6 +1,9 @@
-"""The README's library quick start runs as documented, and its config is
-the one the CI steps and the benchmark run."""
+"""The README's library quick start runs as documented, its config is the
+one the CI steps and the benchmark run, and its CLI usage line names the
+options the command takes."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hardydual.cli import parse_config
+from hardydual.cli import main, parse_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -39,3 +42,17 @@ def test_readme_config_is_the_committed_config():
     committed = (REPO / "perfbench" / "readme_config.json").read_text(encoding="utf-8")
     assert blocks[0] == committed
     parse_config(json.loads(blocks[0]))  # raises ConfigError on a bad config
+
+
+def test_readme_usage_line_names_the_run_options():
+    # the options are read from the run parser's help, so a removed flag
+    # cannot stay documented, nor a new one go undocumented
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    usage = re.search(r"^## CLI\n\n```\n(hardydual run .*?)^```", readme, flags=re.S | re.M)
+    assert usage is not None
+    help_text = io.StringIO()
+    with contextlib.redirect_stdout(help_text), contextlib.suppress(SystemExit):
+        main(["run", "--help"])
+    options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", help_text.getvalue())) - {"--help"}
+    assert options
+    assert set(re.findall(r"--[a-z][a-z-]*", usage.group(1))) == options
