@@ -88,6 +88,14 @@ class CircleGrid:
         j = np.arange(self.size)
         return np.exp(2j * np.pi * j / self.size)
 
+    def monomials(self, powers, out=None) -> np.ndarray:
+        """Samples of t^p, one row per p of ``powers`` (an integer or an
+        integer array): t_j^p = t_{(p mod size) j mod size}, a re-indexing of
+        the nodes, so no power loses modulus, however large p is.  p is
+        reduced first, as a Python int past int64 may be."""
+        return self.nodes.take(np.multiply.outer(powers % self.size, np.arange(self.size)),
+                               mode="wrap", out=out)
+
     def check(self, values) -> np.ndarray:
         """Grid samples as a complex array: one vector, or a stack of them
         along leading axes, with the grid along the last axis."""

@@ -9,8 +9,8 @@ which is outside the determinism contract.
 
 The configuration alone sets a run: ``--grid`` and ``--degree`` are written
 into it, ``--out`` names the output directory, and :func:`parse_config` judges
-it once, before any study, by the library's own judges.  Only a symbol's
-contraction waits for :func:`build_space`, so a level's grid can refuse it late.
+it once, before any study, by the library's own judges; a symbol is judged on
+each grid the run realizes: the config grid and each convergence level's.
 
 Exit codes: 0 all gates pass, 2 configuration error (mass points at a
 pseudo-hyperbolic separation below TOL_BLASCHKE included), 3 data failure
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circle import CircleGrid, MassSet, _band_top, _coefficient_index, _grid_size, _integer, \
+from .circle import CircleGrid, MassSet, _band_top, _grid_size, _integer, \
     symbol_from_coefficients, symbol_from_expression, symbol_from_samples, validate_szego
 from .duality import CONVERSE_POWERS, UNITARY, _pairing, apply_tau, dual_of, \
     duality_identity, l2_norm, canonical_vector, theorem_check, TauVector
@@ -73,7 +73,7 @@ class ExperimentConfig:
     seed: int
     grid: int
     degree: int
-    symbol_spec: dict
+    symbols: dict   # grid size -> the symbol realized and judged on that grid
     masses: MassSet
     n_max: int
     rho_list: list
@@ -251,11 +251,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for (g0, d0), (g1, d1) in zip(zip(grids, degrees), zip(grids[1:], degrees[1:])):
             _expect(g0 <= g1 and d0 <= d1 and (g0, d0) != (g1, d1),
                     f"convergence level ({g1}, {d1}) does not refine ({g0}, {d0})")
-        _expect(kind != "samples" or all(g == grid for g in grids),
-                f"a samples symbol fixes the grid: every convergence grid must equal grid {grid}")
-        if "convergence" in studies:  # each level realizes the symbol on its own grid
-            for key in entries:  # int() past 4300 digits raises ValueError too
-                _judged(lambda: _coefficient_index(int(key), min(grids)))
 
     output = raw.get("output", {})
     _expect(isinstance(output, dict) and set(output) <= {"dir"},
@@ -263,47 +258,53 @@ def parse_config(raw: dict) -> ExperimentConfig:
     out_dir = output.get("dir", "out")
     _expect(_is_path(out_dir), "output dir must be a nonempty printable string")
 
+    levels = convergence["grids"] if "convergence" in studies else []
     return ExperimentConfig(
         label=label, seed=seed, grid=grid, degree=degree,
-        symbol_spec=symbol_spec, masses=masses, n_max=n_max,
-        rho_list=[float(r) for r in rho_list], cutoff_list=cutoff_list,
-        convention=convention, gates=gates,
-        studies=list(studies), convergence=convergence, out_dir=out_dir,
-        raw=raw,
+        symbols=_realize(symbol_spec, dict.fromkeys([grid, *levels])),
+        masses=masses, n_max=n_max, rho_list=[float(r) for r in rho_list],
+        cutoff_list=cutoff_list, convention=convention, gates=gates,
+        studies=list(studies), convergence=convergence, out_dir=out_dir, raw=raw,
     )
 
 
-def build_space(config: ExperimentConfig, grid_size: int | None = None) -> SpaceData:
-    """Realize the configured symbol on a grid, contraction-checked, with the masses."""
-    grid = CircleGrid(grid_size or config.grid)
-    chosen = config.symbol_spec
-    # overflow or division by zero in the samples or their FFT leaves inf or
-    # NaN, which validate_szego reports in one line; numpy's warnings would
-    # come first
+def _realize(spec: dict, grid_sizes) -> dict:
+    """The configured symbol on each of ``grid_sizes``, built by the library's
+    constructors and judged by :func:`validate_szego`, as config errors."""
+    symbols = {}
+    # inf or NaN from an overflow in the samples or their FFT is reported by
+    # validate_szego in one line, not first by numpy's warnings
     with np.errstate(all="ignore"):
         try:
-            if chosen["kind"] == "coefficients":
+            if spec["kind"] == "coefficients":
                 entries = {int(k): _as_complex(v, "coefficient")
-                           for k, v in chosen.get("entries", {}).items()}
-                symbol = symbol_from_coefficients(grid, entries)
-            elif chosen["kind"] == "expression":
-                symbol = symbol_from_expression(grid, chosen["formula"])
+                           for k, v in spec.get("entries", {}).items()}
+                build = functools.partial(symbol_from_coefficients, entries=entries)
+            elif spec["kind"] == "expression":
+                build = functools.partial(symbol_from_expression, formula=spec["formula"])
             else:
-                values = chosen.get("values")
-                if "path" in chosen:
-                    with open(chosen["path"], encoding="utf-8") as handle:
+                values = spec.get("values")
+                if "path" in spec:
+                    with open(spec["path"], encoding="utf-8") as handle:
                         values = json.load(handle)
                 _expect(isinstance(values, list), "samples must be a list")
                 samples = np.array([_as_complex(v, "sample") for v in values])
-                symbol = symbol_from_samples(grid, samples)
-        except (ValueError, OverflowError, OSError, GridMismatch) as exc:
+                build = functools.partial(symbol_from_samples, values=samples)
+            for size in grid_sizes:
+                symbols[size] = build(CircleGrid(size))
+                validate_szego(symbols[size])
+        # a samples file nested past the decoder's depth raises a RecursionError
+        except (ValueError, OverflowError, OSError, RecursionError, GridMismatch) as exc:
             raise ConfigError(f"cannot build symbol: {exc}") from exc
+        except SzegoViolation as exc:
+            raise ConfigError(str(exc)) from exc
+    return symbols
 
-    try:
-        validate_szego(symbol)
-    except SzegoViolation as exc:
-        raise ConfigError(str(exc)) from exc
-    return SpaceData(symbol, config.masses)
+
+def build_space(config: ExperimentConfig, grid_size: int | None = None) -> SpaceData:
+    """The configured data pair on a grid the run reads: the symbol
+    :func:`parse_config` realized there, with the masses."""
+    return SpaceData(config.symbols[grid_size or config.grid], config.masses)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +531,6 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> tuple[int, RunR
             gates.extend(out["gates"])
             if out["scalars"]:
                 scalars[study] = out["scalars"]
-    except ConfigError:
-        raise
     except (HardyDualError, MemoryError, FloatingPointError, ValueError) as exc:
         # a MemoryError may carry no message; a ValueError from a study comes
         # from derived data, such as a shifted weight nu |zeta|^2 that underflows

@@ -1,4 +1,4 @@
-"""Reference datasets shared by the tests, the demos, and the CLI.
+"""Reference datasets shared by the tests, the demos and the benchmark (``perfbench``).
 
 Two cases have closed-form kernel values (a single point mass, and a
 rank-one Hankel symbol); the five mixed cases combine smooth contractive

@@ -442,13 +442,6 @@ def _antianalytic_shifts(spectrum: np.ndarray, shifts: np.ndarray,
     return np.fft.ifft(out, norm="forward", out=out)
 
 
-def _monomials(grid, powers: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Grid samples of t^p into row i of ``out`` for p = powers[i]:
-    t_j^p = t_{pj mod N}."""
-    return grid.nodes.take(np.multiply.outer(powers, np.arange(grid.size)),
-                           mode="wrap", out=out)
-
-
 def theorem_check(space: SpaceData, dual: DualData, degree: int) -> TheoremReport:
     """Residuals of the complement-mapping theorem on the given truncation.
 
@@ -578,7 +571,7 @@ def _paired_conditions(dual: DualData, powers: np.ndarray):
     :func:`_converse_orthogonality`).  Each grid array dies at its last
     read: the conditions once mapped, their images once weighted."""
     symbol, grid = dual.symbol, dual.symbol.grid
-    f1 = _monomials(grid, powers, np.empty((powers.size, grid.size), dtype=complex))
+    f1 = grid.monomials(powers, np.empty((powers.size, grid.size), dtype=complex))
     f2 = _antianalytic_shifts(dual.dual_symbol.coeffs, powers, np.empty_like(f1))
     condition = TauVector(f1, np.negative(f2, out=f2),
                           dual.dual_masses.points ** powers[:, None])
@@ -607,7 +600,7 @@ def _converse_tests(symbol: SymbolData, masses: MassSet, blaschke: BlaschkeData,
     q = index[index <= CONVERSE_POWERS]
     k = index[index > CONVERSE_POWERS] - (CONVERSE_POWERS + 1)
     f1 = np.empty((index.size, grid.size), dtype=complex)
-    _monomials(grid, q, f1[:q.size])
+    grid.monomials(q, f1[:q.size])
     f1[:q.size] *= blaschke.values
     np.divide(blaschke.values, grid.nodes - masses.points[k, None], out=f1[q.size:])
     anti = np.concatenate((_rolled_antianalytic(rb_spectrum, q),

@@ -109,7 +109,7 @@ def effective_data(space: SpaceData) -> tuple[SymbolData, MassSet]:
     values = sym.values
     coeffs = sym.coeffs
     if space.shift != 0:
-        values = values * grid.nodes ** space.shift
+        values = values * grid.monomials(space.shift)
         coeffs = np.roll(coeffs, space.shift)
     if space.rho != 1.0:
         values = values * space.rho
@@ -167,7 +167,8 @@ def hankel_block(symbol: SymbolData, exponents, truncation: int) -> np.ndarray:
     assembled in O(J order + order^2) by :func:`_lagged_gram`; rho enters as
     rho^2 when the metric is assembled.  When a_1..a_{J+order-1} are all
     zero, Gamma is zero, with neither the first row's correlation nor the
-    recurrence run.
+    recurrence run.  e0 is judged by ``circle._band_top`` with low = -size/2,
+    so the run reads each of the grid's bins at most once.
     """
     n = symbol.grid.size
     if not (isinstance(exponents, np.ndarray) and exponents.dtype.kind in "iu"):
@@ -175,6 +176,7 @@ def hankel_block(symbol: SymbolData, exponents, truncation: int) -> np.ndarray:
     first, order = int(exponents[0]), exponents.size
     if not np.array_equal(exponents, np.arange(first, first + order)):
         raise ValueError("Hankel exponents must be consecutive and increasing")
+    _band_top(first, f"first exponent on a size-{n} grid", n, low=-(n // 2))
     top = first + order - 1
     truncation = _integer(truncation, "Hankel truncation", 1, n // 2 - top)
     # a[k - 1] = a_k for k = 1..size/2 - first, i.e. r_{-first-1} down to r_{-size/2}
@@ -188,12 +190,12 @@ def analytic_hankel(space: SpaceData, degree: int) -> np.ndarray:
     """Gamma of ``space.symbol`` on z^n..z^{n+degree}, n = ``space.shift``.
 
     J = size/2 - (n + degree), all the band the grid resolves, so no Hankel
-    row wraps, and n >= -size/2, so no coefficient is read twice.  It serves
+    row wraps, and n >= -size/2 (judged by :func:`hankel_block`), so no
+    coefficient is read twice.  It serves
     :func:`assemble_gram` for every rho and mass cutoff of ``space``.
     """
     n, top = space.grid.size, space.shift + _integer(degree, "degree", low=0)
     _band_top(top, f"top exponent on a size-{n} grid", n, low=space.shift)
-    _band_top(space.shift, f"first exponent on a size-{n} grid", n, low=-(n // 2))
     return hankel_block(space.symbol, np.arange(space.shift, top + 1), n // 2 - top)
 
 

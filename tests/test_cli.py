@@ -849,9 +849,11 @@ def test_a_heavy_weight_convergence_gate_is_blind_below_its_tolerance(
     assert gate["passed"] is (code == 0)
 
 
-def test_samples_symbol_with_a_coarser_convergence_grid_exits_2(tmp_path, capsys):
-    # samples exist on one grid; the config is refused before any study
-    # runs, not after the asymptotics and duality studies
+def test_samples_symbol_with_a_coarser_convergence_grid_exits_2(tmp_path, capsys,
+                                                                monkeypatch):
+    # samples exist on one grid; realizing them on a level's grid refuses the
+    # config before any study runs, not after the asymptotics and duality studies
+    called = _spied_studies(monkeypatch)
     nodes = np.exp(2j * np.pi * np.arange(256) / 256)
     samples = [[float(v.real), float(v.imag)] for v in 0.3 * np.conj(nodes)]
     cfg = tmp_path / "c.json"
@@ -859,13 +861,17 @@ def test_samples_symbol_with_a_coarser_convergence_grid_exits_2(tmp_path, capsys
                         symbol={"kind": "samples", "values": samples},
                         studies=["asymptotics", "duality", "convergence"],
                         convergence={"grids": [128, 256], "degrees": [8, 16]})
-    message = "a samples symbol fixes the grid: every convergence grid must equal grid 256"
-    with pytest.raises(cli.ConfigError, match=message):
+    message = "cannot build symbol: expected 128 grid samples, got shape (256,)"
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
         cli.parse_config(raw)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not (tmp_path / "o").exists()
+    assert called == [] and not (tmp_path / "o").exists()
+    # a block the run does not realize is not judged by the samples' grid
+    raw["studies"] = ["asymptotics"]
+    cli.parse_config(raw)
     # the same samples on every level run
+    raw["studies"] = ["asymptotics", "duality", "convergence"]
     raw["convergence"] = {"grids": [256, 256], "degrees": [8, 16]}
     cli.parse_config(raw)
     # --grid is applied first: the override must equal every convergence grid
@@ -980,8 +986,8 @@ def test_a_coefficient_key_past_a_convergence_grid_exits_2_before_any_study(
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == \
-        "config error: coefficient index must be an integer in -511..511, got 600\n"
+    assert capsys.readouterr().err == ("config error: cannot build symbol: coefficient index "
+                                       "must be an integer in -511..511, got 600\n")
     assert called == [] and not (tmp_path / "o").exists()
     # a block the run does not realize is not judged by the key: the five
     # studies run and write their report (its identity gates fail, exit 4)
@@ -991,9 +997,11 @@ def test_a_coefficient_key_past_a_convergence_grid_exits_2_before_any_study(
     assert called == config["studies"] and (tmp_path / "o" / "summary.json").exists()
 
 
-def test_a_symbol_past_one_on_a_finer_level_grid_exits_2_late(tmp_path, capsys, monkeypatch):
+def test_a_symbol_past_one_on_a_finer_level_grid_is_refused_before_any_study(
+        tmp_path, capsys, monkeypatch):
     # a bump at the first odd node of the 512-point grid, which the 256-point
-    # grid misses: only realizing the symbol on the level's grid finds it
+    # grid misses: only realizing the symbol on the level's grid finds it, and
+    # parse_config does that before the first study
     called = _spied_studies(monkeypatch)
     cfg = tmp_path / "c.json"
     _write_config(cfg, grid=256, degree=16, n_max=8, studies=["duality", "convergence"],
@@ -1004,11 +1012,58 @@ def test_a_symbol_past_one_on_a_finer_level_grid_exits_2_late(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("config error: sup |R| = 1.") and err.endswith(
         " exceeds 1 (not a contraction)\n")
-    assert called == ["duality", "convergence"] and not (tmp_path / "o").exists()
+    assert called == [] and not (tmp_path / "o").exists()
+
+
+def test_a_run_realizes_its_symbol_once_per_grid(monkeypatch):
+    # the README config's 4096 level reads the config grid's symbol
+    built = []
+
+    def counted(grid, formula):
+        built.append(grid.size)
+        return symbol_from_expression(grid, formula)
+
+    symbol_from_expression = cli.symbol_from_expression
+    monkeypatch.setattr(cli, "symbol_from_expression", counted)
+    config = cli.parse_config(json.loads((REPO / "perfbench" / "readme_config.json").read_text()))
+    assert built == [4096, 1024, 2048]
+    assert cli.build_space(config).symbol is cli.build_space(config, 4096).symbol
+
+
+def test_a_samples_file_is_read_once_per_run(tmp_path, monkeypatch):
+    # the convergence levels reuse the samples parse_config read
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps([0.1] * 256))
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=256, degree=16, n_max=8,
+                  symbol={"kind": "samples", "path": str(samples)},
+                  studies=["duality", "convergence"],
+                  convergence={"grids": [256, 256], "degrees": [8, 16]})
+    opened = []
+
+    def counted(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counted, raising=False)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert opened.count(str(samples)) == 1
+
+
+def test_a_samples_file_nested_past_the_decoders_depth_exits_2(tmp_path, capsys):
+    # it once ended in a RecursionError traceback
+    samples = tmp_path / "samples.json"
+    samples.write_text("[" * 100000 + "]" * 100000)
+    cfg = tmp_path / "c.json"
+    _write_config(cfg, grid=256, degree=16, symbol={"kind": "samples", "path": str(samples)})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot build symbol: maximum recursion depth")
+    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
 
 def test_a_run_builds_its_masses_once(tmp_path, monkeypatch):
-    # parse_config builds the MassSet; the convergence levels realize only the symbol
+    # parse_config builds the MassSet, and realizes the symbol once on each grid
     built = []
 
     def counted(*args):
@@ -1267,8 +1322,9 @@ def test_mutated_readme_config_exits_cleanly(mutations, overrides, band):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as workdir, \
             warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stderr(err):
+            contextlib.redirect_stderr(err), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("always")
+        called = _spied_studies(patch)
         cwd = os.getcwd()
         os.chdir(workdir)
         try:
@@ -1283,6 +1339,9 @@ def test_mutated_readme_config_exits_cleanly(mutations, overrides, band):
         assert text == "", text
     else:
         assert text.count("\n") == 1 and text.endswith("\n"), text
+    # every config error but an unwritable report comes before the first study
+    if code == 2 and not text.startswith("config error: cannot write the report"):
+        assert called == [], (called, text)
     if band is not None:
         _, top, past = band
         assert (code == 2) == past, (band, text)

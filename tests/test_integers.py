@@ -7,10 +7,10 @@ of them None.  A float, a bool, a numpy float with an integer value and an
 int out of bounds each raise one ValueError that names the count.  Each
 library entry that builds a Gram or a polynomial on the grid refuses a top
 exponent past the band, size/2 - 1, with one ValueError naming it, the grid
-size and the bound, and runs at the band's last exponent; an analytic Gram's
-first exponent is judged by the same band rule, down to -size/2.  A symbol
-scaling rho has one rule too, ``spaces._rho``: a real number, not a bool, in
-(0, 1], stored as a float.
+size and the bound, and runs at the band's last exponent; a Hankel Gram's
+first exponent is judged by the same band rule in ``hankel_block``, down to
+-size/2.  A symbol scaling rho has one rule too, ``spaces._rho``: a real
+number, not a bool, in (0, 1], stored as a float.
 """
 
 import math
@@ -212,6 +212,18 @@ def test_every_entry_judges_its_first_exponent_by_the_band(call):
                f"{bottom}..{TOP}, got {bottom - 1}")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(GRID, bottom - 1)
+
+
+def test_hankel_block_judges_its_first_exponent_by_the_band():
+    # a direct caller's run of coefficients from below -size/2 once read
+    # wrapped ones: r_(p + size) for r_p
+    symbol = _bottom_space(GRID).symbol
+    message = (f"first exponent on a size-{GRID} grid must be an integer in "
+               f"{-(GRID // 2)}..{TOP}, got -200")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hankel_block(symbol, np.arange(-200, -195), 324)
+    bottom = np.arange(-(GRID // 2), 5 - GRID // 2)
+    assert hankel_block(symbol, bottom, GRID // 2 - int(bottom[-1])).shape == (5, 5)
 
 
 RHO = [

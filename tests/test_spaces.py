@@ -37,6 +37,7 @@ from hardydual import (
 from hardydual import cli, spaces
 from hardydual.circle import riesz_project_values
 from hardydual.corpus import BY_NAME, CASES
+from hardydual.duality import build_dual
 from hardydual.tolerances import TOL_PSD
 from oracle import dense_psd_check, gram_entry_quadrature, symbol_values
 from hardydual.spaces import _finalize_gram, hankel_block
@@ -111,6 +112,19 @@ def test_a_shift_that_is_not_an_integer_is_refused():
     for build in refused:
         with pytest.raises(ValueError, match=r"^shift must be an integer, got "):
             build()
+
+
+def test_a_large_shift_keeps_t_n_on_the_circle():
+    # t^n is a re-indexing of the nodes, n reduced mod the grid size first: a
+    # complex power lost about n eps in |t^n| (T(0) read 0.79999839 at 2^40),
+    # and 2^63 overflowed int64
+    space = BY_NAME["hankel_rank1"].space(64)
+    eps = np.finfo(float).eps
+    expected = build_dual(space).T_at_zero
+    for n in (2, 10 ** 6, 2 ** 40, 2 ** 63):
+        assert abs(build_dual(shifted(space, n)).T_at_zero - expected) < 4 * eps
+        values = effective_data(shifted(space, n))[0].values
+        assert np.abs(np.abs(values) - np.abs(space.symbol.values)).max() < 4 * eps
 
 
 def test_numpy_integer_shifts_build_the_int_shifts_bits():
